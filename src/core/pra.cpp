@@ -6,6 +6,8 @@
 #include <cmath>
 #include <span>
 #include <stdexcept>
+#include <string>
+#include <unordered_map>
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -44,52 +46,32 @@ PraEngine::PraEngine(const EncounterModel& model, PraConfig config,
   if (model_.protocol_count() < 2) {
     throw std::invalid_argument("PraEngine: need at least 2 protocols");
   }
-
-  // Precompute the per-protocol opponent samples once. The seeded partial
-  // Fisher-Yates matches what the old per-call opponents_of drew, so the
-  // samples are unchanged — and stable across splits, which keeps the 50-50
-  // and minority tournaments comparable.
-  const std::uint32_t count = model_.protocol_count();
-  if (config_.opponent_sample > 0 &&
-      config_.opponent_sample < static_cast<std::size_t>(count) - 1) {
-    sampled_opponents_.resize(count);
-    std::vector<std::uint32_t> all;
-    all.reserve(count - 1);
-    for (std::uint32_t p = 0; p < count; ++p) {
-      all.clear();
-      for (std::uint32_t o = 0; o < count; ++o) {
-        if (o != p) all.push_back(o);
-      }
-      util::Rng rng(derive_seed(config_.seed, /*tag=*/0xA11, p, 0));
-      for (std::size_t i = 0; i < config_.opponent_sample; ++i) {
-        const std::size_t j =
-            i + static_cast<std::size_t>(rng.below(all.size() - i));
-        std::swap(all[i], all[j]);
-      }
-      sampled_opponents_[p].assign(all.begin(),
-                                   all.begin() + static_cast<std::ptrdiff_t>(
-                                                     config_.opponent_sample));
-    }
-  }
 }
 
 PraEngine::~PraEngine() = default;
 
-util::ThreadPool& PraEngine::pool() const {
-  if (pool_ != nullptr) return *pool_;
-  if (!owned_pool_) {
-    owned_pool_ = std::make_unique<util::ThreadPool>(
-        config_.threads == 0 ? util::ThreadPool::default_thread_count()
-                             : config_.threads);
-  }
-  return *owned_pool_;
+util::ThreadPool* PraEngine::pool() const {
+  if (pool_ != nullptr) return pool_;
+  const std::size_t threads = config_.threads == 0
+                                  ? util::ThreadPool::default_thread_count()
+                                  : config_.threads;
+  if (threads == 1) return nullptr;
+  if (!owned_pool_) owned_pool_ = std::make_unique<util::ThreadPool>(threads);
+  return owned_pool_.get();
 }
 
-std::size_t PraEngine::grain_for(std::size_t total) const {
+template <typename Fn>
+void PraEngine::run_grid(std::size_t total, Fn&& fn) const {
+  util::ThreadPool* workers = pool();
+  if (workers == nullptr) {
+    for (std::size_t t = 0; t < total; ++t) fn(t);
+    return;
+  }
   // Aim for ~32 chunks per worker so stragglers rebalance, but never let a
   // chunk shrink to the point where the shared counter is hot.
-  const std::size_t threads = pool().thread_count();
-  return std::clamp<std::size_t>(total / (threads * 32 + 1), 1, 64);
+  const std::size_t grain = std::clamp<std::size_t>(
+      total / (workers->thread_count() * 32 + 1), 1, 64);
+  workers->parallel_for(total, std::forward<Fn>(fn), grain);
 }
 
 std::size_t PraEngine::pi_count(double pi_fraction) const {
@@ -99,16 +81,56 @@ std::size_t PraEngine::pi_count(double pi_fraction) const {
 }
 
 std::size_t PraEngine::opponent_count() const noexcept {
-  const auto others =
-      static_cast<std::size_t>(model_.protocol_count()) - 1;
-  return sampled_opponents_.empty() ? others : config_.opponent_sample;
+  const auto others = static_cast<std::size_t>(model_.protocol_count()) - 1;
+  return config_.opponent_sample == 0 ? others
+                                      : std::min(config_.opponent_sample,
+                                                 others);
 }
 
-std::uint32_t PraEngine::opponent_at(std::uint32_t p, std::size_t j) const {
-  if (!sampled_opponents_.empty()) return sampled_opponents_[p][j];
-  // Exhaustive case: ascending protocol ids with p skipped.
-  const auto o = static_cast<std::uint32_t>(j);
-  return o < p ? o : o + 1;
+std::vector<std::uint32_t> PraEngine::opponents_of(std::uint32_t p) const {
+  if (p >= model_.protocol_count()) {
+    throw std::invalid_argument("PraEngine::opponents_of: no protocol " +
+                                std::to_string(p));
+  }
+  // Position i of the virtual opponent list: protocol ids ascending, p
+  // skipped.
+  const auto listed = [p](std::uint32_t i) { return i < p ? i : i + 1; };
+  const std::uint32_t others = model_.protocol_count() - 1;
+  const std::size_t k = opponent_count();
+  std::vector<std::uint32_t> sample(k);
+  if (k == others) {
+    for (std::uint32_t i = 0; i < others; ++i) sample[i] = listed(i);
+    return sample;
+  }
+  // Step i swaps position i with a uniform j in [i, others). A position no
+  // swap displaced still holds listed(position), and position i is never
+  // read after step i, so only the (at most k) displaced positions are
+  // stored.
+  std::unordered_map<std::uint32_t, std::uint32_t> displaced;
+  displaced.reserve(k);
+  const auto at = [&](std::uint32_t i) {
+    const auto it = displaced.find(i);
+    return it == displaced.end() ? listed(i) : it->second;
+  };
+  util::Rng rng(derive_seed(config_.seed, /*tag=*/0xA11, p, 0));
+  for (std::uint32_t i = 0; i < k; ++i) {
+    const auto j = static_cast<std::uint32_t>(i + rng.below(others - i));
+    const std::uint32_t held = at(i);
+    sample[i] = at(j);
+    displaced[j] = held;
+  }
+  return sample;
+}
+
+std::vector<std::uint32_t> PraEngine::opponent_table(std::uint32_t begin,
+                                                     std::uint32_t end) const {
+  std::vector<std::uint32_t> table;
+  table.reserve(static_cast<std::size_t>(end - begin) * opponent_count());
+  for (std::uint32_t p = begin; p < end; ++p) {
+    const std::vector<std::uint32_t> sample = opponents_of(p);
+    table.insert(table.end(), sample.begin(), sample.end());
+  }
+  return table;
 }
 
 double PraEngine::raw_performance_of(std::uint32_t p) const {
@@ -132,7 +154,7 @@ std::vector<double> PraEngine::raw_performance() const {
   std::vector<std::atomic<std::size_t>> remaining(count);
   for (auto& r : remaining) r.store(runs, std::memory_order_relaxed);
   std::atomic<std::size_t> done{0};
-  pool().parallel_for(
+  run_grid(
       total,
       [&](std::size_t t) {
         const auto p = static_cast<std::uint32_t>(t / runs);
@@ -144,8 +166,7 @@ std::vector<double> PraEngine::raw_performance() const {
             config_.progress) {
           config_.progress(++done, count);
         }
-      },
-      grain_for(total));
+      });
 
   // Reduce in run order — the same summation order as raw_performance_of,
   // so the mean is bitwise-identical.
@@ -167,11 +188,9 @@ double PraEngine::win_rate_of(std::uint32_t p, double pi_fraction) const {
   const auto split_tag =
       static_cast<std::uint64_t>(std::llround(pi_fraction * 1000.0));
 
-  const std::size_t opponents = opponent_count();
   std::size_t wins = 0;
   std::size_t games = 0;
-  for (std::size_t j = 0; j < opponents; ++j) {
-    const std::uint32_t opponent = opponent_at(p, j);
+  for (const std::uint32_t opponent : opponents_of(p)) {
     for (std::size_t run = 0; run < config_.encounter_runs; ++run) {
       const std::uint64_t seed =
           derive_seed(config_.seed, split_tag,
@@ -203,16 +222,17 @@ std::vector<double> PraEngine::tournament(double pi_fraction) const {
   const std::size_t total = static_cast<std::size_t>(count) * games;
 
   // Flattened (protocol, opponent, run) grid; each task records one win bit.
+  const std::vector<std::uint32_t> table = opponent_table(0, count);
   std::vector<std::uint8_t> win(total, 0);
   std::vector<std::atomic<std::size_t>> remaining(count);
   for (auto& r : remaining) r.store(games, std::memory_order_relaxed);
   std::atomic<std::size_t> done{0};
-  pool().parallel_for(
+  run_grid(
       total,
       [&](std::size_t t) {
         const auto p = static_cast<std::uint32_t>(t / games);
         const std::size_t rem = t % games;
-        const std::uint32_t opponent = opponent_at(p, rem / runs);
+        const std::uint32_t opponent = table[p * opponents + rem / runs];
         const std::size_t run = rem % runs;
         const std::uint64_t seed =
             derive_seed(config_.seed, split_tag,
@@ -224,8 +244,7 @@ std::vector<double> PraEngine::tournament(double pi_fraction) const {
             config_.progress) {
           config_.progress(++done, count);
         }
-      },
-      grain_for(total));
+      });
 
   // Integer win counts are order-free, so this matches win_rate_of exactly.
   std::vector<double> win_rate(count, 0.0);
@@ -281,6 +300,7 @@ std::vector<ProtocolMetrics> PraEngine::quantify(std::uint32_t begin,
       batched ? perf_jobs + 2 * split_jobs : per_protocol;
   const std::size_t task_count = batch * per_protocol_tasks;
 
+  const std::vector<std::uint32_t> table = opponent_table(begin, end);
   std::vector<double> perf_slots(batch * perf_runs, 0.0);
   std::vector<std::uint8_t> win(batch * 2 * games, 0);
   std::vector<std::atomic<std::size_t>> remaining(batch);
@@ -339,7 +359,7 @@ std::vector<ProtocolMetrics> PraEngine::quantify(std::uint32_t begin,
     outs.resize(lanes);
     for (std::size_t w = 0; w < lanes; ++w) {
       const std::size_t game = game0 + w;
-      const std::uint32_t opponent = opponent_at(p, game / runs);
+      const std::uint32_t opponent = table[slot * opponents + game / runs];
       const std::size_t run = game % runs;
       jobs[w] = {opponent,
                  derive_seed(config_.seed, tag,
@@ -354,7 +374,7 @@ std::vector<ProtocolMetrics> PraEngine::quantify(std::uint32_t begin,
     }
   };
 
-  pool().parallel_for(
+  run_grid(
       task_count,
       [&](std::size_t t) {
         std::chrono::steady_clock::time_point task_start;
@@ -372,7 +392,8 @@ std::vector<ProtocolMetrics> PraEngine::quantify(std::uint32_t begin,
           local -= perf_runs;
           const std::size_t split = local / games;  // 0 = 50/50, 1 = minority
           const std::size_t game = local % games;
-          const std::uint32_t opponent = opponent_at(p, game / runs);
+          const std::uint32_t opponent =
+              table[slot * opponents + game / runs];
           const std::size_t run = game % runs;
           const std::uint64_t tag = split == 0 ? rob_tag : agg_tag;
           const std::size_t count_pi = split == 0 ? count_rob : count_agg;
@@ -401,8 +422,7 @@ std::vector<ProtocolMetrics> PraEngine::quantify(std::uint32_t begin,
           }
           if (config_.progress) config_.progress(++done, batch);
         }
-      },
-      grain_for(task_count));
+      });
 
   if (obs_on) {
     auto& registry = obs::Registry::global();

@@ -74,8 +74,9 @@ struct ProtocolMetrics {
 /// Runs PRA over a model's whole protocol space.
 ///
 /// All scheduling goes through one ThreadPool — caller-provided or lazily
-/// owned — and every experiment is flattened into a grid of independent
-/// per-simulation tasks, so one slow protocol never straggles a pass.
+/// owned, or none when one worker runs the grid inline — and every
+/// experiment is flattened into a grid of independent per-simulation tasks,
+/// so one slow protocol never straggles a pass.
 /// Methods parallelize internally; the engine itself must not be driven from
 /// multiple threads at once. Results are independent of the pool size and
 /// of task scheduling (per-item seed derivation).
@@ -87,7 +88,12 @@ class PraEngine {
   /// When `pool` is non-null the engine schedules every experiment on it
   /// (the pool must outlive the engine and config.threads is ignored);
   /// otherwise the engine lazily creates its own pool with config.threads
-  /// workers (0 = hardware concurrency) on first use.
+  /// workers (0 = hardware concurrency) on first use — unless that is one
+  /// worker, in which case every grid runs inline on the calling thread and
+  /// no thread is ever started.
+  ///
+  /// Construction only validates: opponent samples are drawn on demand, per
+  /// protocol, by the methods that need them.
   PraEngine(const EncounterModel& model, PraConfig config,
             util::ThreadPool* pool = nullptr);
   ~PraEngine();
@@ -123,6 +129,16 @@ class PraEngine {
   [[nodiscard]] std::vector<ProtocolMetrics> quantify(std::uint32_t begin,
                                                       std::uint32_t end) const;
 
+  /// The opponents protocol p faces in every tournament, in play order:
+  /// every other protocol ascending in the exhaustive case, else the first
+  /// opponent_sample entries of a partial Fisher-Yates shuffle of that list
+  /// seeded by (seed, p). The shuffle runs over the list virtually and keeps
+  /// only the positions its swaps displaced, so a draw costs
+  /// O(opponent_sample), not O(protocol count). The sample is the same at
+  /// every split, which keeps the 50-50 and minority tournaments comparable.
+  /// Throws std::invalid_argument if p is not a protocol of the model.
+  [[nodiscard]] std::vector<std::uint32_t> opponents_of(std::uint32_t p) const;
+
   /// Performance + Robustness + Aggressiveness in one pass.
   [[nodiscard]] PraScores run() const;
 
@@ -137,29 +153,24 @@ class PraEngine {
   /// configured sample size.
   [[nodiscard]] std::size_t opponent_count() const noexcept;
 
-  /// The j-th opponent of protocol p (j < opponent_count()): arithmetic in
-  /// the exhaustive case, a lookup into the precomputed per-protocol sample
-  /// otherwise. Replaces the old opponents_of, which rebuilt and reshuffled
-  /// the full list on every win_rate_of call.
-  [[nodiscard]] std::uint32_t opponent_at(std::uint32_t p,
-                                          std::size_t j) const;
+  /// opponents_of(p) for every p in [begin, end), concatenated: entry
+  /// (p - begin) * opponent_count() + j is p's j-th opponent.
+  [[nodiscard]] std::vector<std::uint32_t> opponent_table(
+      std::uint32_t begin, std::uint32_t end) const;
 
-  /// The shared scheduler: the caller's pool, or the lazily-built owned one.
-  [[nodiscard]] util::ThreadPool& pool() const;
+  /// The scheduler for config.threads workers: the caller's pool, the
+  /// lazily-built owned one, or nullptr when one worker means inline.
+  [[nodiscard]] util::ThreadPool* pool() const;
 
-  /// Chunk size for parallel_for over `total` simulation tasks: large enough
-  /// to amortize the shared atomic counter, small enough to keep every
-  /// worker busy.
-  [[nodiscard]] std::size_t grain_for(std::size_t total) const;
+  /// Runs fn(t) for every t in [0, total) on pool(), or inline on the
+  /// calling thread when pool() is nullptr.
+  template <typename Fn>
+  void run_grid(std::size_t total, Fn&& fn) const;
 
   const EncounterModel& model_;
   PraConfig config_;
   util::ThreadPool* pool_ = nullptr;
   mutable std::unique_ptr<util::ThreadPool> owned_pool_;
-  /// Per-protocol opponent samples (empty in the exhaustive case), built
-  /// once in the constructor with the same seeded partial Fisher-Yates the
-  /// old per-call path used, so samples are unchanged and split-stable.
-  std::vector<std::vector<std::uint32_t>> sampled_opponents_;
 };
 
 /// Mixes a master seed with an experiment tag and work-item coordinates into

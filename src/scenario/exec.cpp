@@ -75,9 +75,10 @@ JobRows execute_sweep(const Job& job) {
   pra.seed = static_cast<std::uint64_t>(p.get_int("seed"));
   pra.batch_width = static_cast<std::size_t>(p.get_int("batch_width"));
   // Jobs already run concurrently on the runner's pool; a nested pool here
-  // would deadlock it. threads=1 makes the engine's parallel_for inline on
-  // this worker — and per-item seeding keeps the numbers identical to any
-  // other scheduling.
+  // would deadlock it. threads=1 runs the engine's grid inline on this
+  // worker without starting a thread — and per-item seeding keeps the
+  // numbers identical to any other scheduling. The engine draws opponent
+  // samples only for the protocols this job quantifies.
   pra.threads = 1;
   const core::PraEngine pra_engine(model, pra);
 

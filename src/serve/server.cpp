@@ -3,6 +3,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <list>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -47,6 +48,8 @@ std::map<std::string, std::uint64_t> Server::counters() const {
       {"queries", queries_.load(std::memory_order_relaxed)},
       {"queries_failed", queries_failed_.load(std::memory_order_relaxed)},
       {"connections", connections_.load(std::memory_order_relaxed)},
+      {"connections_open",
+       connections_open_.load(std::memory_order_relaxed)},
       {"jobs_executed", jobs_executed_.load(std::memory_order_relaxed)},
       {"cache_hits", stats.hits},
       {"cache_misses", stats.misses},
@@ -60,21 +63,44 @@ std::map<std::string, std::uint64_t> Server::counters() const {
 }
 
 void Server::serve(std::atomic<bool>& stop) {
-  std::vector<std::thread> connections;
+  // A connection's thread sets `done` as its last act; the accept loop
+  // joins such threads on every pass, so a finished connection's stack is
+  // released within one poll interval instead of at shutdown.
+  struct Connection {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Connection> connections;
+  const auto reap = [&] {
+    for (auto it = connections.begin(); it != connections.end();) {
+      if (!it->done.load(std::memory_order_acquire)) {
+        ++it;
+        continue;
+      }
+      it->thread.join();
+      it = connections.erase(it);
+      connections_open_.fetch_sub(1, std::memory_order_relaxed);
+    }
+  };
   if (options_.verbose) {
     std::fprintf(stderr, "serve: listening on %s (%zu worker thread(s))\n",
                  listener_.path().string().c_str(), pool_.thread_count());
   }
   while (!stop.load(std::memory_order_relaxed)) {
     util::LineSocket connection = listener_.accept(options_.poll_ms);
+    reap();
     if (!connection.valid()) continue;  // timeout or EINTR — re-check stop
     connections_.fetch_add(1, std::memory_order_relaxed);
-    connections.emplace_back(
-        [this, &stop, conn = std::move(connection)]() mutable {
+    connections_open_.fetch_add(1, std::memory_order_relaxed);
+    Connection& slot = connections.emplace_back();
+    slot.thread = std::thread(
+        [this, &stop, &slot, conn = std::move(connection)]() mutable {
           handle_connection(std::move(conn), stop);
+          slot.done.store(true, std::memory_order_release);
         });
   }
-  for (std::thread& thread : connections) thread.join();
+  for (Connection& connection : connections) connection.thread.join();
+  connections_open_.store(0, std::memory_order_relaxed);
   pool_.wait_idle();
   telemetry_.watch_pool(nullptr);
   telemetry_.finish(true);
@@ -228,7 +254,6 @@ void Server::handle_query(util::LineSocket& connection,
       // Exceptions stay inside the job: pool.wait_idle() is shared by every
       // concurrent query, so one query's failure must not surface there.
       const auto start = std::chrono::steady_clock::now();
-      std::uint64_t done_now = 0;
       try {
         DSA_OBS_PHASE("serve/execute");
         JobRows rows = scenario::execute_job(plan.spec, plan.jobs[i]);
@@ -242,16 +267,19 @@ void Server::handle_query(util::LineSocket& connection,
         }
         std::lock_guard lock(query_mutex);
         results[i] = std::move(rows);
-        done_now = cached + ++finished;
       } catch (const std::exception& error) {
         std::lock_guard lock(query_mutex);
         if (first_error.empty()) {
           first_error = "job " + std::to_string(plan.jobs[i].index) + " (" +
                         plan.jobs[i].label + "): " + error.what();
         }
-        done_now = cached + ++finished;
       }
-      send_progress(done_now);
+      // The last increment of `finished` lets handle_query return and
+      // destroy this task's captures, so everything that touches its frame
+      // happens under query_mutex, before the increment or with it held.
+      std::lock_guard lock(query_mutex);
+      send_progress(cached + finished + 1);
+      ++finished;
       query_done.notify_all();
     });
   }

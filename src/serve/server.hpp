@@ -44,8 +44,9 @@ class Server {
   explicit Server(ServerOptions options);
 
   /// Accepts and serves connections until `stop` becomes true or a client
-  /// sends "shutdown" (which also sets `stop`). Blocking; joins every
-  /// connection thread before returning.
+  /// sends "shutdown" (which also sets `stop`). Blocking; joins each
+  /// connection thread within one poll interval of its client leaving, and
+  /// every remaining one before returning.
   void serve(std::atomic<bool>& stop);
 
   [[nodiscard]] const std::filesystem::path& socket_path() const noexcept {
@@ -72,6 +73,8 @@ class Server {
   std::atomic<std::uint64_t> queries_failed_{0};
   std::atomic<std::uint64_t> jobs_executed_{0};
   std::atomic<std::uint64_t> connections_{0};
+  /// Connection threads started and not yet joined.
+  std::atomic<std::uint64_t> connections_open_{0};
 };
 
 }  // namespace dsa::serve

@@ -135,6 +135,9 @@ class ThreadPool {
       {
         std::lock_guard lock(mutex_);
         if (error && !first_error_) first_error_ = error;
+        // Drop this worker's reference before wait_idle() can return, so
+        // the caller that rethrows ends up freeing the exception.
+        error = nullptr;
         if (--pending_ == 0) idle_.notify_all();
       }
     }

@@ -61,15 +61,19 @@ TEST(PraPerProtocol, MatchesBatchPassesExactly) {
   config.encounter_runs = 2;
   config.seed = 99;
   config.threads = 2;
-  const core::PraEngine engine(model, config);
+  // Every opponent, then a sample of 3 of the 6 others.
+  for (const std::size_t sample : {std::size_t{0}, std::size_t{3}}) {
+    config.opponent_sample = sample;
+    const core::PraEngine engine(model, config);
 
-  const std::vector<double> raw = engine.raw_performance();
-  const std::vector<double> robustness = engine.tournament(0.5);
-  const std::vector<double> aggressiveness = engine.tournament(0.1);
-  for (std::uint32_t p = 0; p < model.protocol_count(); ++p) {
-    EXPECT_DOUBLE_EQ(raw[p], engine.raw_performance_of(p)) << p;
-    EXPECT_DOUBLE_EQ(robustness[p], engine.win_rate_of(p, 0.5)) << p;
-    EXPECT_DOUBLE_EQ(aggressiveness[p], engine.win_rate_of(p, 0.1)) << p;
+    const std::vector<double> raw = engine.raw_performance();
+    const std::vector<double> robustness = engine.tournament(0.5);
+    const std::vector<double> aggressiveness = engine.tournament(0.1);
+    for (std::uint32_t p = 0; p < model.protocol_count(); ++p) {
+      EXPECT_DOUBLE_EQ(raw[p], engine.raw_performance_of(p)) << p;
+      EXPECT_DOUBLE_EQ(robustness[p], engine.win_rate_of(p, 0.5)) << p;
+      EXPECT_DOUBLE_EQ(aggressiveness[p], engine.win_rate_of(p, 0.1)) << p;
+    }
   }
 }
 

@@ -3,7 +3,11 @@
 // views, seed derivation, and the heuristic search.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <filesystem>
+#include <iterator>
+#include <mutex>
 #include <numeric>
 #include <vector>
 
@@ -12,6 +16,7 @@
 #include "core/pra.hpp"
 #include "core/search.hpp"
 #include "core/subspace.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -189,13 +194,18 @@ TEST(PraEngine, ProgressCallbackCoversAllProtocols) {
   PraConfig config;
   config.performance_runs = 1;
   config.encounter_runs = 1;
-  std::atomic<std::size_t> final_done{0};
+  // Workers may deliver their calls out of order; each count must still
+  // arrive exactly once.
+  std::mutex mutex;
+  std::vector<std::size_t> reported;
   config.progress = [&](std::size_t done, std::size_t total) {
-    EXPECT_LE(done, total);
-    final_done = done;
+    EXPECT_EQ(total, 3u);
+    std::lock_guard lock(mutex);
+    reported.push_back(done);
   };
   (void)PraEngine(model, config).raw_performance();
-  EXPECT_EQ(final_done.load(), 3u);
+  std::sort(reported.begin(), reported.end());
+  EXPECT_EQ(reported, (std::vector<std::size_t>{1, 2, 3}));
 }
 
 TEST(PraEngine, RejectsDegenerateConfigs) {
@@ -214,6 +224,76 @@ TEST(PraEngine, RejectsDegenerateConfigs) {
   PraEngine ok(model, PraConfig{});
   EXPECT_THROW(ok.tournament(0.0), std::invalid_argument);
   EXPECT_THROW(ok.tournament(1.0), std::invalid_argument);
+}
+
+/// The opponent sample as first specified: materialize every other protocol
+/// ascending, run a seeded partial Fisher-Yates over the whole list, keep
+/// the first k. O(P) per protocol; opponents_of must draw the same sample
+/// without materializing the list.
+std::vector<std::uint32_t> materialized_opponents(std::uint32_t count,
+                                                  std::uint32_t p,
+                                                  std::size_t k,
+                                                  std::uint64_t seed) {
+  std::vector<std::uint32_t> all;
+  for (std::uint32_t o = 0; o < count; ++o) {
+    if (o != p) all.push_back(o);
+  }
+  if (k == 0 || k >= all.size()) return all;
+  dsa::util::Rng rng(derive_seed(seed, /*tag=*/0xA11, p, 0));
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t j =
+        i + static_cast<std::size_t>(rng.below(all.size() - i));
+    std::swap(all[i], all[j]);
+  }
+  all.resize(k);
+  return all;
+}
+
+TEST(PraEngine, OpponentSampleMatchesMaterializedFisherYates) {
+  for (const std::uint32_t count : {3u, 100u, 3270u}) {
+    const ToyModel model(std::vector<double>(count, 1.0));
+    for (const std::size_t k : {std::size_t{1}, std::size_t{4},
+                                std::size_t{24}, std::size_t{count - 2}}) {
+      PraConfig config;
+      config.opponent_sample = k;
+      config.seed = 2011 + count;
+      const PraEngine engine(model, config);
+      const std::uint32_t stride = count > 1000 ? 37 : 1;
+      for (std::uint32_t p = 0; p < count; p += stride) {
+        ASSERT_EQ(engine.opponents_of(p),
+                  materialized_opponents(count, p, k, config.seed))
+            << "P=" << count << " k=" << k << " p=" << p;
+      }
+      EXPECT_EQ(engine.opponents_of(count - 1),
+                materialized_opponents(count, count - 1, k, config.seed));
+    }
+  }
+  const ToyModel model({1.0, 2.0});
+  EXPECT_THROW((void)PraEngine(model, PraConfig{}).opponents_of(2),
+               std::invalid_argument);
+}
+
+std::size_t process_thread_count() {
+  namespace fs = std::filesystem;
+  const auto tasks = fs::directory_iterator("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(fs::begin(tasks), fs::end(tasks)));
+}
+
+TEST(PraEngine, SingleThreadQuantifyStartsNoThread) {
+  ToyModel model({1.0, 2.0, 3.0, 4.0});
+  PraConfig config;
+  config.performance_runs = 2;
+  config.encounter_runs = 2;
+  config.opponent_sample = 2;
+  config.threads = 1;
+  const std::size_t before = process_thread_count();
+  const PraEngine engine(model, config);
+  const std::vector<ProtocolMetrics> metrics = engine.quantify(2, 3);
+  EXPECT_EQ(process_thread_count(), before);
+  ASSERT_EQ(metrics.size(), 1u);
+  EXPECT_DOUBLE_EQ(metrics[0].raw_performance, 3.0);
+  EXPECT_EQ(metrics[0].robustness, engine.win_rate_of(2, 0.5));
 }
 
 TEST(DeriveSeed, DistinguishesEveryCoordinate) {

@@ -8,9 +8,11 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -492,6 +494,69 @@ TEST_F(ServeTest, ShutdownRequestStopsTheServeLoop) {
   client.shutdown();
   thread.join();  // returns because the shutdown request set `stop`
   EXPECT_TRUE(stop.load());
+}
+
+TEST_F(ServeTest, ColdMultiJobQueryIsByteStableAcrossRepeats) {
+  // A swarm grid of three jobs on a two-worker daemon: pool tasks finish
+  // while handle_query waits, and the last one must not touch the query's
+  // frame after handle_query may have returned. Each repeat is a fresh,
+  // cold daemon so every answer executes all three jobs.
+  const std::string spec =
+      "{\"scenario\":\"race\",\"kind\":\"swarm\",\"output\":\"" +
+      (dir_ / "race.csv").string() +
+      "\",\"params\":{\"a\":[\"bt\",\"birds\",\"loyal\"],\"b\":\"bt\","
+      "\"fraction\":0.5,\"total\":10,\"runs\":1,\"piece_count\":20,"
+      "\"seed\":3}}";
+  std::string first;
+  for (int repeat = 0; repeat < 20; ++repeat) {
+    Daemon daemon(daemon_options(dir_, 2));
+    serve::Client client(daemon.server().socket_path());
+    const serve::Response response = client.query(spec);
+    ASSERT_EQ(response.jobs, 3u);
+    ASSERT_EQ(response.executed_jobs, 3u);
+    if (repeat == 0) first = response.body;
+    ASSERT_EQ(response.body, first) << "repeat " << repeat;
+  }
+  EXPECT_FALSE(first.empty());
+}
+
+std::size_t process_thread_count() {
+  const auto tasks = fs::directory_iterator("/proc/self/task");
+  return static_cast<std::size_t>(
+      std::distance(fs::begin(tasks), fs::end(tasks)));
+}
+
+TEST_F(ServeTest, FinishedConnectionsAreReaped) {
+  const std::size_t workers = 2;
+  // A sanitizer runtime starts its own helper thread at the first thread
+  // creation; start it before taking the baseline.
+  std::thread([] {}).join();
+  const std::size_t baseline = process_thread_count();
+  auto options = daemon_options(dir_, workers);
+  const int poll_ms = options.poll_ms;
+  Daemon daemon(std::move(options));
+  const std::string spec = sweep_spec_text("q.csv");
+  for (int i = 0; i < 300; ++i) {
+    serve::Client client(daemon.server().socket_path());
+    (void)client.query(spec);
+  }
+  EXPECT_EQ(daemon.server().counters().at("connections"), 300u);
+
+  // The last client is gone: the accept loop joins its thread on its next
+  // pass, at most one poll interval away (plus scheduling slack).
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(poll_ms + 500);
+  while (daemon.server().counters().at("connections_open") != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(daemon.server().counters().at("connections_open"), 0u);
+
+  // One more client: the status response carries the counter, and the
+  // daemon runs the serve loop, the pool's workers and this connection.
+  serve::Client client(daemon.server().socket_path());
+  EXPECT_EQ(client.status().at("connections_open"), 1u);
+  EXPECT_LE(process_thread_count() - baseline, workers + 2);
 }
 
 TEST_F(ServeTest, SecondDaemonOnTheSameSocketFailsConstruction) {
