@@ -3,11 +3,10 @@
 // the figure benches' wall-clock cost is (simulations) x (time/run) measured
 // here.
 //
-// The round-model benchmarks run the sparse production engine, the dense
-// reference engine, and the batch-lockstep engine side-by-side, and main()
-// first asserts all three produce bit-for-bit identical outcomes on a
-// churning mixed population — a cheap guard against silent divergence that
-// runs every time the bench does.
+// The round-model benchmarks run the production engine and the test-side
+// dense oracle (tests/oracle) side-by-side, and main() first asserts the two
+// produce bit-for-bit identical outcomes on a churning mixed population — a
+// cheap guard against silent divergence that runs every time the bench does.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -15,6 +14,7 @@
 
 #include "common.hpp"
 #include "core/pra.hpp"
+#include "oracle/dense_engine.hpp"
 #include "swarm/swarm_sim.hpp"
 #include "swarming/dsa_model.hpp"
 #include "swarming/simulator.hpp"
@@ -23,63 +23,66 @@ namespace {
 
 using namespace dsa;
 
-swarming::SimEngine engine_arg(std::int64_t value) {
-  switch (value) {
-    case 1:
-      return swarming::SimEngine::kDense;
-    case 2:
-      return swarming::SimEngine::kBatch;
-    default:
-      return swarming::SimEngine::kSparse;
-  }
+/// One simulation on the engine a benchmark's `engine` argument names:
+/// 0 the production engine, 1 the dense oracle.
+swarming::SimulationOutcome simulate_on(
+    std::int64_t engine, const std::vector<swarming::ProtocolSpec>& protocols,
+    const swarming::SimulationConfig& config,
+    const swarming::BandwidthDistribution& bandwidths) {
+  const std::vector<double> capacities = swarming::shuffled_capacities(
+      protocols.size(), bandwidths, config.seed);
+  return engine == 1 ? swarming::oracle::simulate_rounds_dense(
+                           protocols, capacities, config, &bandwidths)
+                     : swarming::simulate_rounds(protocols, capacities,
+                                                 config, &bandwidths);
 }
 
 void BM_RoundSimHomogeneous(benchmark::State& state) {
   const auto rounds = static_cast<std::size_t>(state.range(0));
   swarming::SimulationConfig config;
   config.rounds = rounds;
-  config.engine = engine_arg(state.range(1));
   const auto bandwidths = swarming::BandwidthDistribution::piatek();
+  const std::vector<swarming::ProtocolSpec> protocols(
+      50, swarming::bittorrent_protocol());
   std::uint64_t seed = 1;
   for (auto _ : state) {
     config.seed = seed++;
-    benchmark::DoNotOptimize(swarming::run_homogeneous_throughput(
-        swarming::bittorrent_protocol(), 50, config, bandwidths));
+    benchmark::DoNotOptimize(
+        simulate_on(state.range(1), protocols, config, bandwidths)
+            .population_mean());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(rounds) * 50);
 }
 BENCHMARK(BM_RoundSimHomogeneous)
-    ->ArgNames({"rounds", "engine"})  // engine: 0 sparse, 1 dense, 2 batch
+    ->ArgNames({"rounds", "engine"})  // engine: 0 sparse, 1 dense oracle
     ->Args({120, 0})
     ->Args({120, 1})
-    ->Args({120, 2})
     ->Args({500, 0})
-    ->Args({500, 1})
-    ->Args({500, 2});
+    ->Args({500, 1});
 
 void BM_RoundSimEncounter(benchmark::State& state) {
   swarming::SimulationConfig config;
   config.rounds = static_cast<std::size_t>(state.range(0));
-  config.engine = engine_arg(state.range(1));
   const auto bandwidths = swarming::BandwidthDistribution::piatek();
+  std::vector<swarming::ProtocolSpec> protocols(
+      25, swarming::bittorrent_protocol());
+  protocols.insert(protocols.end(), 25,
+                   swarming::loyal_when_needed_protocol());
   std::uint64_t seed = 1;
   for (auto _ : state) {
     config.seed = seed++;
     benchmark::DoNotOptimize(
-        swarming::run_encounter(swarming::bittorrent_protocol(),
-                                swarming::loyal_when_needed_protocol(), 25, 25,
-                                config, bandwidths));
+        simulate_on(state.range(1), protocols, config, bandwidths)
+            .group_mean(0, 25));
   }
 }
 BENCHMARK(BM_RoundSimEncounter)
-    ->ArgNames({"rounds", "engine"})  // engine: 0 sparse, 1 dense, 2 batch
+    ->ArgNames({"rounds", "engine"})  // engine: 0 sparse, 1 dense oracle
     ->Args({120, 0})
     ->Args({120, 1})
-    ->Args({120, 2})
     ->Args({500, 0})
-    ->Args({500, 1})
-    ->Args({500, 2});
+    ->Args({500, 1});
 
 void BM_SwarmDownload(benchmark::State& state) {
   swarm::SwarmConfig config;
@@ -103,9 +106,10 @@ void BM_ProtocolCodec(benchmark::State& state) {
 }
 BENCHMARK(BM_ProtocolCodec);
 
-/// Runs one churning mixed-population config on all three engines and aborts
-/// on any outcome difference — the engines' contract is bitwise identity,
-/// not mere closeness, so compare with == rather than a tolerance.
+/// Runs one churning mixed-population config on the production engine and
+/// the dense oracle and aborts on any outcome difference — the contract is
+/// bitwise identity, not mere closeness, so compare with == rather than a
+/// tolerance.
 void assert_engines_match() {
   swarming::SimulationConfig config;
   config.rounds = 200;
@@ -123,31 +127,20 @@ void assert_engines_match() {
   const std::vector<double> capacities =
       bandwidths.stratified_sample(protocols.size());
 
-  config.engine = swarming::SimEngine::kSparse;
   const auto sparse =
-      simulate_rounds(protocols, capacities, config, &bandwidths);
-  config.engine = swarming::SimEngine::kDense;
-  const auto dense =
-      simulate_rounds(protocols, capacities, config, &bandwidths);
-  config.engine = swarming::SimEngine::kBatch;
-  const auto batch =
-      simulate_rounds(protocols, capacities, config, &bandwidths);
-
-  const auto matches = [&](const swarming::SimulationOutcome& other) {
-    return sparse.peer_throughput == other.peer_throughput &&
-           sparse.peers_replaced == other.peers_replaced;
-  };
-  if (!matches(dense) || !matches(batch)) {
+      swarming::simulate_rounds(protocols, capacities, config, &bandwidths);
+  const auto dense = swarming::oracle::simulate_rounds_dense(
+      protocols, capacities, config, &bandwidths);
+  if (sparse.peer_throughput != dense.peer_throughput ||
+      sparse.peers_replaced != dense.peers_replaced) {
     std::fprintf(stderr,
-                 "FATAL: engines diverged on the guard config (seed=%llu): "
-                 "dense %s, batch %s\n",
-                 static_cast<unsigned long long>(config.seed),
-                 matches(dense) ? "ok" : "DIVERGED",
-                 matches(batch) ? "ok" : "DIVERGED");
+                 "FATAL: the engine diverged from the dense oracle on the "
+                 "guard config (seed=%llu)\n",
+                 static_cast<unsigned long long>(config.seed));
     std::abort();
   }
   std::fprintf(stderr,
-               "[guard] sparse, dense, and batch engine outcomes identical\n");
+               "[guard] sparse engine and dense oracle outcomes identical\n");
 }
 
 }  // namespace

@@ -56,21 +56,8 @@ inline void write_metrics(const std::string& name) {
   std::fprintf(stderr, "[metrics] wrote %s\n", path.c_str());
 }
 
-/// Display name of a simulation engine, for banners and BENCH json.
-inline const char* engine_name(swarming::SimEngine engine) {
-  switch (engine) {
-    case swarming::SimEngine::kDense:
-      return "dense";
-    case swarming::SimEngine::kBatch:
-      return "batch";
-    case swarming::SimEngine::kSparse:
-      break;
-  }
-  return "sparse";
-}
-
 /// Renders the shared BENCH_<name>.json schema: bench id, the env scale
-/// knobs plus any bench-specific ones, engine, threads, and the wall-time
+/// knobs plus any bench-specific ones, threads, and the wall-time
 /// distribution over the sample list (median / p10 / p90, milliseconds).
 /// tools/bench_compare diffs two of these files (or directories of them).
 inline std::string bench_json(
@@ -86,8 +73,7 @@ inline std::string bench_json(
                                   : options.pra.threads;
   std::ostringstream out;
   out << "{\"type\":\"bench\",\"schema\":1,\"bench\":\""
-      << util::json::escape(name) << "\",\"engine\":\""
-      << engine_name(options.engine) << "\",\"threads\":" << threads
+      << util::json::escape(name) << "\",\"threads\":" << threads
       << ",\"repetitions\":" << wall_ms.size() << ",\"wall_time_ms\":{"
       << "\"median\":" << util::exact_number(stats::percentile(wall_ms, 0.5))
       << ",\"p10\":" << util::exact_number(stats::percentile(wall_ms, 0.1))
@@ -219,12 +205,11 @@ inline void runtime_banner() {
   std::fprintf(
       stderr,
       "[config] threads=%zu rounds=%zu population=%zu perf_runs=%zu "
-      "encounter_runs=%zu opponents=%zu seed=%llu engine=%s\n",
+      "encounter_runs=%zu opponents=%zu seed=%llu\n",
       threads, options.rounds, options.pra.population,
       options.pra.performance_runs, options.pra.encounter_runs,
       options.pra.opponent_sample,
-      static_cast<unsigned long long>(options.pra.seed),
-      engine_name(options.engine));
+      static_cast<unsigned long long>(options.pra.seed));
 }
 
 /// Prints the standard bench banner (and the runtime config to stderr).

@@ -40,9 +40,6 @@ PraEngine::PraEngine(const EncounterModel& model, PraConfig config,
     throw std::invalid_argument(
         "PraEngine: minority_fraction must be in (0, 1)");
   }
-  if (config_.batch_width < 1 || config_.batch_width > 64) {
-    throw std::invalid_argument("PraEngine: batch_width must be in [1, 64]");
-  }
   if (model_.protocol_count() < 2) {
     throw std::invalid_argument("PraEngine: need at least 2 protocols");
   }
@@ -283,29 +280,15 @@ std::vector<ProtocolMetrics> PraEngine::quantify(std::uint32_t begin,
   // games, across all protocols — is one task in a single flattened grid,
   // so the chunk finishes when the last simulation does, not when the last
   // protocol's serial loop does.
-  //
-  // With batch_width > 1 the grid is regrouped into jobs of up to
-  // batch_width consecutive slots, evaluated through the model's batched
-  // entry points in one call (a lockstep engine turns that into a W-wide
-  // sweep). The regrouping never crosses a (protocol, split) boundary and
-  // leaves the per-simulation seeds and the reduction arrays untouched, so
-  // results are identical at every width.
   const std::size_t per_protocol = perf_runs + 2 * games;
   const std::size_t total = batch * per_protocol;
-  const std::size_t width = config_.batch_width;
-  const bool batched = width > 1;
-  const std::size_t perf_jobs = (perf_runs + width - 1) / width;
-  const std::size_t split_jobs = (games + width - 1) / width;
-  const std::size_t per_protocol_tasks =
-      batched ? perf_jobs + 2 * split_jobs : per_protocol;
-  const std::size_t task_count = batch * per_protocol_tasks;
 
   const std::vector<std::uint32_t> table = opponent_table(begin, end);
   std::vector<double> perf_slots(batch * perf_runs, 0.0);
   std::vector<std::uint8_t> win(batch * 2 * games, 0);
   std::vector<std::atomic<std::size_t>> remaining(batch);
   for (auto& r : remaining) {
-    r.store(per_protocol_tasks, std::memory_order_relaxed);
+    r.store(per_protocol, std::memory_order_relaxed);
   }
   std::atomic<std::size_t> done{0};
 
@@ -329,62 +312,15 @@ std::vector<ProtocolMetrics> PraEngine::quantify(std::uint32_t begin,
     chunk_start = std::chrono::steady_clock::now();
   }
 
-  // One task of the batched grid: up to `width` consecutive slots of the
-  // same (protocol, split), evaluated through one batched model call.
-  const auto run_batched = [&](std::size_t slot, std::size_t local) {
-    const auto p = static_cast<std::uint32_t>(begin + slot);
-    if (local < perf_jobs) {
-      const std::size_t lane0 = local * width;
-      const std::size_t lanes = std::min(width, perf_runs - lane0);
-      thread_local std::vector<std::uint64_t> seeds;
-      seeds.resize(lanes);
-      for (std::size_t w = 0; w < lanes; ++w) {
-        seeds[w] = derive_seed(config_.seed, /*tag=*/0x9E4F, p, lane0 + w);
-      }
-      model_.homogeneous_utility_batch(
-          p, config_.population, seeds,
-          std::span<double>(&perf_slots[slot * perf_runs + lane0], lanes));
-      return;
-    }
-    local -= perf_jobs;
-    const std::size_t split = local / split_jobs;  // 0 = 50/50, 1 = minority
-    const std::size_t job = local % split_jobs;
-    const std::uint64_t tag = split == 0 ? rob_tag : agg_tag;
-    const std::size_t count_pi = split == 0 ? count_rob : count_agg;
-    const std::size_t game0 = job * width;
-    const std::size_t lanes = std::min(width, games - game0);
-    thread_local std::vector<MixedJob> jobs;
-    thread_local std::vector<std::pair<double, double>> outs;
-    jobs.resize(lanes);
-    outs.resize(lanes);
-    for (std::size_t w = 0; w < lanes; ++w) {
-      const std::size_t game = game0 + w;
-      const std::uint32_t opponent = table[slot * opponents + game / runs];
-      const std::size_t run = game % runs;
-      jobs[w] = {opponent,
-                 derive_seed(config_.seed, tag,
-                             (static_cast<std::uint64_t>(p) << 32) | opponent,
-                             run)};
-    }
-    model_.mixed_utilities_batch(p, count_pi, config_.population - count_pi,
-                                 jobs, outs);
-    for (std::size_t w = 0; w < lanes; ++w) {
-      win[slot * 2 * games + split * games + game0 + w] =
-          outs[w].first > outs[w].second ? 1 : 0;
-    }
-  };
-
   run_grid(
-      task_count,
+      total,
       [&](std::size_t t) {
         std::chrono::steady_clock::time_point task_start;
         if (obs_on) task_start = std::chrono::steady_clock::now();
-        const std::size_t slot = t / per_protocol_tasks;
+        const std::size_t slot = t / per_protocol;
         const auto p = static_cast<std::uint32_t>(begin + slot);
-        std::size_t local = t % per_protocol_tasks;
-        if (batched) {
-          run_batched(slot, local);
-        } else if (local < perf_runs) {
+        std::size_t local = t % per_protocol;
+        if (local < perf_runs) {
           perf_slots[slot * perf_runs + local] = model_.homogeneous_utility(
               p, config_.population,
               derive_seed(config_.seed, /*tag=*/0x9E4F, p, local));
@@ -426,8 +362,6 @@ std::vector<ProtocolMetrics> PraEngine::quantify(std::uint32_t begin,
 
   if (obs_on) {
     auto& registry = obs::Registry::global();
-    // Counted in simulations, not jobs, so pra.tasks_per_sec stays a
-    // sims/sec throughput figure at every batch width.
     registry.counter("pra.tasks_completed").add(total);
     registry.counter("pra.protocols_quantified").add(batch);
     const double elapsed_s = std::chrono::duration<double>(

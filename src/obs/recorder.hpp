@@ -58,7 +58,8 @@ enum class RecordLevel : int { kOff = 0, kRounds = 1, kFull = 2 };
 enum class EventKind : std::uint8_t {
   /// One per engine run. label = "round"|"swarm", detail = context tag,
   /// value = {peers, rounds (or max_ticks), churn_rate (or piece_count),
-  /// engine (0 dense, 1 sparse; unused for swarm)}.
+  /// engine (1 for the round model's engine; 0 in recordings made by the
+  /// former dense engine; unused for swarm)}.
   kRun = 0,
   /// Round-model per-round aggregate (rounds level, strided). time = round,
   /// value = {mean round throughput, peers replaced so far}.

@@ -24,8 +24,8 @@
 // RNG, takes no locks on simulation hot paths (worker-side updates are
 // relaxed atomics), and timestamps never enter any fingerprint — every
 // result CSV/checkpoint is bitwise-identical with telemetry on or off, at
-// any thread count, on any engine. Sampler I/O errors are swallowed: a
-// full disk may lose telemetry, never the experiment.
+// any thread count. Sampler I/O errors are swallowed: a full disk may lose
+// telemetry, never the experiment.
 //
 // Enabled via DSA_STATUS=on (DSA_STATUS_INTERVAL_MS, DSA_STATUS_DIR tune
 // it); parsing is strict like every other DSA_* knob. When telemetry is

@@ -45,12 +45,9 @@ swarm::ClientVariant client_from_name(const std::string& name) {
 }
 
 swarming::SwarmingModel model_from_params(const ParamSet& params,
-                                          swarming::SimEngine engine =
-                                              swarming::SimEngine::kSparse,
                                           double churn = 0.0) {
   swarming::SimulationConfig sim;
   sim.rounds = static_cast<std::size_t>(params.get_int("rounds"));
-  sim.engine = engine;
   sim.churn_rate = churn;
   return swarming::SwarmingModel(sim,
                                  swarming::BandwidthDistribution::piatek());
@@ -58,13 +55,8 @@ swarming::SwarmingModel model_from_params(const ParamSet& params,
 
 JobRows execute_sweep(const Job& job) {
   const ParamSet& p = job.params;
-  const std::string engine_name = p.get_string("engine");
-  const swarming::SimEngine engine =
-      engine_name == "dense"   ? swarming::SimEngine::kDense
-      : engine_name == "batch" ? swarming::SimEngine::kBatch
-                               : swarming::SimEngine::kSparse;
   const swarming::SwarmingModel model =
-      model_from_params(p, engine, p.get_double("churn"));
+      model_from_params(p, p.get_double("churn"));
   core::PraConfig pra;
   pra.population = static_cast<std::size_t>(p.get_int("population"));
   pra.performance_runs =
@@ -73,7 +65,6 @@ JobRows execute_sweep(const Job& job) {
   pra.opponent_sample = static_cast<std::size_t>(p.get_int("opponent_sample"));
   pra.minority_fraction = p.get_double("minority_fraction");
   pra.seed = static_cast<std::uint64_t>(p.get_int("seed"));
-  pra.batch_width = static_cast<std::size_t>(p.get_int("batch_width"));
   // Jobs already run concurrently on the runner's pool; a nested pool here
   // would deadlock it. threads=1 runs the engine's grid inline on this
   // worker without starting a thread — and per-item seeding keeps the

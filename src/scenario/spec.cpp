@@ -140,8 +140,6 @@ enum class ParamCheck : std::uint8_t {
   kProtocolMenu,       // parse_protocol_menu must accept it
   kClient,             // one of the five swarm client names
   kClientOrSame,       // a client name or "same" (mirror param a)
-  kEngine,             // "sparse" | "dense" | "batch"
-  kBatchWidth,         // int in [1, 64]
   kOpenUnitInterval,   // double in (0, 1)
   kUnitInterval,       // double in [0, 1]
   kNonNegative,        // number >= 0
@@ -174,8 +172,6 @@ const std::vector<ParamDef>& params_for(Kind kind) {
       {"opponent_sample", PT::kInt, std::int64_t{24}, PC::kNonNegative},
       {"minority_fraction", PT::kDouble, 0.1, PC::kOpenUnitInterval},
       {"seed", PT::kInt, std::int64_t{2011}, PC::kNonNegative},
-      {"engine", PT::kString, std::string("sparse"), PC::kEngine},
-      {"batch_width", PT::kInt, std::int64_t{1}, PC::kBatchWidth},
       {"churn", PT::kDouble, 0.0, PC::kUnitInterval},
   };
   static const std::vector<ParamDef> swarm = {
@@ -298,17 +294,6 @@ void check_value(const ParamDef& def, const ParamValue& value,
           throw std::invalid_argument(
               "unknown client '" + text() +
               "' (want bt, birds, loyal, sorts, random, or same)");
-        }
-        break;
-      case ParamCheck::kEngine:
-        if (text() != "sparse" && text() != "dense" && text() != "batch") {
-          throw std::invalid_argument("unknown engine '" + text() +
-                                      "' (want sparse, dense, or batch)");
-        }
-        break;
-      case ParamCheck::kBatchWidth:
-        if (!(number() >= 1.0 && number() <= 64.0)) {
-          throw std::invalid_argument("batch_width must be in [1, 64]");
         }
         break;
       case ParamCheck::kOpenUnitInterval:

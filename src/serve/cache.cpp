@@ -13,16 +13,7 @@ namespace json = util::json;
 using scenario::JobRows;
 
 scenario::Plan canonical_plan(const scenario::ScenarioSpec& spec) {
-  if (spec.kind != scenario::Kind::kSweep) return expand_plan(spec);
-  scenario::ScenarioSpec canon = spec;
-  for (scenario::Axis& axis : canon.axes) {
-    if (axis.name == "engine") {
-      axis.values = {scenario::ParamValue(std::string("sparse"))};
-    } else if (axis.name == "batch_width") {
-      axis.values = {scenario::ParamValue(std::int64_t{1})};
-    }
-  }
-  return expand_plan(canon);
+  return expand_plan(spec);
 }
 
 std::uint64_t rows_check(const JobRows& rows) {

@@ -4,13 +4,7 @@
 // writes into its manifests: two queries that pin the same parameters hash
 // to the same key, so the second is a lookup instead of a simulation. The
 // repo-wide determinism invariant (bitwise-identical results at any thread
-// count, on any engine) is what makes this sound — a cached answer is the
-// answer.
-//
-// Keys are *canonical* fingerprints (canonical_plan below): the sweep
-// kind's `engine` and `batch_width` axes select equivalent implementations
-// of the same numbers, so they are pinned to sparse/1 before hashing and a
-// dense query warms the cache for a batch one.
+// count) is what makes this sound — a cached answer is the answer.
 //
 // Storage is an in-memory LRU under a byte budget, backed by an append-only
 // on-disk JSONL store whose lines use the manifest job-line schema (plus a
@@ -31,10 +25,8 @@
 
 namespace dsa::serve {
 
-/// The plan whose job fingerprints key the cache: `spec` with the sweep
-/// engine/batch_width axes pinned to sparse/1 (other kinds pass through
-/// unchanged). Job count and order always match expand_plan(spec) — only
-/// the fingerprints differ.
+/// The plan whose job fingerprints key the cache. Every parameter of a
+/// spec changes the numbers it asks for, so this is expand_plan(spec).
 [[nodiscard]] scenario::Plan canonical_plan(const scenario::ScenarioSpec& spec);
 
 /// Content hash of a job's rows — the "check" field of store lines. A

@@ -168,12 +168,8 @@ void Server::handle_query(util::LineSocket& connection,
   DSA_OBS_PHASE("serve/query");
   const auto query_start = std::chrono::steady_clock::now();
   scenario::Plan plan;
-  scenario::Plan canonical;
   try {
-    const scenario::ScenarioSpec spec =
-        scenario::parse_scenario_text(spec_text, "<query>");
-    plan = expand_plan(spec);
-    canonical = canonical_plan(spec);
+    plan = expand_plan(scenario::parse_scenario_text(spec_text, "<query>"));
   } catch (const std::exception& error) {
     queries_failed_.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard lock(write_mutex);
@@ -189,7 +185,7 @@ void Server::handle_query(util::LineSocket& connection,
     DSA_OBS_PHASE("serve/cache-hit");
     for (std::size_t i = 0; i < total; ++i) {
       if (std::optional<JobRows> rows =
-              cache_.lookup(canonical.jobs[i].fingerprint)) {
+              cache_.lookup(plan.jobs[i].fingerprint)) {
         results[i] = std::move(*rows);
         ++cached;
       } else {
@@ -200,7 +196,7 @@ void Server::handle_query(util::LineSocket& connection,
 
   // Pre-warm from a kept manifest of a prior `dsa_cli run` of this spec:
   // its job lines are fingerprint-verified against the plan, then adopted
-  // into the cache under the canonical keys.
+  // into the cache under the same keys.
   if (!pending.empty()) {
     DSA_OBS_PHASE("serve/cache-miss");
     const scenario::ManifestData manifest =
@@ -210,7 +206,7 @@ void Server::handle_query(util::LineSocket& connection,
       for (const std::size_t i : pending) {
         if (manifest.have[i]) {
           results[i] = manifest.rows[i];
-          cache_.insert(canonical.jobs[i].fingerprint, results[i],
+          cache_.insert(plan.jobs[i].fingerprint, results[i],
                         manifest.ms[i]);
           ++cached;
         } else {
@@ -248,7 +244,7 @@ void Server::handle_query(util::LineSocket& connection,
   std::string first_error;
   const std::size_t to_run = pending.size();
   for (const std::size_t i : pending) {
-    pool_.submit([this, &plan, &canonical, &results, &query_mutex,
+    pool_.submit([this, &plan, &results, &query_mutex,
                   &query_done, &finished, &first_error, &send_progress,
                   cached, i] {
       // Exceptions stay inside the job: pool.wait_idle() is shared by every
@@ -260,7 +256,7 @@ void Server::handle_query(util::LineSocket& connection,
         const double wall_ms = std::chrono::duration<double, std::milli>(
                                    std::chrono::steady_clock::now() - start)
                                    .count();
-        cache_.insert(canonical.jobs[i].fingerprint, rows, wall_ms);
+        cache_.insert(plan.jobs[i].fingerprint, rows, wall_ms);
         jobs_executed_.fetch_add(1, std::memory_order_relaxed);
         if (obs::enabled()) {
           obs::Registry::global().counter("serve.jobs_executed").increment();

@@ -10,8 +10,8 @@
 //
 // Determinism: a query's merged output is produced by the same
 // expand_plan / execute_job / merge_rows library calls `dsa_cli run` uses,
-// so a served answer — cold, cached, or cross-engine via the canonical
-// cache key — is byte-identical to the CSV a fresh process would write.
+// so a served answer — cold or cached — is byte-identical to the CSV a
+// fresh process would write.
 #pragma once
 
 #include <atomic>

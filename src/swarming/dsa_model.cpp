@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "obs/recorder.hpp"
-#include "swarming/batch_engine.hpp"
 #include "util/rng.hpp"
 
 namespace dsa::swarming {
@@ -73,42 +72,6 @@ std::pair<double, double> SwarmingModel::mixed_utilities(
       run_encounter(decode_protocol(a), decode_protocol(b), count_a, count_b,
                     config, bandwidths_);
   return {outcome.group_a_mean, outcome.group_b_mean};
-}
-
-void SwarmingModel::homogeneous_utility_batch(
-    std::uint32_t protocol, std::size_t population,
-    std::span<const std::uint64_t> seeds, std::span<double> out) const {
-  if (base_.engine != SimEngine::kBatch) {
-    core::EncounterModel::homogeneous_utility_batch(protocol, population,
-                                                    seeds, out);
-    return;
-  }
-  obs::SuppressScope suppress;
-  run_homogeneous_throughput_batch(decode_protocol(protocol), population,
-                                   base_, bandwidths_, seeds, out);
-}
-
-void SwarmingModel::mixed_utilities_batch(
-    std::uint32_t a, std::size_t count_a, std::size_t count_b,
-    std::span<const core::MixedJob> jobs,
-    std::span<std::pair<double, double>> out) const {
-  if (base_.engine != SimEngine::kBatch) {
-    core::EncounterModel::mixed_utilities_batch(a, count_a, count_b, jobs,
-                                                out);
-    return;
-  }
-  obs::SuppressScope suppress;
-  std::vector<BatchEncounter> encounters;
-  encounters.reserve(jobs.size());
-  for (const auto& job : jobs) {
-    encounters.push_back({decode_protocol(job.opponent), job.seed});
-  }
-  std::vector<EncounterOutcome> outcomes(jobs.size());
-  run_encounter_batch(decode_protocol(a), count_a, count_b, base_,
-                      bandwidths_, encounters, outcomes);
-  for (std::size_t w = 0; w < jobs.size(); ++w) {
-    out[w] = {outcomes[w].group_a_mean, outcomes[w].group_b_mean};
-  }
 }
 
 }  // namespace dsa::swarming

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -75,24 +74,6 @@ PraDatasetOptions PraDatasetOptions::from_environment() {
       static_cast<std::size_t>(util::env_int("DSA_THREADS", 0));
   options.pra.seed =
       static_cast<std::uint64_t>(util::env_int("DSA_SEED", 2011));
-  const std::string engine =
-      util::env_enum("DSA_ENGINE", "sparse", {"sparse", "dense", "batch"});
-  options.engine = engine == "dense"   ? SimEngine::kDense
-                   : engine == "batch" ? SimEngine::kBatch
-                                       : SimEngine::kSparse;
-  // 0 = auto: a useful lockstep width on the batch engine, the plain scalar
-  // grid otherwise. Validated here so a bad value names the variable instead
-  // of surfacing as a PraEngine constructor error mid-sweep.
-  const auto batch_width =
-      static_cast<std::size_t>(util::env_int("DSA_BATCH_WIDTH", 0));
-  if (batch_width > 64) {
-    throw std::invalid_argument(
-        "DSA_BATCH_WIDTH: must be in [0, 64] (0 = auto), got " +
-        std::to_string(batch_width));
-  }
-  options.pra.batch_width =
-      batch_width != 0 ? batch_width
-                       : (options.engine == SimEngine::kBatch ? 8 : 1);
   options.path = util::env_string("DSA_RESULTS", "results/pra_results.csv");
   options.checkpoint_interval =
       static_cast<std::size_t>(util::env_int("DSA_CHECKPOINT", 256));
@@ -151,7 +132,6 @@ std::vector<PraRecord> compute_pra_dataset(const PraDatasetOptions& options,
                                            bool verbose) {
   SimulationConfig sim;
   sim.rounds = options.rounds;
-  sim.engine = options.engine;
   SwarmingModel model(sim, BandwidthDistribution::piatek());
   // One pool for the whole sweep, shared with the engine: the pool must
   // outlive the engine, and every checkpoint chunk reuses its threads (and

@@ -11,13 +11,6 @@
 //   DSA_OPPONENTS       opponents sampled/protocol  (default 24;  paper: all)
 //   DSA_THREADS         worker threads              (default: hardware)
 //   DSA_SEED            master seed                 (default 2011)
-//   DSA_ENGINE          sparse (default) | dense | batch simulation engine —
-//                       all bitwise-identical; dense is the slow reference
-//                       path kept for equivalence checks, batch the lockstep
-//                       engine that runs DSA_BATCH_WIDTH simulations at once
-//   DSA_BATCH_WIDTH     simulations per lockstep batch (1-64; default 0 =
-//                       auto: 8 with DSA_ENGINE=batch, else 1). Never
-//                       changes results — only how the task grid is grouped
 //   DSA_FULL=1          shorthand for the paper-fidelity values above
 //   DSA_RESULTS         dataset path (default results/pra_results.csv)
 //   DSA_CHECKPOINT      protocols per checkpoint chunk (default 256; 0 off)
@@ -59,11 +52,6 @@ struct PraDatasetOptions {
   std::filesystem::path path = "results/pra_results.csv";
   /// Protocols computed between checkpoint saves; 0 disables checkpointing.
   std::size_t checkpoint_interval = 256;
-  /// Simulation engine (DSA_ENGINE=dense selects the reference path,
-  /// DSA_ENGINE=batch the lockstep path). Deliberately excluded from the
-  /// checkpoint fingerprint, as is pra.batch_width: engines and widths are
-  /// bitwise-identical, so their checkpoints are interchangeable.
-  SimEngine engine = SimEngine::kSparse;
 
   /// Builds options from the environment (see header comment).
   static PraDatasetOptions from_environment();

@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <span>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/profiler.hpp"
 #include "obs/recorder.hpp"
-#include "swarming/batch_engine.hpp"
-#include "swarming/engine_detail.hpp"
+#include "obs/sketch/sketch.hpp"
 
 namespace dsa::swarming {
 
@@ -60,8 +58,116 @@ double SimulationOutcome::population_mean() const {
 }
 
 // ------------------------------------------------------------ workspace --
-// SimWorkspace::Impl itself is defined in engine_detail.hpp, shared with the
-// batch-lockstep engine.
+
+struct SimWorkspace::Impl {
+  /// One generation of the interaction history. The now/prev/next roles
+  /// rotate between rounds instead of copying. value[receiver * n + giver]
+  /// carries a slot's bandwidth; the slot exists only while stamp matches
+  /// the generation's epoch, so recycling a generation is an epoch bump
+  /// plus list clears instead of an O(n^2) fill, and invalidating a churned
+  /// peer's history is an O(n) stamp walk.
+  /// A slot's bandwidth and the epoch stamp that says whether it is live.
+  /// Packed together so a give or a stamped read touches one cache line.
+  struct Cell {
+    double value;
+    std::uint64_t stamp;
+  };
+  struct Streak {
+    std::uint64_t stamp;
+    std::uint16_t value;
+  };
+
+  struct Generation {
+    std::vector<Cell> cell;
+    std::uint64_t epoch = 0;
+    /// Per receiver: the givers that opened a slot to it this round, in
+    /// ascending order (peers act in index order). Doubles as the round's
+    /// touched-cell list — each ordered (giver, receiver) pair opens at
+    /// most one slot per round.
+    std::vector<std::vector<std::uint32_t>> in;
+  };
+
+  std::array<Generation, 3> gen;
+  std::vector<Streak> streak;
+  std::uint64_t streak_epoch = 0;
+  /// Monotone epoch source, never reset: stamps written in earlier rounds
+  /// or earlier runs can never collide with a live epoch, which is what
+  /// makes cross-run reuse safe without clearing the O(n^2) arrays.
+  std::uint64_t epoch_counter = 0;
+
+  std::vector<double> capacities;
+  std::vector<double> aspiration;
+  std::vector<double> round_received;
+  std::vector<double> total_received;
+
+  // Per-peer scratch reused across rounds.
+  std::vector<std::uint32_t> candidates;
+  std::vector<std::uint32_t> eligible_strangers;
+  std::vector<std::uint8_t> is_candidate;
+  std::vector<std::uint32_t> tie_priority;
+  std::vector<std::uint32_t> victim_scratch;
+  std::vector<double> intake_scale;
+
+  /// One ranked candidate with its ordering key hoisted out, so the
+  /// partial sort compares scalars instead of re-reading the stamped
+  /// history matrices on every comparison.
+  struct RankEntry {
+    double key;
+    std::uint32_t tie;
+    std::uint32_t id;
+  };
+  std::vector<RankEntry> rank_entries;
+  std::vector<std::uint32_t> excluded_scratch;
+  /// Window bandwidth per candidate, aligned with `candidates` at build
+  /// time — the Fastest/Slowest ranking key without re-reading the
+  /// history matrices.
+  std::vector<double> candidate_window;
+
+  std::uint64_t next_epoch() noexcept { return ++epoch_counter; }
+
+  /// True when the last prepare() found the O(n^2) arrays already sized.
+  bool last_prepare_reused = false;
+
+  /// Readies the workspace for a fresh n-peer run. O(n) work and, once the
+  /// buffers have grown to this n, zero allocations.
+  void prepare(std::size_t n, const std::vector<double>& caps) {
+    const std::size_t cells = n * n;
+    // A reuse hit means the epoch-stamped arrays were already big enough —
+    // the whole run proceeds allocation-free (reported as the
+    // sim.sparse.workspace_reuse_hits metric).
+    last_prepare_reused =
+        gen[0].cell.size() >= cells && streak.size() >= cells;
+    for (Generation& g : gen) {
+      g.cell.resize(cells);
+      g.epoch = next_epoch();
+      // Clear every receiver list, including ones beyond this run's n left
+      // over from an earlier, larger run.
+      for (auto& list : g.in) list.clear();
+      g.in.resize(n);
+    }
+    streak.resize(cells);
+    streak_epoch = next_epoch();
+
+    capacities = caps;
+    aspiration = caps;
+    round_received.assign(n, 0.0);
+    total_received.assign(n, 0.0);
+    candidates.clear();
+    candidates.reserve(n);
+    eligible_strangers.clear();
+    eligible_strangers.reserve(n);
+    is_candidate.assign(n, 0);
+    tie_priority.assign(n, 0);
+    victim_scratch.clear();
+    intake_scale.assign(n, 0.0);
+    rank_entries.clear();
+    rank_entries.reserve(n);
+    excluded_scratch.clear();
+    excluded_scratch.reserve(n);
+    candidate_window.clear();
+    candidate_window.reserve(n);
+  }
+};
 
 SimWorkspace::SimWorkspace() : impl_(std::make_unique<Impl>()) {}
 SimWorkspace::~SimWorkspace() = default;
@@ -70,571 +176,27 @@ SimWorkspace& SimWorkspace::operator=(SimWorkspace&&) noexcept = default;
 
 namespace {
 
-/// The original (seed) implementation: all mutable per-run state laid out as
-/// dense n^2 matrices refilled every round, freshly allocated per run.
-/// Matrices are indexed [receiver * n + giver] so that one peer's view of
-/// everyone who served it is a contiguous row. Kept verbatim as the
-/// reference the sparse engine is tested bitwise-identical against, and as
-/// the "before" side of bench_sweep_throughput.
-class DenseEngine {
- public:
-  DenseEngine(const std::vector<ProtocolSpec>& protocols,
-              const std::vector<double>& capacities,
-              const SimulationConfig& config,
-              const BandwidthDistribution* churn_source)
-      : protocols_(protocols),
-        capacities_(capacities),
-        config_(config),
-        churn_source_(churn_source),
-        n_(protocols.size()),
-        rng_(config.seed),
-        received_now_(n_ * n_, 0.0),
-        received_prev_(n_ * n_, 0.0),
-        received_next_(n_ * n_, 0.0),
-        interacted_now_(n_ * n_, 0),
-        interacted_prev_(n_ * n_, 0),
-        interacted_next_(n_ * n_, 0),
-        streak_(n_ * n_, 0),
-        aspiration_(capacities),
-        round_received_(n_, 0.0),
-        total_received_(n_, 0.0) {
-    candidates_.reserve(n_);
-    eligible_strangers_.reserve(n_);
-    is_candidate_.assign(n_, 0);
-    tie_priority_.assign(n_, 0);
+/// Streams one finished run's per-peer score spread into the swarm-health
+/// sketches ("sim.score" quantiles + moments). Pure observer — never touches
+/// RNG or outcome values.
+void observe_score_spread(const std::vector<double>& peer_throughput) {
+  if (!obs::enabled()) return;
+  static const obs::QuantileSketch score =
+      obs::SketchRegistry::global().sketch("sim.score");
+  static const obs::MomentsAccumulator spread =
+      obs::SketchRegistry::global().moments("sim.score");
+  for (double value : peer_throughput) {
+    score.insert(value);
+    spread.insert(value);
   }
+}
 
-  SimulationOutcome run() {
-    DSA_OBS_PHASE("sim/run");
-    SimulationOutcome outcome;
-    if (config_.record_round_series) {
-      outcome.round_throughput.reserve(config_.rounds);
-    }
-    if (capture_.rounds()) {
-      capture_.emit({.kind = obs::EventKind::kRun,
-                     .run = config_.seed,
-                     .value = {{static_cast<double>(n_),
-                                static_cast<double>(config_.rounds),
-                                config_.churn_rate, 0.0}},
-                     .label = "round",
-                     .detail = capture_.context()});
-    }
-    {
-      // The inner-loop span: a wall-clock sample landing anywhere in the
-      // round loop attributes as sim/run;sim/rounds (one span per run, so
-      // the disabled path stays a single branch).
-      DSA_OBS_PHASE("sim/rounds");
-      for (std::size_t round = 0; round < config_.rounds; ++round) {
-        step(round);
-        if (config_.record_round_series) {
-          double round_mean = 0.0;
-          for (std::size_t i = 0; i < n_; ++i) round_mean += round_received_[i];
-          outcome.round_throughput.push_back(round_mean /
-                                             static_cast<double>(n_));
-        }
-        if (capture_.rounds() && capture_.sampled(round)) {
-          double round_mean = 0.0;
-          for (std::size_t i = 0; i < n_; ++i) round_mean += round_received_[i];
-          capture_.emit({.kind = obs::EventKind::kRound,
-                         .run = config_.seed,
-                         .time = static_cast<std::uint32_t>(round),
-                         .value = {{round_mean / static_cast<double>(n_),
-                                    static_cast<double>(peers_replaced_), 0.0,
-                                    0.0}}});
-        }
-      }
-    }
-    outcome.peer_throughput.resize(n_);
-    for (std::size_t i = 0; i < n_; ++i) {
-      outcome.peer_throughput[i] =
-          total_received_[i] / static_cast<double>(config_.rounds);
-    }
-    outcome.peers_replaced = peers_replaced_;
-    observe_score_spread(outcome.peer_throughput);
-    if (capture_.rounds()) {
-      for (std::size_t i = 0; i < n_; ++i) {
-        capture_.emit({.kind = obs::EventKind::kPeer,
-                       .run = config_.seed,
-                       .actor = static_cast<std::uint32_t>(i),
-                       .value = {{capacities_[i], outcome.peer_throughput[i],
-                                  0.0, 0.0}},
-                       .label = protocols_[i].describe()});
-      }
-    }
-    flush_metrics();
-    return outcome;
-  }
-
- private:
-  void step(std::size_t round) {
-    std::fill(round_received_.begin(), round_received_.end(), 0.0);
-    std::fill(received_next_.begin(), received_next_.end(), 0.0);
-    std::fill(interacted_next_.begin(), interacted_next_.end(), 0);
-    // Fresh random ranking tie-breaks each round; a fixed (e.g. index-based)
-    // order would funnel every all-zero-tied choice onto the same peers.
-    for (auto& priority : tie_priority_) {
-      priority = static_cast<std::uint32_t>(rng_());
-    }
-
-    round_ = static_cast<std::uint32_t>(round);
-    // act() is templated on the record flag, and the dispatch sits outside
-    // the peer loop, so the non-recording round compiles to exactly the
-    // pre-recorder hot path — the emit sites must not cost codegen (or
-    // loop shape) when recording is off.
-    if (capture_.full() && capture_.sampled(round)) {
-      for (std::size_t me = 0; me < n_; ++me) act<true>(me);
-    } else {
-      for (std::size_t me = 0; me < n_; ++me) act<false>(me);
-    }
-
-    finish_round(round);
-  }
-
-  /// Peer `me` selects partners/strangers and allocates its capacity,
-  /// reading only the *_now_ / *_prev_ state and writing *_next_.
-  /// noinline+flatten: keeps each instantiation a standalone function with
-  /// rank_candidates/pick_strangers inlined into it — the same codegen
-  /// shape as the pre-template build. Without this the inliner splits the
-  /// helpers out (they now have two callers), costing ~3% on the dense
-  /// engine's bench_sweep_throughput path.
-  template <bool kRecordFull>
-  [[gnu::noinline]] [[gnu::flatten]] void act(std::size_t me) {
-    const ProtocolSpec& spec = protocols_[me];
-    const bool two_rounds = spec.window == CandidateWindow::kTf2t;
-
-    // 1. Candidate list: everyone that interacted with me in the window.
-    candidates_.clear();
-    const std::uint8_t* now_row = &interacted_now_[me * n_];
-    const std::uint8_t* prev_row = &interacted_prev_[me * n_];
-    for (std::size_t j = 0; j < n_; ++j) {
-      const bool known = now_row[j] || (two_rounds && prev_row[j]);
-      is_candidate_[j] = known ? 1 : 0;
-      if (known) candidates_.push_back(static_cast<std::uint32_t>(j));
-    }
-    candidates_scanned_ += n_;  // the dense build always walks the full row
-
-    // 2. Rank and select the top k partners.
-    const std::size_t k = spec.partner_slots;
-    std::size_t partner_count = std::min(k, candidates_.size());
-    if (partner_count > 0) rank_candidates(me, spec, partner_count);
-
-    // 3. Strangers. "When needed" measures fullness in *contributing*
-    // partners (positive receipts over the window): a partner set stuffed
-    // with zero-giving candidates is not full, so the peer keeps recruiting
-    // — otherwise freeriders could permanently lock it out of cooperation by
-    // flooding its candidate list.
-    std::size_t stranger_count = 0;
-    if (spec.stranger_slots > 0) {
-      bool wants_strangers = true;
-      if (spec.stranger_policy == StrangerPolicy::kWhenNeeded) {
-        std::size_t contributing = 0;
-        for (std::size_t p = 0; p < partner_count; ++p) {
-          if (window_received(me, candidates_[p], two_rounds) > 0.0) {
-            ++contributing;
-          }
-        }
-        wants_strangers = contributing < k;
-      }
-      if (wants_strangers) {
-        stranger_count = pick_strangers(me, spec.stranger_slots);
-      }
-    }
-
-    // 4. Allocation over FIXED lanes. The protocol's partner-slot count k is
-    // one of its "magic numbers": capacity is split across k partner lanes
-    // plus one lane per gifted stranger, and a partner lane with no partner
-    // behind it simply wastes its bandwidth. This fixed-lane structure is
-    // what makes low-k protocols the performance leaders (Fig. 3: filling 1
-    // lane is easy, filling 9 is not) and caps partner-freeriders' utility
-    // at their stranger-gift fraction (the ~0.31 ceiling of Sec. 4.4).
-    // Defect-policy stranger contacts open no lane: defecting costs nothing.
-    const bool defects_on_strangers =
-        spec.stranger_policy == StrangerPolicy::kDefect;
-    const std::size_t gifted_strangers =
-        defects_on_strangers ? 0 : stranger_count;
-    // Under kDivideAmongSelected the partner-lane count shrinks to the
-    // partners actually present, so nothing is wasted (the ablation mode).
-    const std::size_t partner_lanes =
-        config_.lane_model == LaneModel::kFixedLanes ? k : partner_count;
-    const std::size_t lanes = partner_lanes + gifted_strangers;
-    // Decision events (full level, strided): pure reads of already-computed
-    // values — no RNG, no sim-state writes.
-    if constexpr (kRecordFull) {
-      capture_.emit({.kind = obs::EventKind::kSelect,
-                     .run = config_.seed,
-                     .time = round_,
-                     .actor = static_cast<std::uint32_t>(me),
-                     .value = {{static_cast<double>(candidates_.size()),
-                                static_cast<double>(partner_count),
-                                static_cast<double>(stranger_count),
-                                static_cast<double>(lanes)}}});
-    }
-    auto record_give = [&](obs::EventKind kind, std::uint32_t to,
-                           double amount) {
-      if constexpr (!kRecordFull) {
-        (void)kind;
-        (void)to;
-        (void)amount;
-        return;
-      } else {
-        obs::Event event{.kind = kind,
-                         .run = config_.seed,
-                         .time = round_,
-                         .actor = static_cast<std::uint32_t>(me),
-                         .peer = to};
-        event.value[0] = amount;
-        if (kind == obs::EventKind::kPartner) {
-          event.value[1] = window_received(me, to, two_rounds);
-        }
-        capture_.emit(std::move(event));
-      }
-    };
-    if (defects_on_strangers) {
-      for (std::size_t s = 0; s < stranger_count; ++s) {
-        give(me, eligible_strangers_[s], 0.0);  // visible defection
-        record_give(obs::EventKind::kStranger, eligible_strangers_[s], 0.0);
-      }
-    }
-    if (lanes == 0) return;
-
-    const double capacity = capacities_[me];
-    const double lane_rate = capacity / static_cast<double>(lanes);
-    // Stranger lanes are short-lived probes; only a fraction of the lane's
-    // bandwidth reaches the stranger (see SimulationConfig).
-    const double gift = lane_rate * config_.stranger_efficiency;
-    for (std::size_t s = 0; s < gifted_strangers; ++s) {
-      give(me, eligible_strangers_[s], gift);
-      record_give(obs::EventKind::kStranger, eligible_strangers_[s], gift);
-    }
-
-    if (partner_count == 0) return;
-    const double partner_budget =
-        lane_rate * static_cast<double>(partner_lanes);
-    switch (spec.allocation) {
-      case AllocationPolicy::kEqualSplit: {
-        // One lane per partner; unfilled lanes (partner_count < k) waste.
-        for (std::size_t p = 0; p < partner_count; ++p) {
-          give(me, candidates_[p], lane_rate);
-          record_give(obs::EventKind::kPartner, candidates_[p], lane_rate);
-        }
-        break;
-      }
-      case AllocationPolicy::kPropShare: {
-        double contribution_sum = 0.0;
-        for (std::size_t p = 0; p < partner_count; ++p) {
-          contribution_sum += window_received(me, candidates_[p], two_rounds);
-        }
-        for (std::size_t p = 0; p < partner_count; ++p) {
-          // An all-zero window gives nothing — the paper's bootstrap hazard.
-          const double share =
-              contribution_sum > 0.0
-                  ? partner_budget *
-                        window_received(me, candidates_[p], two_rounds) /
-                        contribution_sum
-                  : 0.0;
-          give(me, candidates_[p], share);
-          record_give(obs::EventKind::kPartner, candidates_[p], share);
-        }
-        break;
-      }
-      case AllocationPolicy::kFreeride: {
-        for (std::size_t p = 0; p < partner_count; ++p) {
-          give(me, candidates_[p], 0.0);
-          record_give(obs::EventKind::kPartner, candidates_[p], 0.0);
-        }
-        break;
-      }
-    }
-  }
-
-  /// Bandwidth `me` observed from `j` over the candidate window.
-  [[nodiscard]] double window_received(std::size_t me, std::size_t j,
-                                       bool two_rounds) const {
-    double amount = received_now_[me * n_ + j];
-    if (two_rounds) amount += received_prev_[me * n_ + j];
-    return amount;
-  }
-
-  /// Partially sorts candidates_ so its first `top` entries are the selected
-  /// partners under `spec.ranking`. Ties break on peer index for
-  /// reproducibility.
-  void rank_candidates(std::size_t me, const ProtocolSpec& spec,
-                       std::size_t top) {
-    const bool two_rounds = spec.window == CandidateWindow::kTf2t;
-    auto by_key = [&](auto key, bool descending) {
-      auto cmp = [&, descending](std::uint32_t a, std::uint32_t b) {
-        const double ka = key(a);
-        const double kb = key(b);
-        if (ka != kb) return descending ? ka > kb : ka < kb;
-        if (tie_priority_[a] != tie_priority_[b]) {
-          return tie_priority_[a] < tie_priority_[b];
-        }
-        return a < b;
-      };
-      std::partial_sort(candidates_.begin(), candidates_.begin() + top,
-                        candidates_.end(), cmp);
-    };
-    switch (spec.ranking) {
-      case RankingFunction::kFastest:
-        by_key([&](std::uint32_t j) { return window_received(me, j, two_rounds); },
-               /*descending=*/true);
-        break;
-      case RankingFunction::kSlowest:
-        by_key([&](std::uint32_t j) { return window_received(me, j, two_rounds); },
-               /*descending=*/false);
-        break;
-      case RankingFunction::kProximity:
-        by_key(
-            [&](std::uint32_t j) {
-              return std::fabs(capacities_[j] - capacities_[me]);
-            },
-            /*descending=*/false);
-        break;
-      case RankingFunction::kAdaptive:
-        by_key(
-            [&](std::uint32_t j) {
-              return std::fabs(capacities_[j] - aspiration_[me]);
-            },
-            /*descending=*/false);
-        break;
-      case RankingFunction::kLoyal:
-        by_key(
-            [&](std::uint32_t j) {
-              return static_cast<double>(streak_[me * n_ + j]);
-            },
-            /*descending=*/true);
-        break;
-      case RankingFunction::kRandom:
-        // A random draw of `top` candidates via partial Fisher-Yates.
-        for (std::size_t i = 0; i < top; ++i) {
-          const std::size_t j =
-              i + static_cast<std::size_t>(rng_.below(candidates_.size() - i));
-          std::swap(candidates_[i], candidates_[j]);
-        }
-        break;
-    }
-  }
-
-  /// Fills the front of eligible_strangers_ with up to `want` uniformly
-  /// chosen peers outside the candidate list; returns how many were found.
-  std::size_t pick_strangers(std::size_t me, std::size_t want) {
-    eligible_strangers_.clear();
-    for (std::size_t j = 0; j < n_; ++j) {
-      if (j != me && !is_candidate_[j]) {
-        eligible_strangers_.push_back(static_cast<std::uint32_t>(j));
-      }
-    }
-    const std::size_t found = std::min(want, eligible_strangers_.size());
-    for (std::size_t i = 0; i < found; ++i) {
-      const std::size_t j =
-          i + static_cast<std::size_t>(
-                  rng_.below(eligible_strangers_.size() - i));
-      std::swap(eligible_strangers_[i], eligible_strangers_[j]);
-    }
-    return found;
-  }
-
-  /// Opens a slot from `me` to `to` carrying `amount` (possibly zero).
-  void give(std::size_t me, std::size_t to, double amount) {
-    interacted_next_[to * n_ + me] = 1;
-    received_next_[to * n_ + me] = amount;
-    round_received_[to] += amount;
-  }
-
-  void finish_round(std::size_t round) {
-    // Receiver intake cap: a peer absorbs at most intake_factor * capacity
-    // per round; excess inbound is lost proportionally across senders.
-    if (config_.intake_factor > 0.0) {
-      for (std::size_t j = 0; j < n_; ++j) {
-        const double intake = config_.intake_factor * capacities_[j];
-        if (round_received_[j] <= intake) continue;
-        const double scale = intake / round_received_[j];
-        double* row = &received_next_[j * n_];
-        for (std::size_t i = 0; i < n_; ++i) row[i] *= scale;
-        round_received_[j] = intake;
-      }
-    }
-
-    // Shift the history window.
-    received_prev_.swap(received_now_);
-    received_now_.swap(received_next_);
-    interacted_prev_.swap(interacted_now_);
-    interacted_now_.swap(interacted_next_);
-
-    // Cooperation streaks (Loyal): consecutive rounds with a positive gift.
-    for (std::size_t idx = 0; idx < n_ * n_; ++idx) {
-      streak_[idx] = received_now_[idx] > 0.0
-                         ? static_cast<std::uint16_t>(
-                               std::min<int>(streak_[idx] + 1, 0xffff))
-                         : std::uint16_t{0};
-    }
-
-    // Aspiration tracking (Adaptive): smooth toward this round's per-slot
-    // receipts.
-    for (std::size_t i = 0; i < n_; ++i) {
-      const double slots =
-          std::max<double>(1.0, protocols_[i].partner_slots);
-      const double per_slot = round_received_[i] / slots;
-      aspiration_[i] += config_.aspiration_smoothing *
-                        (per_slot - aspiration_[i]);
-      total_received_[i] += round_received_[i];
-    }
-
-    // Churn: replace peers with fresh same-protocol ones. The legacy knob
-    // runs first (preserving the historical RNG draw order), then the
-    // scheduled fault processes in list order.
-    if (config_.churn_rate > 0.0) {
-      for (std::size_t i = 0; i < n_; ++i) {
-        if (rng_.chance(config_.churn_rate)) replace_peer(i);
-      }
-    }
-    for (const fault::FaultProcess& process : config_.faults) {
-      apply_fault(process, round);
-    }
-  }
-
-  void apply_fault(const fault::FaultProcess& process, std::size_t round) {
-    using fault::FaultProcessKind;
-    switch (process.kind) {
-      case FaultProcessKind::kMemorylessChurn: {
-        if (process.rate <= 0.0) break;
-        for (std::size_t i = 0; i < n_; ++i) {
-          if (rng_.chance(process.rate)) replace_peer(i);
-        }
-        break;
-      }
-      case FaultProcessKind::kBurstChurn: {
-        // The burst strikes at the end of rounds period-1, 2*period-1, ...
-        if ((round + 1) % process.period != 0) break;
-        const auto hit = static_cast<std::size_t>(std::lround(
-            process.fraction * static_cast<double>(n_)));
-        if (hit == 0) break;
-        victim_scratch_.resize(n_);
-        for (std::size_t i = 0; i < n_; ++i) {
-          victim_scratch_[i] = static_cast<std::uint32_t>(i);
-        }
-        for (std::size_t i = 0; i < hit; ++i) {
-          const std::size_t j =
-              i + static_cast<std::size_t>(rng_.below(n_ - i));
-          std::swap(victim_scratch_[i], victim_scratch_[j]);
-          replace_peer(victim_scratch_[i]);
-        }
-        break;
-      }
-      case FaultProcessKind::kCapacityDegradation: {
-        if (round != process.round) break;
-        for (std::size_t i = 0; i < n_; ++i) {
-          capacities_[i] *= process.factor;
-        }
-        break;
-      }
-      case FaultProcessKind::kTargetedFailure: {
-        if (round != process.round) break;
-        const auto hit = static_cast<std::size_t>(std::lround(
-            process.fraction * static_cast<double>(n_)));
-        if (hit == 0) break;
-        // Take out exactly the top-capacity class (ties break on index so
-        // replays are deterministic).
-        victim_scratch_.resize(n_);
-        for (std::size_t i = 0; i < n_; ++i) {
-          victim_scratch_[i] = static_cast<std::uint32_t>(i);
-        }
-        std::partial_sort(victim_scratch_.begin(),
-                          victim_scratch_.begin() +
-                              static_cast<std::ptrdiff_t>(std::min(hit, n_)),
-                          victim_scratch_.end(),
-                          [&](std::uint32_t a, std::uint32_t b) {
-                            if (capacities_[a] != capacities_[b]) {
-                              return capacities_[a] > capacities_[b];
-                            }
-                            return a < b;
-                          });
-        for (std::size_t i = 0; i < std::min(hit, n_); ++i) {
-          replace_peer(victim_scratch_[i]);
-        }
-        break;
-      }
-    }
-  }
-
-  void replace_peer(std::size_t i) {
-    ++peers_replaced_;
-    capacities_[i] = churn_source_->sample(rng_);
-    aspiration_[i] = capacities_[i];
-    for (std::size_t j = 0; j < n_; ++j) {
-      const std::size_t row = i * n_ + j;
-      const std::size_t col = j * n_ + i;
-      for (auto* m : {&received_now_, &received_prev_}) {
-        (*m)[row] = 0.0;
-        (*m)[col] = 0.0;
-      }
-      for (auto* m : {&interacted_now_, &interacted_prev_}) {
-        (*m)[row] = 0;
-        (*m)[col] = 0;
-      }
-      streak_[row] = 0;
-      streak_[col] = 0;
-    }
-    // The fresh peer's past downloads belong to the departed peer; the
-    // paper measures population throughput, so the accumulator stays.
-  }
-
-  const std::vector<ProtocolSpec>& protocols_;
-  std::vector<double> capacities_;
-  const SimulationConfig& config_;
-  const BandwidthDistribution* churn_source_;
-  const std::size_t n_;
-  util::Rng rng_;
-
-  // History matrices, [receiver * n + giver].
-  std::vector<double> received_now_, received_prev_, received_next_;
-  std::vector<std::uint8_t> interacted_now_, interacted_prev_,
-      interacted_next_;
-  std::vector<std::uint16_t> streak_;
-
-  std::vector<double> aspiration_;
-  std::vector<double> round_received_;
-  std::vector<double> total_received_;
-
-  // Scratch buffers reused across rounds.
-  std::vector<std::uint32_t> candidates_;
-  std::vector<std::uint32_t> eligible_strangers_;
-  std::vector<std::uint8_t> is_candidate_;
-  std::vector<std::uint32_t> tie_priority_;
-  std::vector<std::uint32_t> victim_scratch_;
-
-  std::size_t peers_replaced_ = 0;
-  // Plain local tallies, flushed to the metrics registry once per run —
-  // the hot loops never touch an atomic.
-  std::size_t candidates_scanned_ = 0;
-
-  // Flight recorder: level/stride latched at construction, events buffered
-  // locally and flushed once when the engine dies. Never touches rng_.
-  obs::RunCapture capture_{obs::Recorder::global()};
-  std::uint32_t round_ = 0;
-
-  void flush_metrics() const {
-    if (!obs::enabled()) return;
-    static const obs::Counter runs =
-        obs::Registry::global().counter("sim.dense.runs");
-    static const obs::Counter rounds =
-        obs::Registry::global().counter("sim.dense.rounds");
-    static const obs::Counter scanned =
-        obs::Registry::global().counter("sim.dense.candidates_scanned");
-    static const obs::Counter replaced =
-        obs::Registry::global().counter("sim.dense.peers_replaced");
-    runs.increment();
-    rounds.add(config_.rounds);
-    scanned.add(candidates_scanned_);
-    replaced.add(peers_replaced_);
-  }
-};
-
-/// The production hot path: same model, same RNG draw sequence, same
-/// floating-point operations in the same order as DenseEngine — the
-/// simulator tests assert bitwise-identical outcomes — but with the state
-/// held in a reusable SimWorkspace and per-round cost proportional to the
-/// slots actually opened, O(n * (k + h)), instead of O(n^2):
+/// The round model's one engine. It makes the same RNG draws and the same
+/// floating-point operations, in the same order, as the seed's dense
+/// O(n^2)-per-round implementation, which the tests keep as an oracle
+/// (tests/oracle/dense_engine.cpp) and assert bitwise-identical outcomes
+/// against. The state lives in a reusable SimWorkspace and a round costs
+/// O(n * (k + h)), proportional to the slots actually opened:
 ///
 ///  * The three history generations rotate roles; recycling one bumps its
 ///    epoch instead of refilling n^2 cells, and stamp mismatches read as
@@ -857,8 +419,16 @@ class SparseEngine {
       }
     }
 
-    // 4. Allocation over FIXED lanes (see DenseEngine::act for the paper
-    // rationale; the arithmetic here is operation-for-operation the same).
+    // 4. Allocation over FIXED lanes. The protocol's partner-slot count k is
+    // one of its "magic numbers": capacity is split across k partner lanes
+    // plus one lane per gifted stranger, and a partner lane with no partner
+    // behind it simply wastes its bandwidth. This fixed-lane structure is
+    // what makes low-k protocols the performance leaders (Fig. 3: filling 1
+    // lane is easy, filling 9 is not) and caps partner-freeriders' utility
+    // at their stranger-gift fraction (the ~0.31 ceiling of Sec. 4.4).
+    // Defect-policy stranger contacts open no lane: defecting costs nothing.
+    // Under kDivideAmongSelected the partner-lane count shrinks to the
+    // partners actually present, so nothing is wasted (the ablation mode).
     const bool defects_on_strangers =
         spec.stranger_policy == StrangerPolicy::kDefect;
     const std::size_t gifted_strangers =
@@ -866,8 +436,8 @@ class SparseEngine {
     const std::size_t partner_lanes =
         config_.lane_model == LaneModel::kFixedLanes ? k : partner_count;
     const std::size_t lanes = partner_lanes + gifted_strangers;
-    // Decision events: same sites and payloads as the dense engine, so a
-    // recording is engine-independent. Pure reads; rng_ is never touched.
+    // Decision events (full level, strided): pure reads of already-computed
+    // values; rng_ is never touched.
     if constexpr (kRecordFull) {
       capture_.emit({.kind = obs::EventKind::kSelect,
                      .run = config_.seed,
@@ -1390,20 +960,6 @@ SimulationOutcome simulate_rounds(const std::vector<ProtocolSpec>& protocols,
     throw std::invalid_argument(
         "simulate_rounds: replacing peers (churn_rate or a fault process) "
         "requires a bandwidth distribution");
-  }
-  if (config.engine == SimEngine::kDense) {
-    DenseEngine engine(protocols, capacities, config, churn_source);
-    return engine.run();
-  }
-  if (config.engine == SimEngine::kBatch) {
-    // A single-lane batch: the lockstep engine degenerates to one stream,
-    // so the scalar entry point exercises the same code the W-wide path
-    // runs — and stays bitwise-identical to the other engines.
-    const BatchLane lane{&protocols, &capacities, config.seed};
-    return std::move(
-        simulate_rounds_batch(std::span<const BatchLane>(&lane, 1), config,
-                              churn_source)
-            .front());
   }
   if (workspace == nullptr) {
     // One reusable workspace per thread: a sweep's worker threads each

@@ -51,37 +51,13 @@
 
 namespace dsa::swarming {
 
-/// Which implementation of the round model executes a run. All engines
-/// produce bitwise-identical outcomes for every configuration (enforced by
-/// the simulator tests and the golden-fingerprint tests); kSparse is the
-/// default production path, kDense the original O(n^2)-per-round
-/// implementation kept as the reference for equivalence checks and
-/// before/after benchmarking, and kBatch the lockstep engine that advances
-/// W independent simulations at once (see batch_engine.hpp).
-enum class SimEngine : std::uint8_t {
-  /// Epoch-stamped sparse round state + reusable workspace: per-round cost
-  /// O(n * (k + h)) instead of O(n^2), O(1) allocations per reused
-  /// workspace instead of ~10 per simulation.
-  kSparse,
-  /// The seed implementation: dense n^2 matrices refilled every round,
-  /// freshly allocated per simulation.
-  kDense,
-  /// Batch-lockstep engine: W simulations advance round-by-round together,
-  /// per-peer scalars held as W-wide lanes (structure-of-arrays over runs)
-  /// and RNG draws bulk-advanced across the batch. Through this scalar
-  /// entry point it runs a single-lane batch; the W-wide path is
-  /// simulate_rounds_batch in batch_engine.hpp.
-  kBatch,
-};
-
 /// Reusable scratch memory for the sparse engine: the interaction-history
 /// generations, stamps, streaks, and per-peer scratch vectors of a run.
 /// Reusing one workspace across many simulate_rounds calls (one per thread —
 /// a workspace must never be shared between concurrent runs) keeps a sweep
 /// at O(1) heap allocations per thread; epoch stamping makes reuse safe
 /// without clearing the O(n^2) arrays between runs. A default-constructed
-/// workspace holds no memory until its first run. The dense engine ignores
-/// it.
+/// workspace holds no memory until its first run.
 class SimWorkspace {
  public:
   SimWorkspace();
@@ -138,9 +114,6 @@ struct SimulationConfig {
   /// to a leading memoryless_churn process). Any process that replaces
   /// peers requires a churn_source.
   std::vector<fault::FaultProcess> faults;
-  /// Which engine executes the run. The two paths are bitwise-identical;
-  /// kDense exists for equivalence checks and before/after benchmarks.
-  SimEngine engine = SimEngine::kSparse;
 
   /// Rejects degenerate configurations with std::invalid_argument naming
   /// the offending field.
@@ -178,7 +151,7 @@ struct SimulationOutcome {
 /// churn_rate > 0 or any peer-replacing fault process (fresh peers draw
 /// their capacity from it).
 ///
-/// `workspace` supplies reusable scratch memory for the sparse engine; when
+/// `workspace` supplies reusable scratch memory for the engine; when
 /// null, a thread-local workspace is used, so back-to-back runs on one
 /// thread already reuse allocations. Passing an explicit workspace gives the
 /// caller control over reuse (e.g. a fresh workspace per run for the
@@ -192,8 +165,8 @@ SimulationOutcome simulate_rounds(
 
 /// Stratified capacities shuffled with the run's seed so group membership is
 /// uncorrelated with capacity — the capacity draw every encounter and
-/// homogeneous run uses. Exposed so batch callers can reproduce the exact
-/// per-run capacity vectors.
+/// homogeneous run uses. Exposed so callers can reproduce the exact per-run
+/// capacity vectors.
 std::vector<double> shuffled_capacities(std::size_t count,
                                         const BandwidthDistribution& dist,
                                         std::uint64_t seed);

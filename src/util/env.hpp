@@ -32,7 +32,7 @@ bool env_flag(const char* name);
 
 /// Returns the value of `name` when it is one of `allowed`, `fallback`
 /// when unset/empty, and throws std::runtime_error (listing the choices)
-/// otherwise. Used for e.g. DSA_ENGINE=sparse|dense.
+/// otherwise. Used for e.g. DSA_RECORD=off|rounds|full.
 std::string env_enum(const char* name, const std::string& fallback,
                      std::initializer_list<const char*> allowed);
 

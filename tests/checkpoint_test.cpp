@@ -13,6 +13,7 @@
 #include "core/model.hpp"
 #include "core/pra.hpp"
 #include "core/subspace.hpp"
+#include "oracle/dense_engine.hpp"
 #include "swarming/dsa_model.hpp"
 #include "swarming/pra_dataset.hpp"
 #include "util/csv.hpp"
@@ -158,20 +159,27 @@ struct SliceScale {
   std::size_t encounter_runs = 1;
 };
 
+/// Which round model computes a slice: the production engine behind
+/// SwarmingModel, or the dense oracle behind DenseSwarmingModel.
+enum class SliceEngine { kSparse, kDenseOracle };
+
 /// Computes a small PRA slice over named protocols with the real simulator
 /// and returns the exact bytes save_pra_checkpoint would persist — the same
 /// fingerprint the crash-tolerant sweep trusts when resuming. `passes` lets
 /// a caller run the same batch repeatedly on one engine (so the second pass
 /// reuses the pool's thread-local simulation workspaces).
-std::string pra_slice_bytes(swarming::SimEngine sim_engine,
-                            std::size_t threads, const SliceScale& scale,
-                            std::size_t passes = 1,
-                            std::size_t batch_width = 1) {
+std::string pra_slice_bytes(SliceEngine slice_engine, std::size_t threads,
+                            const SliceScale& scale, std::size_t passes = 1) {
   swarming::SimulationConfig sim;
   sim.rounds = scale.rounds;
-  sim.engine = sim_engine;
-  const swarming::SwarmingModel model(
+  const swarming::SwarmingModel sparse(
       sim, swarming::BandwidthDistribution::piatek());
+  const swarming::oracle::DenseSwarmingModel dense(
+      sim, swarming::BandwidthDistribution::piatek());
+  const core::EncounterModel& model =
+      slice_engine == SliceEngine::kDenseOracle
+          ? static_cast<const core::EncounterModel&>(dense)
+          : sparse;
   const core::SubspaceModel subset(
       model, {swarming::encode_protocol(swarming::bittorrent_protocol()),
               swarming::encode_protocol(swarming::birds_protocol()),
@@ -183,7 +191,6 @@ std::string pra_slice_bytes(swarming::SimEngine sim_engine,
   config.encounter_runs = scale.encounter_runs;
   config.seed = 2011;
   config.threads = threads;
-  config.batch_width = batch_width;
   const core::PraEngine engine(subset, config);
 
   std::vector<core::ProtocolMetrics> metrics;
@@ -214,44 +221,23 @@ TEST(PraDeterminism, ThreadCountAndWorkspaceReuseDoNotChangeBytes) {
   // invisible in the numbers.
   const SliceScale scale;
   const std::string one_thread =
-      pra_slice_bytes(swarming::SimEngine::kSparse, 1, scale);
+      pra_slice_bytes(SliceEngine::kSparse, 1, scale);
   const std::string four_threads =
-      pra_slice_bytes(swarming::SimEngine::kSparse, 4, scale);
+      pra_slice_bytes(SliceEngine::kSparse, 4, scale);
   const std::string reused_workspace =
-      pra_slice_bytes(swarming::SimEngine::kSparse, 4, scale, /*passes=*/2);
+      pra_slice_bytes(SliceEngine::kSparse, 4, scale, /*passes=*/2);
   EXPECT_FALSE(one_thread.empty());
   EXPECT_EQ(one_thread, four_threads);
   EXPECT_EQ(one_thread, reused_workspace);
 }
 
 TEST(PraGoldenFingerprint, SparseMatchesDenseAtDefaultScale) {
-  // The dense engine is the seed implementation's hot path, byte for byte;
+  // The dense oracle is the seed implementation's hot path, byte for byte;
   // equality of the persisted CSVs is the golden-fingerprint guarantee that
   // the optimized sweep changed nothing at the default DSA_* scale.
   const SliceScale scale;  // default-scale knobs: 120 rounds, 3+1 runs
-  EXPECT_EQ(pra_slice_bytes(swarming::SimEngine::kSparse, 2, scale),
-            pra_slice_bytes(swarming::SimEngine::kDense, 2, scale));
-}
-
-TEST(PraGoldenFingerprint, BatchMatchesSparseAtDefaultScaleAcrossWidths) {
-  // The batched quantify grid only regroups tasks: every width — including
-  // widths that leave odd remainders against the 3-run / 3-opponent game
-  // counts — must persist the same CSV bytes as the scalar sparse sweep,
-  // with 1 and with 4 worker threads.
-  const SliceScale scale;
-  const std::string golden =
-      pra_slice_bytes(swarming::SimEngine::kSparse, 2, scale);
-  for (const std::size_t width : {std::size_t{1}, std::size_t{4},
-                                  std::size_t{5}, std::size_t{8}}) {
-    SCOPED_TRACE("batch width " + std::to_string(width));
-    EXPECT_EQ(golden, pra_slice_bytes(swarming::SimEngine::kBatch, 1, scale,
-                                      /*passes=*/1, width));
-    EXPECT_EQ(golden, pra_slice_bytes(swarming::SimEngine::kBatch, 4, scale,
-                                      /*passes=*/1, width));
-  }
-  // Workspace reuse across passes must be invisible on the batch engine too.
-  EXPECT_EQ(golden, pra_slice_bytes(swarming::SimEngine::kBatch, 4, scale,
-                                    /*passes=*/2, 8));
+  EXPECT_EQ(pra_slice_bytes(SliceEngine::kSparse, 2, scale),
+            pra_slice_bytes(SliceEngine::kDenseOracle, 2, scale));
 }
 
 TEST(PraGoldenFingerprint, SparseMatchesDenseAtFullSubsetScale) {
@@ -261,21 +247,8 @@ TEST(PraGoldenFingerprint, SparseMatchesDenseAtFullSubsetScale) {
   scale.rounds = 500;
   scale.performance_runs = 10;
   scale.encounter_runs = 10;
-  EXPECT_EQ(pra_slice_bytes(swarming::SimEngine::kSparse, 2, scale),
-            pra_slice_bytes(swarming::SimEngine::kDense, 2, scale));
-}
-
-TEST(PraGoldenFingerprint, BatchMatchesSparseAtFullSubsetScale) {
-  // The same paper-fidelity subset scale on the lockstep engine at the
-  // auto-selected width 8 (10 runs per protocol: one full batch of 8 plus
-  // an odd remainder of 2).
-  SliceScale scale;
-  scale.rounds = 500;
-  scale.performance_runs = 10;
-  scale.encounter_runs = 10;
-  EXPECT_EQ(pra_slice_bytes(swarming::SimEngine::kSparse, 2, scale),
-            pra_slice_bytes(swarming::SimEngine::kBatch, 2, scale,
-                            /*passes=*/1, 8));
+  EXPECT_EQ(pra_slice_bytes(SliceEngine::kSparse, 2, scale),
+            pra_slice_bytes(SliceEngine::kDenseOracle, 2, scale));
 }
 
 TEST(PraCheckpoint, MissingOrMalformedCheckpointYieldsEmpty) {

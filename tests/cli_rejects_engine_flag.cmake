@@ -1,0 +1,17 @@
+# The round model has one engine, so `dsa_cli pra --engine sparse` must be
+# the CLI's ordinary unknown-flag usage error: exit status 2 and a message
+# naming the flag. Invoked via
+#   cmake -DDSA_CLI=... -P cli_rejects_engine_flag.cmake
+execute_process(
+  COMMAND "${DSA_CLI}" pra --engine sparse
+  OUTPUT_VARIABLE output
+  ERROR_VARIABLE error
+  RESULT_VARIABLE status)
+if(NOT status EQUAL 2)
+  message(FATAL_ERROR
+      "expected exit status 2, got ${status}\n--- stderr ---\n${error}")
+endif()
+string(FIND "${error}" "error: unknown flag --engine" at)
+if(at EQUAL -1)
+  message(FATAL_ERROR "stderr does not name the flag:\n${error}")
+endif()

@@ -69,17 +69,7 @@ void expect_bits_equal(const std::vector<double>& a,
   }
 }
 
-swarming::SimulationConfig round_config(swarming::SimEngine engine) {
-  swarming::SimulationConfig config;
-  config.rounds = 60;
-  config.churn_rate = 0.02;
-  config.seed = 4242;
-  config.engine = engine;
-  return config;
-}
-
-swarming::SimulationOutcome run_round_model(swarming::SimEngine engine,
-                                            std::uint64_t seed = 4242) {
+swarming::SimulationOutcome run_round_model(std::uint64_t seed = 4242) {
   const auto bandwidths = swarming::BandwidthDistribution::piatek();
   std::vector<swarming::ProtocolSpec> protocols;
   protocols.insert(protocols.end(), 15, swarming::bittorrent_protocol());
@@ -87,7 +77,9 @@ swarming::SimulationOutcome run_round_model(swarming::SimEngine engine,
                    swarming::loyal_when_needed_protocol());
   const std::vector<double> capacities =
       bandwidths.stratified_sample(protocols.size());
-  auto config = round_config(engine);
+  swarming::SimulationConfig config;
+  config.rounds = 60;
+  config.churn_rate = 0.02;
   config.seed = seed;
   return swarming::simulate_rounds(protocols, capacities, config,
                                    &bandwidths);
@@ -112,23 +104,20 @@ std::string slurp(const std::filesystem::path& path) {
 // --- Determinism: recording must never change a result bit ---------------
 
 TEST_F(RecorderTest, RoundModelOutputsIdenticalWithRecordingOnAndOff) {
-  for (const auto engine :
-       {swarming::SimEngine::kSparse, swarming::SimEngine::kDense}) {
-    configure(obs::RecordLevel::kOff);
-    const auto off = run_round_model(engine);
+  configure(obs::RecordLevel::kOff);
+  const auto off = run_round_model();
 
-    configure(obs::RecordLevel::kFull);
-    const auto full = run_round_model(engine);
+  configure(obs::RecordLevel::kFull);
+  const auto full = run_round_model();
 
-    expect_bits_equal(off.peer_throughput, full.peer_throughput);
-    EXPECT_EQ(off.peers_replaced, full.peers_replaced);
+  expect_bits_equal(off.peer_throughput, full.peer_throughput);
+  EXPECT_EQ(off.peers_replaced, full.peers_replaced);
 #if DSA_OBS_COMPILED_IN
-    EXPECT_GT(obs::Recorder::global().event_count(), 0u);
+  EXPECT_GT(obs::Recorder::global().event_count(), 0u);
 #else
-    EXPECT_EQ(obs::Recorder::global().event_count(), 0u);
+  EXPECT_EQ(obs::Recorder::global().event_count(), 0u);
 #endif
-    obs::Recorder::global().reset();
-  }
+  obs::Recorder::global().reset();
 }
 
 TEST_F(RecorderTest, SwarmOutputsIdenticalWithRecordingOnAndOff) {
@@ -157,7 +146,7 @@ TEST_F(RecorderTest, ConcurrentRunsProduceTheSerialRecordingBytes) {
 
   std::vector<swarming::SimulationOutcome> serial(8);
   for (std::size_t i = 0; i < 8; ++i) {
-    serial[i] = run_round_model(swarming::SimEngine::kSparse, kSeeds[i]);
+    serial[i] = run_round_model(kSeeds[i]);
   }
   const auto serial_events = obs::Recorder::global().snapshot();
   const std::string serial_jsonl = obs::to_recording_jsonl(
@@ -169,8 +158,7 @@ TEST_F(RecorderTest, ConcurrentRunsProduceTheSerialRecordingBytes) {
   for (int t = 0; t < 4; ++t) {
     workers.emplace_back([t, &threaded, &kSeeds] {
       for (std::size_t i = static_cast<std::size_t>(t); i < 8; i += 4) {
-        threaded[i] =
-            run_round_model(swarming::SimEngine::kSparse, kSeeds[i]);
+        threaded[i] = run_round_model(kSeeds[i]);
       }
     });
   }
@@ -192,7 +180,7 @@ TEST_F(RecorderTest, SuppressScopeSilencesCapturesOnThisThread) {
   {
     obs::SuppressScope suppress;
     EXPECT_TRUE(obs::SuppressScope::active());
-    run_round_model(swarming::SimEngine::kSparse);
+    run_round_model();
   }
   EXPECT_FALSE(obs::SuppressScope::active());
   EXPECT_EQ(obs::Recorder::global().event_count(), 0u);
@@ -203,7 +191,7 @@ TEST_F(RecorderTest, SuppressScopeSilencesCapturesOnThisThread) {
 #if DSA_OBS_COMPILED_IN
 TEST_F(RecorderTest, StrideRecordsEveryKthRoundOnly) {
   configure(obs::RecordLevel::kRounds, 7);
-  run_round_model(swarming::SimEngine::kSparse);
+  run_round_model();
   const auto events = obs::Recorder::global().snapshot();
   std::size_t round_events = 0;
   for (const obs::Event& event : events) {
@@ -217,7 +205,7 @@ TEST_F(RecorderTest, StrideRecordsEveryKthRoundOnly) {
 
 TEST_F(RecorderTest, RoundsLevelSkipsPerDecisionEvents) {
   configure(obs::RecordLevel::kRounds);
-  run_round_model(swarming::SimEngine::kSparse);
+  run_round_model();
   for (const obs::Event& event : obs::Recorder::global().snapshot()) {
     EXPECT_TRUE(event.kind == obs::EventKind::kRun ||
                 event.kind == obs::EventKind::kRound ||
@@ -332,7 +320,7 @@ TEST_F(RecorderTest, CsvHasOneRowPerEventPlusHeader) {
 
 TEST_F(RecorderTest, SaveWritesCanonicalBytesForEitherExtension) {
   configure(obs::RecordLevel::kRounds);
-  run_round_model(swarming::SimEngine::kSparse);
+  run_round_model();
   obs::Recorder& recorder = obs::Recorder::global();
   const auto dir = std::filesystem::temp_directory_path();
   recorder.save(dir / "dsa_recorder_save.jsonl");

@@ -56,6 +56,22 @@ TEST(SpecParser, UnknownParamNamesKindAndAllowedList) {
   }
 }
 
+TEST(SpecParser, SweepRejectsTheRemovedEngineParameter) {
+  // The round model has one engine, so a sweep spec that still names one
+  // is rejected like any other unknown parameter, not silently accepted.
+  const std::string json = R"({"scenario": "t", "kind": "sweep",
+    "output": "o.csv", "params": {"engine": "sparse"}})";
+  try {
+    (void)scenario::parse_scenario_text(json, "old.json");
+    FAIL() << "expected SchemaError";
+  } catch (const SchemaError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("$.params"), std::string::npos) << what;
+    EXPECT_NE(what.find("unknown parameter \"engine\""), std::string::npos)
+        << what;
+  }
+}
+
 TEST(SpecParser, RangeViolationNamesKeyPath) {
   const std::string json = R"({"scenario": "t", "kind": "swarm",
     "output": "o.csv", "params": {"fraction": 1.5}})";
@@ -445,43 +461,39 @@ TEST_F(ScenarioRunner, SweepMergeMatchesCanonicalDatasetWriter) {
   EXPECT_EQ(read_file(out), read_file(reference));
 }
 
-TEST_F(ScenarioRunner, BatchedSweepKillAndResumeMatchesScalarSweep) {
-  // The batch engine through the scenario runner: a sweep on
-  // engine=batch/batch_width=4, killed after one chunk and resumed, must
-  // merge to the same bytes as an uninterrupted scalar sparse sweep of the
-  // same spec — engine, width, kill point, and thread count are all
-  // invisible in the output.
-  const auto sweep_json = [this](const std::string& name,
-                                 const std::string& engine_params) {
+TEST_F(ScenarioRunner, KilledSweepResumesToUninterruptedBytes) {
+  // The sweep kind through the runner's crash path: a sweep killed after
+  // one chunk and resumed on 2 threads must merge to the same bytes as an
+  // uninterrupted 1-thread run of the same spec — the kill point and the
+  // thread count are invisible in the output.
+  const auto sweep_json = [this](const std::string& name) {
     return R"({"scenario": "mini-sweep", "kind": "sweep", "output": ")" +
            (dir_ / name).string() +
            R"(", "chunk": 2, "params": {"protocols": "0,1,2,3,4,5",
                "rounds": 8, "population": 10, "performance_runs": 1,
                "encounter_runs": 1, "opponent_sample": 4,
-               "minority_fraction": 0.2, "seed": 3)" +
-           engine_params + "}}";
+               "minority_fraction": 0.2, "seed": 3}})";
   };
-  const scenario::Plan scalar = scenario::expand_plan(
-      scenario::parse_scenario_text(sweep_json("scalar.csv", "")));
-  scenario::run_scenario(scalar, quiet(1));
-  const std::string expected = read_file(scalar.spec.output);
+  const scenario::Plan uninterrupted = scenario::expand_plan(
+      scenario::parse_scenario_text(sweep_json("uninterrupted.csv")));
+  scenario::run_scenario(uninterrupted, quiet(1));
+  const std::string expected = read_file(uninterrupted.spec.output);
   ASSERT_FALSE(expected.empty());
 
-  const scenario::Plan batched =
-      scenario::expand_plan(scenario::parse_scenario_text(sweep_json(
-          "batched.csv", R"(, "engine": "batch", "batch_width": 4)")));
-  ASSERT_EQ(batched.jobs.size(), 3u);
+  const scenario::Plan resumed = scenario::expand_plan(
+      scenario::parse_scenario_text(sweep_json("resumed.csv")));
+  ASSERT_EQ(resumed.jobs.size(), 3u);
   scenario::RunOptions abort_options = quiet(1);
   abort_options.max_jobs = 1;
-  EXPECT_THROW(scenario::run_scenario(batched, abort_options),
+  EXPECT_THROW(scenario::run_scenario(resumed, abort_options),
                scenario::RunAborted);
-  EXPECT_EQ(scenario::completed_jobs_in_manifest(batched),
+  EXPECT_EQ(scenario::completed_jobs_in_manifest(resumed),
             (std::vector<std::size_t>{0}));
 
-  const auto report = scenario::run_scenario(batched, quiet(2));
+  const auto report = scenario::run_scenario(resumed, quiet(2));
   EXPECT_EQ(report.skipped, 1u);
   EXPECT_EQ(report.executed, 2u);
-  EXPECT_EQ(read_file(batched.spec.output), expected);
+  EXPECT_EQ(read_file(resumed.spec.output), expected);
 }
 
 }  // namespace

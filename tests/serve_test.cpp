@@ -2,8 +2,8 @@
 // trust reasons, the wire protocol's strict round trips, the
 // content-addressed LRU cache (eviction, on-disk store survival, tamper
 // rejection), and the daemon end to end over a real unix socket — a served
-// answer, cold or cached, at any thread count and from any engine, must be
-// byte-identical to the CSV `dsa_cli run` writes.
+// answer, cold or cached, at any thread count, must be byte-identical to the
+// CSV `dsa_cli run` writes.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -65,10 +65,9 @@ class ServeTest : public ::testing::Test {
   }
   void TearDown() override { fs::remove_all(dir_); }
 
-  /// A fast two-job sweep (protocols bt,birds in chunks of 1). `engine`
-  /// and `seed` are spec knobs so tests can vary the cache key dimensions.
+  /// A fast two-job sweep (protocols bt,birds in chunks of 1). `seed` is a
+  /// spec knob so tests can vary the cache key.
   std::string sweep_spec_text(const std::string& output_name,
-                              const std::string& engine = "sparse",
                               int seed = 7) const {
     return std::string("{\"scenario\":\"serve-test\",\"kind\":\"sweep\","
                        "\"output\":\"") +
@@ -77,15 +76,13 @@ class ServeTest : public ::testing::Test {
            "\"rounds\":30,\"population\":20,\"performance_runs\":1,"
            "\"encounter_runs\":1,\"opponent_sample\":1,"
            "\"minority_fraction\":0.1,\"seed\":" +
-           std::to_string(seed) + ",\"engine\":\"" + engine + "\"}}";
+           std::to_string(seed) + "}}";
   }
 
   scenario::Plan sweep_plan(const std::string& output_name,
-                            const std::string& engine = "sparse",
                             int seed = 7) const {
     return scenario::expand_plan(
-        scenario::parse_scenario_text(sweep_spec_text(output_name, engine,
-                                                      seed)));
+        scenario::parse_scenario_text(sweep_spec_text(output_name, seed)));
   }
 
   fs::path dir_;
@@ -159,7 +156,7 @@ TEST_F(ServeTest, TornTailNamesTrailingBytesAndKeepsPrefix) {
 
 TEST_F(ServeTest, ForeignHeaderDistrustsWholeFile) {
   const scenario::Plan plan = sweep_plan("out.csv");
-  const scenario::Plan other = sweep_plan("other.csv", "sparse", 99);
+  const scenario::Plan other = sweep_plan("other.csv", 99);
   const scenario::JobRows rows = plan_rows(plan, "cell");
   const fs::path path = dir_ / "m.jsonl";
   write_file(path, scenario::manifest_header_line(other) + "\n" +
@@ -289,25 +286,6 @@ TEST(ServeProtocol, ResultResponseRoundTripsBodyBytes) {
 
 // -------------------------------------------------------- result cache ----
 
-TEST_F(ServeTest, CanonicalPlanPinsEngineAndBatchWidth) {
-  const scenario::ScenarioSpec sparse = scenario::parse_scenario_text(
-      sweep_spec_text("a.csv", "sparse"));
-  const scenario::ScenarioSpec batch =
-      scenario::parse_scenario_text(sweep_spec_text("b.csv", "batch"));
-  const scenario::Plan canon_sparse = serve::canonical_plan(sparse);
-  const scenario::Plan canon_batch = serve::canonical_plan(batch);
-  ASSERT_EQ(canon_sparse.jobs.size(), canon_batch.jobs.size());
-  for (std::size_t i = 0; i < canon_sparse.jobs.size(); ++i) {
-    EXPECT_EQ(canon_sparse.jobs[i].fingerprint,
-              canon_batch.jobs[i].fingerprint);
-  }
-  // A different seed is a genuinely different question: keys must differ.
-  const scenario::Plan canon_other = serve::canonical_plan(
-      scenario::parse_scenario_text(sweep_spec_text("c.csv", "sparse", 8)));
-  EXPECT_NE(canon_other.jobs[0].fingerprint,
-            canon_sparse.jobs[0].fingerprint);
-}
-
 TEST(ServeCache, LruEvictsUnderTinyBudget) {
   serve::ResultCache cache({.memory_budget_bytes = 1, .store_path = {}});
   cache.insert(1, rows_of({{"one"}}), 0.0);
@@ -427,30 +405,26 @@ TEST_F(ServeTest, ServedAnswerMatchesRunScenarioAndWarmHitIsIdentical) {
   EXPECT_EQ(counters.at("jobs_executed"), 2u);
 }
 
-TEST_F(ServeTest, CacheKeyIsEngineAndThreadCountIndependent) {
-  // Warm the cache on the sparse engine with a single-threaded daemon.
-  std::string sparse_body;
+TEST_F(ServeTest, CacheKeyIsThreadCountIndependent) {
+  // Warm the cache with a single-threaded daemon.
+  std::string warm_body;
   {
     Daemon daemon(daemon_options(dir_, 1, dir_ / "cache.jsonl"));
     serve::Client client(daemon.server().socket_path());
-    sparse_body = client.query(sweep_spec_text("q.csv", "sparse")).body;
+    warm_body = client.query(sweep_spec_text("q.csv")).body;
   }
-  // A multi-threaded daemon restarted from the store must answer dense and
-  // batch phrasings of the same question from cache, byte-identically.
+  // A multi-threaded daemon restarted from the store must answer the same
+  // question from cache, byte-identically.
   Daemon daemon(daemon_options(dir_, 3, dir_ / "cache.jsonl"));
   serve::Client client(daemon.server().socket_path());
-  for (const std::string engine : {"dense", "batch"}) {
-    const serve::Response response =
-        client.query(sweep_spec_text("q.csv", engine));
-    EXPECT_EQ(response.body, sparse_body) << engine;
-    EXPECT_EQ(response.cached_jobs, 2u) << engine;
-    EXPECT_EQ(response.executed_jobs, 0u) << engine;
-  }
+  const serve::Response response = client.query(sweep_spec_text("q.csv"));
+  EXPECT_EQ(response.body, warm_body);
+  EXPECT_EQ(response.cached_jobs, 2u);
+  EXPECT_EQ(response.executed_jobs, 0u);
   // And a cold multi-threaded computation of a different seed still matches
-  // a fresh single-threaded one bite for byte.
-  const std::string threaded =
-      client.query(sweep_spec_text("t3.csv", "sparse", 11)).body;
-  const scenario::Plan plan = sweep_plan("t1.csv", "sparse", 11);
+  // a fresh single-threaded one byte for byte.
+  const std::string threaded = client.query(sweep_spec_text("t3.csv", 11)).body;
+  const scenario::Plan plan = sweep_plan("t1.csv", 11);
   scenario::run_scenario(plan, quiet_options(1));
   EXPECT_EQ(threaded, read_file(plan.spec.output));
 }

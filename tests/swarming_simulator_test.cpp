@@ -4,12 +4,11 @@
 // effect, churn, and encounter mechanics.
 #include <gtest/gtest.h>
 
-#include <span>
 #include <vector>
 
 #include "fault/fault_process.hpp"
+#include "oracle/dense_engine.hpp"
 #include "swarming/bandwidth.hpp"
-#include "swarming/batch_engine.hpp"
 #include "swarming/protocol.hpp"
 #include "swarming/simulator.hpp"
 
@@ -345,17 +344,15 @@ INSTANTIATE_TEST_SUITE_P(BothWindows, WindowSweep,
                          ::testing::Values(CandidateWindow::kTft,
                                            CandidateWindow::kTf2t));
 
-// -------------------------------------- dense/sparse/batch equivalence ----
-// The production engines' contract is bitwise identity with the dense
-// reference (the seed implementation), for every configuration — same RNG
-// draw sequence, same floating-point operations in the same order. These
-// tests compare the three engines on exactly the configurations where their
-// internals differ most: churn (stamp invalidation vs row zeroing), faults,
-// the intake cap (touched-list scaling vs row scaling), TF2T (two-generation
-// candidate merge), and every ranking function (Loyal reads sparse streaks,
-// Random consumes RNG draws that must stay aligned). The batch engine joins
-// through its scalar entry point here (a single-lane batch); the W-wide
-// lockstep paths are covered by the BatchEngine tests below.
+// ------------------------------------------- sparse/dense equivalence ----
+// The engine's contract is bitwise identity with the dense oracle (the seed
+// implementation, tests/oracle), for every configuration — same RNG draw
+// sequence, same floating-point operations in the same order. These tests
+// compare the two on exactly the configurations where their internals
+// differ most: churn (stamp invalidation vs row zeroing), faults, the intake
+// cap (touched-list scaling vs row scaling), TF2T (two-generation candidate
+// merge), and every ranking function (Loyal reads sparse streaks, Random
+// consumes RNG draws that must stay aligned).
 
 void expect_bitwise_equal(const SimulationOutcome& actual,
                           const SimulationOutcome& expected) {
@@ -371,19 +368,15 @@ void expect_bitwise_equal(const SimulationOutcome& actual,
 }
 
 void expect_engines_agree(const std::vector<ProtocolSpec>& protocols,
-                          SimulationConfig config,
+                          const SimulationConfig& config,
                           SimWorkspace* workspace = nullptr) {
   const std::vector<double> caps =
       piatek().stratified_sample(protocols.size());
-  config.engine = SimEngine::kSparse;
   const auto sparse =
       simulate_rounds(protocols, caps, config, &piatek(), workspace);
-  config.engine = SimEngine::kDense;
-  const auto dense = simulate_rounds(protocols, caps, config, &piatek());
+  const auto dense =
+      oracle::simulate_rounds_dense(protocols, caps, config, &piatek());
   expect_bitwise_equal(sparse, dense);
-  config.engine = SimEngine::kBatch;
-  const auto batch = simulate_rounds(protocols, caps, config, &piatek());
-  expect_bitwise_equal(batch, dense);
 }
 
 TEST(EngineEquivalence, HomogeneousPopulation) {
@@ -474,187 +467,6 @@ TEST(EngineEquivalence, WorkspaceReuseAcrossRunsAndSizes) {
   const auto with_thread_local =
       simulate_rounds(protocols, caps, quick(137, 150), &piatek());
   expect_bitwise_equal(with_reused, with_thread_local);
-}
-
-// ------------------------------------------------ batch-lockstep engine ----
-// The W-wide paths: every lane of a batch must be bitwise-identical to the
-// same simulation run alone on the sparse engine, at every width (including
-// width 1 and odd remainders), and workspace reuse across batches of
-// different widths and populations must never leak state between lanes.
-
-std::vector<SimulationOutcome> solo_sparse_runs(
-    const std::vector<ProtocolSpec>& protocols,
-    const std::vector<std::vector<double>>& caps, SimulationConfig config,
-    const std::vector<std::uint64_t>& seeds) {
-  std::vector<SimulationOutcome> outcomes;
-  config.engine = SimEngine::kSparse;
-  for (std::size_t w = 0; w < seeds.size(); ++w) {
-    config.seed = seeds[w];
-    outcomes.push_back(
-        simulate_rounds(protocols, caps[w], config, &piatek()));
-  }
-  return outcomes;
-}
-
-TEST(BatchEngine, EveryLaneMatchesSoloSparseRunAtEveryWidth) {
-  ProtocolSpec freerider = bittorrent_protocol();
-  freerider.allocation = AllocationPolicy::kFreeride;
-  std::vector<ProtocolSpec> protocols(12, bittorrent_protocol());
-  protocols.insert(protocols.end(), 10, loyal_when_needed_protocol());
-  protocols.insert(protocols.end(), 8, freerider);
-  SimulationConfig config = quick(139, 150);
-  config.churn_rate = 0.04;
-  config.record_round_series = true;
-
-  // Widths 1, 4, 8 plus an odd remainder width, as the PRA batcher produces
-  // when runs % width != 0.
-  for (const std::size_t width : {1u, 4u, 8u, 5u}) {
-    std::vector<std::uint64_t> seeds;
-    std::vector<std::vector<double>> caps;
-    std::vector<BatchLane> lanes;
-    for (std::size_t w = 0; w < width; ++w) {
-      seeds.push_back(1000 + 7 * w);
-      caps.push_back(piatek().stratified_sample(protocols.size()));
-      // Perturb one capacity per lane so lanes genuinely differ.
-      caps.back()[w % caps.back().size()] += static_cast<double>(w);
-    }
-    for (std::size_t w = 0; w < width; ++w) {
-      lanes.push_back({&protocols, &caps[w], seeds[w]});
-    }
-    const auto batch = simulate_rounds_batch(lanes, config, &piatek());
-    const auto solo = solo_sparse_runs(protocols, caps, config, seeds);
-    ASSERT_EQ(batch.size(), width);
-    for (std::size_t w = 0; w < width; ++w) {
-      SCOPED_TRACE("width " + std::to_string(width) + " lane " +
-                   std::to_string(w));
-      expect_bitwise_equal(batch[w], solo[w]);
-    }
-  }
-}
-
-TEST(BatchEngine, LanesWithDistinctProtocolVectorsStayIndependent) {
-  // The PRA tournament batches encounters against different opponents into
-  // one batch: each lane carries its own protocol vector.
-  SimulationConfig config = quick(149, 150);
-  config.intake_factor = 1.2;
-  const ProtocolSpec base =
-      make(StrangerPolicy::kWhenNeeded, 2, CandidateWindow::kTf2t,
-           RankingFunction::kFastest, 4, AllocationPolicy::kPropShare);
-  std::vector<std::vector<ProtocolSpec>> protocols;
-  std::vector<std::vector<double>> caps;
-  std::vector<std::uint64_t> seeds;
-  const std::vector<ProtocolSpec> opponents = {
-      bittorrent_protocol(), loyal_when_needed_protocol(), birds_protocol()};
-  for (std::size_t w = 0; w < opponents.size(); ++w) {
-    std::vector<ProtocolSpec> mix(10, base);
-    mix.insert(mix.end(), 15, opponents[w]);
-    protocols.push_back(std::move(mix));
-    caps.push_back(piatek().stratified_sample(25));
-    seeds.push_back(500 + w);
-  }
-  std::vector<BatchLane> lanes;
-  for (std::size_t w = 0; w < opponents.size(); ++w) {
-    lanes.push_back({&protocols[w], &caps[w], seeds[w]});
-  }
-  const auto batch = simulate_rounds_batch(lanes, config, &piatek());
-  SimulationConfig solo_config = config;
-  solo_config.engine = SimEngine::kSparse;
-  for (std::size_t w = 0; w < opponents.size(); ++w) {
-    SCOPED_TRACE("lane " + std::to_string(w));
-    solo_config.seed = seeds[w];
-    expect_bitwise_equal(
-        batch[w],
-        simulate_rounds(protocols[w], caps[w], solo_config, &piatek()));
-  }
-}
-
-TEST(BatchEngine, WorkspaceReuseAcrossWidthsAndSizesIsStateless) {
-  BatchWorkspace reused;
-  SimulationConfig config = quick(151, 120);
-  config.churn_rate = 0.05;
-  auto run_width = [&](std::size_t width, std::size_t population,
-                       std::uint64_t seed_base) {
-    const std::vector<ProtocolSpec> protocols(population,
-                                              bittorrent_protocol());
-    std::vector<std::vector<double>> caps;
-    std::vector<std::uint64_t> seeds;
-    for (std::size_t w = 0; w < width; ++w) {
-      caps.push_back(piatek().stratified_sample(population));
-      seeds.push_back(seed_base + w);
-    }
-    std::vector<BatchLane> lanes;
-    for (std::size_t w = 0; w < width; ++w) {
-      lanes.push_back({&protocols, &caps[w], seeds[w]});
-    }
-    const auto batch =
-        simulate_rounds_batch(lanes, config, &piatek(), &reused);
-    const auto solo = solo_sparse_runs(protocols, caps, config, seeds);
-    for (std::size_t w = 0; w < width; ++w) {
-      SCOPED_TRACE("width " + std::to_string(width) + " lane " +
-                   std::to_string(w));
-      expect_bitwise_equal(batch[w], solo[w]);
-    }
-  };
-  run_width(8, 30, 700);   // grow
-  run_width(3, 20, 800);   // shrink both width and population
-  run_width(8, 30, 700);   // back up: must equal the first call's results
-}
-
-TEST(BatchEngine, HelperEntryPointsMatchScalarHelpers) {
-  SimulationConfig config = quick(157, 150);
-  const std::vector<std::uint64_t> seeds = {11, 22, 33, 44, 55};
-
-  std::vector<double> batch_perf(seeds.size(), 0.0);
-  run_homogeneous_throughput_batch(bittorrent_protocol(), 30, config,
-                                   piatek(), seeds, batch_perf);
-  for (std::size_t w = 0; w < seeds.size(); ++w) {
-    SimulationConfig solo = config;
-    solo.seed = seeds[w];
-    EXPECT_EQ(batch_perf[w], run_homogeneous_throughput(
-                                 bittorrent_protocol(), 30, solo, piatek()))
-        << w;
-  }
-
-  std::vector<BatchEncounter> encounters;
-  const std::vector<ProtocolSpec> opponents = {
-      birds_protocol(), loyal_when_needed_protocol(), bittorrent_protocol()};
-  for (std::size_t w = 0; w < opponents.size(); ++w) {
-    encounters.push_back({opponents[w], 900 + w});
-  }
-  std::vector<EncounterOutcome> batch_enc(encounters.size());
-  run_encounter_batch(bittorrent_protocol(), 10, 20, config, piatek(),
-                      encounters, batch_enc);
-  for (std::size_t w = 0; w < encounters.size(); ++w) {
-    SimulationConfig solo = config;
-    solo.seed = encounters[w].seed;
-    const auto expected = run_encounter(bittorrent_protocol(), opponents[w],
-                                        10, 20, solo, piatek());
-    EXPECT_EQ(batch_enc[w].group_a_mean, expected.group_a_mean) << w;
-    EXPECT_EQ(batch_enc[w].group_b_mean, expected.group_b_mean) << w;
-  }
-}
-
-TEST(BatchEngine, ValidatesInput) {
-  const SimulationConfig config = quick();
-  EXPECT_THROW(simulate_rounds_batch({}, config), std::invalid_argument);
-  const std::vector<ProtocolSpec> a(5, bittorrent_protocol());
-  const std::vector<ProtocolSpec> b(7, bittorrent_protocol());
-  const std::vector<double> caps_a(5, 10.0);
-  const std::vector<double> caps_b(7, 10.0);
-  const std::vector<BatchLane> mismatched = {{&a, &caps_a, 1},
-                                             {&b, &caps_b, 2}};
-  EXPECT_THROW(simulate_rounds_batch(mismatched, config),
-               std::invalid_argument);
-  SimulationConfig churny = quick();
-  churny.churn_rate = 0.1;
-  const std::vector<BatchLane> single = {{&a, &caps_a, 1}};
-  EXPECT_THROW(simulate_rounds_batch(single, churny, /*churn_source=*/nullptr),
-               std::invalid_argument);
-  std::vector<double> out(2, 0.0);
-  EXPECT_THROW(run_homogeneous_throughput_batch(
-                   bittorrent_protocol(), 10, config, piatek(),
-                   std::vector<std::uint64_t>{1, 2, 3}, out),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -133,55 +133,6 @@ TEST(Rng, Hash64IsStable) {
   EXPECT_NE(hash64(0), hash64(1));
 }
 
-// ------------------------------------------------------------- LaneRng ----
-
-TEST(LaneRng, EveryLaneEqualsItsScalarStream) {
-  const std::vector<std::uint64_t> seeds = {1, 42, 0, 7777777};
-  LaneRng lanes;
-  lanes.reset(seeds);
-  std::vector<Rng> scalar;
-  for (const auto seed : seeds) scalar.emplace_back(seed);
-  std::vector<std::uint64_t> buf(seeds.size());
-  for (int draw = 0; draw < 64; ++draw) {
-    lanes.next_all(buf.data());
-    for (std::size_t w = 0; w < seeds.size(); ++w) {
-      ASSERT_EQ(buf[w], scalar[w]()) << "draw " << draw << " lane " << w;
-    }
-  }
-}
-
-TEST(LaneRng, ScalarAccessorsMatchRngPerLane) {
-  const std::vector<std::uint64_t> seeds = {9, 10, 11};
-  LaneRng lanes;
-  lanes.reset(seeds);
-  Rng a(9);
-  Rng b(10);
-  Rng c(11);
-  // Mixed access: bulk draws interleaved with per-lane scalar draws must
-  // keep every lane aligned with its own Rng stream.
-  EXPECT_EQ(lanes.uniform(0), a.uniform());
-  EXPECT_EQ(lanes.below(1, 97), b.below(97));
-  EXPECT_EQ(lanes.chance(2, 0.5), c.chance(0.5));
-  std::vector<std::uint64_t> buf(seeds.size());
-  lanes.next_all(buf.data());
-  EXPECT_EQ(buf[0], a());
-  EXPECT_EQ(buf[1], b());
-  EXPECT_EQ(buf[2], c());
-  EXPECT_EQ(lanes.next(0), a());
-  EXPECT_EQ(lanes.next(1), b());
-  EXPECT_EQ(lanes.next(2), c());
-}
-
-TEST(LaneRng, ResetRestartsAllStreams) {
-  LaneRng lanes;
-  lanes.reset(std::vector<std::uint64_t>{3, 4});
-  const auto first = lanes.next(0);
-  lanes.next(1);
-  lanes.reset(std::vector<std::uint64_t>{3, 4});
-  EXPECT_EQ(lanes.next(0), first);
-  EXPECT_EQ(lanes.width(), 2u);
-}
-
 // ---------------------------------------------------------------- Csv ----
 
 TEST(CsvTable, RoundTripsThroughDisk) {

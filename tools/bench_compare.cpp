@@ -32,7 +32,6 @@ using dsa::util::json::Value;
 
 struct BenchSummary {
   std::string bench;
-  std::string engine;
   double threads = 0.0;
   double repetitions = 0.0;
   double median_ms = 0.0;
@@ -81,10 +80,6 @@ BenchSummary load_summary(const fs::path& path) {
   }
   BenchSummary summary;
   summary.bench = bench->text;
-  const Value* engine = root.find("engine");
-  if (engine != nullptr && engine->type == Value::Type::kString) {
-    summary.engine = engine->text;
-  }
   summary.threads = number_field(root, "threads", origin);
   summary.repetitions = number_field(root, "repetitions", origin);
   summary.median_ms = number_field(*wall, "median", origin);
@@ -177,10 +172,10 @@ int main(int argc, char** argv) {
       } else if (delta_pct < -threshold) {
         status = "improved";
       }
-      // Different engine or thread count means the numbers measure
-      // different work — flag instead of judging.
-      if (base.engine != cand.engine || base.threads != cand.threads) {
-        status = "incomparable (engine/threads differ)";
+      // A different thread count means the numbers measure different
+      // work — flag instead of judging.
+      if (base.threads != cand.threads) {
+        status = "incomparable (threads differ)";
       }
       table.add_row({name, fixed1(base.median_ms), fixed1(cand.median_ms),
                      fixed1(delta_pct) + "%", status});

@@ -119,27 +119,20 @@ const util::HelpIndex& help_index() {
        "          --population 50 --rounds 200 --seed 42\n"},
       {"pra", "PRA quantification over a protocol subset",
        "usage: dsa_cli pra [--protocols P,P,...] [--runs N] [--population N]\n"
-       "                   [--rounds N] [--seed N] [--threads N]\n"
-       "                   [--engine E] [--batch-width W]\n\n"
+       "                   [--rounds N] [--seed N] [--threads N]\n\n"
        "Performance / robustness / aggressiveness quantification over a\n"
        "comma-separated protocol subset (Sec. 4).\n"
        "--threads N worker threads; default DSA_THREADS, 0 = hardware\n"
        "concurrency. Results are thread-count independent.\n"
-       "--engine sparse|dense|batch (default DSA_ENGINE); --batch-width W\n"
-       "simulations per lockstep batch, 0 = auto (default DSA_BATCH_WIDTH).\n"
-       "All engines and widths produce identical numbers.\n"
        "defaults: --protocols bt,birds,loyal,sorts --runs 3\n"
        "          --population 50 --rounds 200 --seed 2011\n"},
       {"sweep", "full design-space PRA sweep (resume + cached CSV)",
-       "usage: dsa_cli sweep [--out FILE] [--threads N] [--engine E]\n"
-       "                     [--batch-width W] [--force] [--quiet]\n\n"
+       "usage: dsa_cli sweep [--out FILE] [--threads N] [--force] [--quiet]\n\n"
        "PRA quantification of all 3270 protocols with live progress,\n"
        "checkpoint resume, and a cached CSV dataset (skipped when the\n"
        "output already exists; --force recomputes).\n"
        "Scale via DSA_FULL / DSA_ROUNDS / DSA_POPULATION / DSA_RUNS /\n"
-       "DSA_SEED / DSA_ENGINE; threads via --threads or DSA_THREADS.\n"
-       "--engine sparse|dense|batch and --batch-width W (0 = auto) select\n"
-       "the execution path; the dataset is identical on every engine.\n"},
+       "DSA_SEED; threads via --threads or DSA_THREADS.\n"},
       {"swarm", "piece-level swarm head-to-head (Sec. 5)",
        "usage: dsa_cli swarm [--a C] [--b C] [--fraction X] [--runs N]\n"
        "                     [--seed N] [fault flags]\n"
@@ -290,7 +283,7 @@ const util::HelpIndex& help_index() {
        "unix domain socket (newline-delimited JSON, see src/serve) are\n"
        "answered from a content-addressed result cache keyed by per-job\n"
        "fingerprints. A repeated query is served from memory byte-identical\n"
-       "to a fresh computation at any thread count or engine; cache misses\n"
+       "to a fresh computation at any thread count; cache misses\n"
        "run on a shared thread pool with per-job progress streamed to the\n"
        "client. Completed jobs append to an on-disk JSONL store that\n"
        "pre-warms the cache on restart, so even a SIGKILLed daemon keeps\n"
@@ -411,37 +404,11 @@ swarm::ClientVariant parse_client(const std::string& name) {
   usage("unknown swarm client '" + name + "'");
 }
 
-SimEngine engine_from_name(const std::string& name) {
-  if (name == "sparse") return SimEngine::kSparse;
-  if (name == "dense") return SimEngine::kDense;
-  if (name == "batch") return SimEngine::kBatch;
-  usage("unknown engine '" + name + "' (want sparse, dense, or batch)");
-}
-
 SwarmingModel make_model(const util::CliArgs& args) {
   SimulationConfig sim;
   sim.rounds = static_cast<std::size_t>(args.get_int("rounds", 200));
   sim.churn_rate = args.get_double("churn", 0.0);
-  // --engine beats DSA_ENGINE; all engines are bitwise-identical, so this
-  // only changes wall time. env_enum validates the env spelling, usage()
-  // the flag spelling.
-  sim.engine = engine_from_name(args.get(
-      "engine",
-      util::env_enum("DSA_ENGINE", "sparse", {"sparse", "dense", "batch"})));
   return SwarmingModel(sim, BandwidthDistribution::piatek());
-}
-
-/// --batch-width beats DSA_BATCH_WIDTH; 0 (the default) resolves to 8 on
-/// the batch engine and 1 otherwise, mirroring
-/// PraDatasetOptions::from_environment.
-std::size_t resolve_batch_width(const util::CliArgs& args, SimEngine engine) {
-  const std::int64_t width =
-      args.get_int("batch-width", util::env_int("DSA_BATCH_WIDTH", 0));
-  if (width < 0 || width > 64) {
-    usage("--batch-width must be in [0, 64] (0 = auto)");
-  }
-  if (width != 0) return static_cast<std::size_t>(width);
-  return engine == SimEngine::kBatch ? 8 : 1;
 }
 
 void reject_unknown_flags(const util::CliArgs& args) {
@@ -548,7 +515,6 @@ int cmd_pra(const util::CliArgs& args) {
   pra.threads = static_cast<std::size_t>(
       args.get_int("threads", util::env_int("DSA_THREADS", 0)));
   const SwarmingModel model = make_model(args);
-  pra.batch_width = resolve_batch_width(args, model.base_config().engine);
   reject_unknown_flags(args);
 
   const core::SubspaceModel subset(model, protocols);
@@ -837,10 +803,6 @@ int cmd_sweep(const util::CliArgs& args) {
   PraDatasetOptions options = PraDatasetOptions::from_environment();
   options.pra.threads = static_cast<std::size_t>(args.get_int(
       "threads", static_cast<std::int64_t>(options.pra.threads)));
-  if (args.has("engine")) {
-    options.engine = engine_from_name(args.get("engine", "sparse"));
-  }
-  options.pra.batch_width = resolve_batch_width(args, options.engine);
   options.path = args.get("out", options.path.string());
   const bool force = args.has("force");
   const bool quiet = args.has("quiet");
@@ -1801,26 +1763,6 @@ int cmd_version() {
               "unix socket;\n"
               "                   content-addressed result cache, JSONL "
               "store pre-warm)\n");
-  std::printf(
-      "  engine default:  sparse (DSA_ENGINE or --engine: "
-      "sparse|dense|batch)\n");
-#if defined(__AVX512F__)
-  const char* isa = "AVX-512";
-#elif defined(__AVX2__)
-  const char* isa = "AVX2";
-#elif defined(__AVX__)
-  const char* isa = "AVX";
-#elif defined(__SSE2__) || defined(_M_X64)
-  const char* isa = "SSE2";
-#elif defined(__ARM_NEON)
-  const char* isa = "NEON";
-#else
-  const char* isa = "scalar";
-#endif
-  std::printf(
-      "  batch engine:    width 1-64, default 8 (DSA_BATCH_WIDTH or "
-      "--batch-width); compiled for %s\n",
-      isa);
   std::printf("  thread default:  %zu (DSA_THREADS or --threads override)\n",
               util::ThreadPool::default_thread_count());
   return 0;
