@@ -20,7 +20,6 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/recorder.hpp"
-#include "obs/sketch/sketch.hpp"
 #include "stats/descriptive.hpp"
 #include "swarming/pra_dataset.hpp"
 #include "util/env.hpp"
@@ -99,11 +98,9 @@ struct MetricsScope {
   explicit MetricsScope(std::string name)
       : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {
     if (metrics_requested()) obs::set_enabled(true);
-    // DSA_METRICS_QUANTILES picks the histogram quantiles the metrics
-    // snapshot exports; DSA_PROF=on samples this bench's wall-clock stacks
-    // into <DSA_METRICS_DIR>/PROF_<name>.folded (unless DSA_PROF_OUT says
+    // DSA_PROF=on samples this bench's wall-clock stacks into
+    // <DSA_METRICS_DIR>/PROF_<name>.folded (unless DSA_PROF_OUT says
     // otherwise).
-    obs::set_export_quantiles(obs::quantiles_from_environment());
     obs::FlameOptions prof = obs::FlameOptions::from_environment();
     if (prof.enabled && util::env_string("DSA_PROF_OUT", "").empty()) {
       prof.out = metrics_dir() + "/PROF_" + name_ + ".folded";

@@ -298,17 +298,14 @@ std::vector<ProtocolMetrics> PraEngine::quantify(std::uint32_t begin,
   // the steady clock, never RNG state, so results are unaffected.
   DSA_OBS_PHASE("pra/quantify");
   const bool obs_on = obs::enabled();
-  obs::Histogram task_ms;
-  obs::Histogram protocol_ms;
+  obs::Distribution task_ms;
+  obs::Distribution protocol_ms;
   std::vector<std::atomic<std::uint64_t>> protocol_ns(obs_on ? batch : 0);
   std::chrono::steady_clock::time_point chunk_start;
   if (obs_on) {
     auto& registry = obs::Registry::global();
-    task_ms = registry.histogram(
-        "pra.task_ms", {0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000});
-    protocol_ms = registry.histogram(
-        "pra.protocol_ms",
-        {1, 5, 10, 50, 100, 500, 1000, 5000, 10000, 60000});
+    task_ms = registry.distribution("pra.task_ms");
+    protocol_ms = registry.distribution("pra.protocol_ms");
     chunk_start = std::chrono::steady_clock::now();
   }
 

@@ -16,7 +16,6 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/profiler.hpp"
-#include "obs/sketch/sketch.hpp"
 #include "util/env.hpp"
 #include "util/fingerprint.hpp"
 #include "util/fs.hpp"
@@ -328,55 +327,31 @@ struct SamplerCore {
     gauges_json += '}';
 
     // Swarm-health sketch summaries: constant-size per sample regardless of
-    // population. One object per registered summary name; a quantile sketch
-    // contributes the configured quantile list, a moments accumulator the
-    // min/max/mean/stddev envelope (a name registered as both merges into
-    // one object). Empty summaries and the section itself are omitted so
-    // runs without sketch feeds keep their historical schema bytes.
+    // population. One distribution_summary_json object per non-empty
+    // registry distribution, in name order. Empty distributions and the
+    // section itself are omitted so runs without distribution feeds keep
+    // their historical schema bytes.
     std::string sketches_json;
     {
-      const SketchRegistrySnapshot sketch_snap =
-          SketchRegistry::global().snapshot();
-      const std::vector<QuantileSpec> quantiles = export_quantiles();
-      std::map<std::string, std::pair<const SketchSnapshot*,
-                                      const MomentsSnapshot*>> by_name;
-      for (const auto& sketch : sketch_snap.sketches) {
-        if (sketch.count() > 0) by_name[sketch.name].first = &sketch;
-      }
-      for (const auto& moments : sketch_snap.moments) {
-        if (moments.count > 0) by_name[moments.name].second = &moments;
+      std::map<std::string_view, const MetricsSnapshot::DistributionValue*>
+          by_name;
+      for (const auto& distribution : snap.distributions) {
+        if (distribution.count() > 0) {
+          by_name[distribution.name] = &distribution;
+        }
       }
       std::size_t emitted = 0;
       std::string body = "{";
-      bool first_entry = true;
-      for (const auto& [sname, entry] : by_name) {
+      for (const auto& [sname, distribution] : by_name) {
         if (emitted >= kMaxSketchNames) break;
-        ++emitted;
-        const auto* sketch = entry.first;
-        const auto* moments = entry.second;
-        JsonObject object;
-        object.num("count", sketch != nullptr ? sketch->count()
-                                              : moments->count);
-        if (sketch != nullptr) {
-          for (const QuantileSpec& spec : quantiles) {
-            object.num(spec.label.c_str(), sketch->quantile(spec.q));
-          }
-        }
-        if (moments != nullptr) {
-          object.num("min", moments->min);
-          object.num("max", moments->max);
-          object.num("mean", moments->mean());
-          object.num("stddev", moments->stddev());
-        }
-        if (!first_entry) body += ',';
-        first_entry = false;
+        if (emitted++ > 0) body += ',';
         body += '"';
         body += util::json::escape(sname);
         body += "\":";
-        body += object.finish();
+        body += distribution_summary_json(*distribution);
       }
       body += '}';
-      if (!first_entry) sketches_json = std::move(body);
+      if (emitted > 0) sketches_json = std::move(body);
     }
 
     // Copy the rarely-written strings/shards under the run's own lock.

@@ -216,10 +216,7 @@ RunReport run_scenario(const Plan& plan, const RunOptions& options) {
     telemetry.add_done();
     if (obs::enabled()) {
       obs::Registry::global().counter("scenario.jobs_executed").increment();
-      obs::Registry::global()
-          .histogram("scenario.job_ms",
-                     {1.0, 10.0, 100.0, 1000.0, 10000.0, 100000.0})
-          .observe(wall_ms);
+      obs::Registry::global().distribution("scenario.job_ms").observe(wall_ms);
     }
     obs::TraceSink::global().instant("scenario/job-done");
   });

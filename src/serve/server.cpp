@@ -117,7 +117,16 @@ void Server::handle_connection(util::LineSocket connection,
   try {
     while (!stop.load(std::memory_order_relaxed)) {
       if (!connection.wait_readable(options_.poll_ms)) continue;
-      const std::optional<std::string> line = connection.recv_line();
+      std::optional<std::string> line;
+      try {
+        line = connection.recv_line(kMaxRequestBytes);
+      } catch (const util::LineTooLong& error) {
+        std::lock_guard lock(write_mutex);
+        connection.send_line(make_error(std::string("request ") +
+                                        error.what() +
+                                        "; closing the connection"));
+        return;
+      }
       if (!line) return;  // clean disconnect
       Request request;
       try {

@@ -27,6 +27,11 @@
 
 namespace dsa::serve {
 
+/// Longest request line the daemon reads. A longer one is answered with a
+/// named error and its connection is closed, so a client that never sends
+/// '\n' cannot grow the daemon's buffer without bound.
+inline constexpr std::size_t kMaxRequestBytes = std::size_t{1} << 20;
+
 struct ServerOptions {
   std::filesystem::path socket_path;
   /// Worker threads for query jobs; 0 = hardware concurrency.

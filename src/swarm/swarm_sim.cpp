@@ -8,7 +8,6 @@
 #include "obs/obs.hpp"
 #include "obs/profiler.hpp"
 #include "obs/recorder.hpp"
-#include "obs/sketch/sketch.hpp"
 #include "swarming/bandwidth.hpp"
 #include "util/rng.hpp"
 
@@ -223,14 +222,11 @@ class SwarmEngine {
   /// every time it finishes a piece.
   void observe_progress(std::size_t receiver) {
     if (!obs::enabled()) return;
-    static const obs::QuantileSketch sketch =
-        obs::SketchRegistry::global().sketch("swarm.progress");
-    static const obs::MomentsAccumulator moments =
-        obs::SketchRegistry::global().moments("swarm.progress");
+    static const obs::Distribution distribution =
+        obs::Registry::global().distribution("swarm.progress");
     const double fraction = static_cast<double>(have_count_[receiver]) /
                             static_cast<double>(pieces_);
-    sketch.insert(fraction);
-    moments.insert(fraction);
+    distribution.observe(fraction);
   }
 
   /// Upload-capacity utilization of every active peer over the choke window
@@ -238,10 +234,8 @@ class SwarmEngine {
   /// choke round.
   void observe_peer_utilization() {
     if (!obs::enabled()) return;
-    static const obs::QuantileSketch sketch =
-        obs::SketchRegistry::global().sketch("swarm.peer_util");
-    static const obs::MomentsAccumulator moments =
-        obs::SketchRegistry::global().moments("swarm.peer_util");
+    static const obs::Distribution distribution =
+        obs::Registry::global().distribution("swarm.peer_util");
     const double window =
         static_cast<double>(config_.rechoke_interval);
     for (std::size_t sender = 0; sender < n_; ++sender) {
@@ -251,8 +245,7 @@ class SwarmEngine {
         sent += recv_prev_[receiver * n_ + sender];
       }
       const double utilization = sent / (capacity_[sender] * window);
-      sketch.insert(utilization);
-      moments.insert(utilization);
+      distribution.observe(utilization);
     }
   }
 
@@ -260,10 +253,8 @@ class SwarmEngine {
   /// the previous round (prev_unchoked_ snapshot). 0 = stable partners,
   /// 1 = full churn.
   void observe_switch_rate(const std::vector<std::uint32_t>& fresh) {
-    static const obs::QuantileSketch sketch =
-        obs::SketchRegistry::global().sketch("swarm.switch_rate");
-    static const obs::MomentsAccumulator moments =
-        obs::SketchRegistry::global().moments("swarm.switch_rate");
+    static const obs::Distribution distribution =
+        obs::Registry::global().distribution("swarm.switch_rate");
     std::size_t switched = 0;
     for (std::uint32_t peer : fresh) {
       if (std::find(prev_unchoked_.begin(), prev_unchoked_.end(), peer) ==
@@ -273,8 +264,7 @@ class SwarmEngine {
     }
     const double rate =
         static_cast<double>(switched) / static_cast<double>(fresh.size());
-    sketch.insert(rate);
-    moments.insert(rate);
+    distribution.observe(rate);
   }
   void process_arrivals(std::size_t tick) {
     for (std::size_t i = 1; i < n_; ++i) {

@@ -9,7 +9,6 @@
 #include "obs/obs.hpp"
 #include "obs/profiler.hpp"
 #include "obs/recorder.hpp"
-#include "obs/sketch/sketch.hpp"
 
 namespace dsa::swarming {
 
@@ -177,18 +176,13 @@ SimWorkspace& SimWorkspace::operator=(SimWorkspace&&) noexcept = default;
 namespace {
 
 /// Streams one finished run's per-peer score spread into the swarm-health
-/// sketches ("sim.score" quantiles + moments). Pure observer — never touches
-/// RNG or outcome values.
+/// distribution "sim.score". Pure observer — never touches RNG or outcome
+/// values.
 void observe_score_spread(const std::vector<double>& peer_throughput) {
   if (!obs::enabled()) return;
-  static const obs::QuantileSketch score =
-      obs::SketchRegistry::global().sketch("sim.score");
-  static const obs::MomentsAccumulator spread =
-      obs::SketchRegistry::global().moments("sim.score");
-  for (double value : peer_throughput) {
-    score.insert(value);
-    spread.insert(value);
-  }
+  static const obs::Distribution score =
+      obs::Registry::global().distribution("sim.score");
+  for (double value : peer_throughput) score.observe(value);
 }
 
 /// The round model's one engine. It makes the same RNG draws and the same

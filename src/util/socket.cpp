@@ -88,15 +88,23 @@ void LineSocket::send_line(std::string_view line) {
   }
 }
 
-std::optional<std::string> LineSocket::recv_line() {
+std::optional<std::string> LineSocket::recv_line(std::size_t max_length) {
   if (fd_ < 0) throw std::runtime_error("recv_line on a closed socket");
+  std::size_t scanned = 0;  // buffer_[0, scanned) holds no '\n'
   for (;;) {
-    const std::size_t newline = buffer_.find('\n');
+    const std::size_t newline = buffer_.find('\n', scanned);
+    const std::size_t length =
+        newline == std::string::npos ? buffer_.size() : newline;
+    if (length > max_length) {
+      throw LineTooLong("line exceeds " + std::to_string(max_length) +
+                        " bytes");
+    }
     if (newline != std::string::npos) {
       std::string line = buffer_.substr(0, newline);
       buffer_.erase(0, newline + 1);
       return line;
     }
+    scanned = buffer_.size();
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n < 0) {

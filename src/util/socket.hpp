@@ -14,11 +14,19 @@
 
 #include <cstddef>
 #include <filesystem>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
 namespace dsa::util {
+
+/// Thrown by LineSocket::recv_line when a line outgrows its length cap.
+class LineTooLong : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
 
 /// One connected stream socket with line framing. Move-only RAII over the
 /// file descriptor.
@@ -41,8 +49,11 @@ class LineSocket {
 
   /// Reads the next '\n'-terminated line (without the terminator). Returns
   /// std::nullopt on clean EOF at a frame boundary; throws on I/O errors or
-  /// EOF mid-line (a torn frame).
-  [[nodiscard]] std::optional<std::string> recv_line();
+  /// EOF mid-line (a torn frame), and LineTooLong as soon as the line is
+  /// known to exceed `max_length` bytes (so a peer that never sends '\n'
+  /// cannot grow the buffer without bound).
+  [[nodiscard]] std::optional<std::string> recv_line(
+      std::size_t max_length = std::numeric_limits<std::size_t>::max());
 
   /// True when recv_line() can make progress without waiting on an idle
   /// peer: a buffered line is already complete, or the descriptor is

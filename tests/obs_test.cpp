@@ -52,37 +52,41 @@ TEST(ObsRegistry, CounterHandleIsIdempotentAndCounts) {
 TEST(ObsRegistry, DefaultConstructedHandlesNoOp) {
   const obs::Counter counter;
   const obs::Gauge gauge;
-  const obs::Histogram histogram;
+  const obs::Distribution distribution;
   counter.add(7);
   gauge.set(1.0);
-  histogram.observe(2.0);  // must not crash; nothing to assert beyond that
+  distribution.observe(2.0);  // must not crash; nothing to assert beyond that
 }
 
 TEST(ObsRegistry, ConcurrentAddsFromManyThreadsMatchSerialTotal) {
   obs::Registry registry;
   const obs::Counter counter = registry.counter("hits");
-  const obs::Histogram histogram = registry.histogram("lat", {1.0, 10.0});
+  const obs::Distribution distribution = registry.distribution("lat");
   constexpr int kThreads = 8;
   constexpr int kAddsPerThread = 10000;
+  constexpr auto kTotal =
+      static_cast<std::uint64_t>(kThreads) * kAddsPerThread;
+  obs::set_enabled(true);  // distributions record only when obs is on
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&counter, &histogram] {
+    workers.emplace_back([&counter, &distribution] {
       for (int i = 0; i < kAddsPerThread; ++i) {
         counter.increment();
-        histogram.observe(0.5);
+        distribution.observe(0.5);
       }
     });
   }
   for (std::thread& worker : workers) worker.join();
+  obs::set_enabled(false);
   const obs::MetricsSnapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.counter_value("hits"),
-            static_cast<std::uint64_t>(kThreads) * kAddsPerThread);
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  EXPECT_EQ(snap.histograms[0].count,
-            static_cast<std::uint64_t>(kThreads) * kAddsPerThread);
-  EXPECT_EQ(snap.histograms[0].buckets[0],
-            static_cast<std::uint64_t>(kThreads) * kAddsPerThread);
+  EXPECT_EQ(snap.counter_value("hits"), kTotal);
+  ASSERT_EQ(snap.distributions.size(), 1u);
+  // Compiled out (DSA_TRACE=OFF), the switch stays off and nothing lands.
+  const std::uint64_t expected = DSA_OBS_COMPILED_IN ? kTotal : 0;
+  EXPECT_EQ(snap.distributions[0].count(), expected);
+  EXPECT_DOUBLE_EQ(snap.distributions[0].sum,
+                   0.5 * static_cast<double>(expected));
 }
 
 TEST(ObsRegistry, SnapshotMergesShardsWrittenByExitedThreads) {
@@ -107,35 +111,6 @@ TEST(ObsRegistry, GaugeIsLastWriteWinsAndAddAccumulates) {
   EXPECT_DOUBLE_EQ(snap.gauge_value("total_kb"), 3.5);
 }
 
-TEST(ObsRegistry, HistogramBucketPlacementAndOverflow) {
-  obs::Registry registry;
-  const obs::Histogram h = registry.histogram("ms", {1.0, 2.0, 4.0});
-  h.observe(0.5);  // bucket 0 (<= 1)
-  h.observe(1.0);  // bucket 0 (inclusive upper bound)
-  h.observe(3.0);  // bucket 2 (<= 4)
-  h.observe(99.0);  // overflow
-  const obs::MetricsSnapshot snap = registry.snapshot();
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  const auto& hist = snap.histograms[0];
-  ASSERT_EQ(hist.buckets.size(), 4u);
-  EXPECT_EQ(hist.buckets[0], 2u);
-  EXPECT_EQ(hist.buckets[1], 0u);
-  EXPECT_EQ(hist.buckets[2], 1u);
-  EXPECT_EQ(hist.buckets[3], 1u);
-  EXPECT_EQ(hist.count, 4u);
-  EXPECT_DOUBLE_EQ(hist.sum, 0.5 + 1.0 + 3.0 + 99.0);
-}
-
-TEST(ObsRegistry, HistogramRejectsBadOrMismatchedBounds) {
-  obs::Registry registry;
-  EXPECT_THROW(registry.histogram("empty", {}), std::invalid_argument);
-  EXPECT_THROW(registry.histogram("unsorted", {2.0, 1.0}),
-               std::invalid_argument);
-  registry.histogram("ok", {1.0, 2.0});
-  EXPECT_THROW(registry.histogram("ok", {1.0, 3.0}), std::invalid_argument);
-  registry.histogram("ok", {1.0, 2.0});  // identical bounds: fine
-}
-
 TEST(ObsRegistry, ResetZeroesValuesButKeepsDefinitions) {
   obs::Registry registry;
   const obs::Counter counter = registry.counter("n");
@@ -152,7 +127,7 @@ TEST(ObsSnapshot, JsonlHasOneTypedObjectPerLine) {
   obs::Registry registry;
   registry.counter("c").add(2);
   registry.gauge("g").set(1.5);
-  registry.histogram("h", {1.0}).observe(0.5);
+  registry.distribution("d");
   const std::string jsonl = registry.snapshot().to_jsonl();
 
   std::istringstream lines(jsonl);
@@ -170,9 +145,10 @@ TEST(ObsSnapshot, JsonlHasOneTypedObjectPerLine) {
   EXPECT_NE(seen[0].find("\"type\":\"counter\""), std::string::npos);
   EXPECT_NE(seen[0].find("\"value\":2"), std::string::npos);
   EXPECT_NE(seen[1].find("\"type\":\"gauge\""), std::string::npos);
-  EXPECT_NE(seen[2].find("\"type\":\"histogram\""), std::string::npos);
-  EXPECT_NE(seen[2].find("\"bounds\":[1]"), std::string::npos);
-  EXPECT_NE(seen[2].find("\"buckets\":[1,0]"), std::string::npos);
+  // An empty distribution still exports its line, every field zero.
+  EXPECT_EQ(seen[2],
+            "{\"type\":\"distribution\",\"name\":\"d\",\"count\":0,\"p50\":0,"
+            "\"p90\":0,\"p99\":0,\"min\":0,\"max\":0,\"mean\":0,\"stddev\":0}");
 }
 
 TEST(ObsSnapshot, SaveJsonlWritesAtomically) {

@@ -23,7 +23,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "report/report.hpp"
 #include "swarm/swarm_sim.hpp"
@@ -417,55 +416,5 @@ TEST_F(RecorderTest, EncounterSeriesFromSwarmEventsMatchesDirectResults) {
             std::bit_cast<std::uint64_t>((direct_a[2] + direct_a[3]) / 2.0));
 }
 #endif  // DSA_OBS_COMPILED_IN
-
-// --- Histogram quantiles (obs/metrics.hpp) --------------------------------
-
-TEST(HistogramQuantile, KnownDistributionInterpolatesInsideBuckets) {
-  // 100 observations spread uniformly over (0, 10]: ten per bucket with
-  // bounds 1..10. The cumulative walk puts p50 at the end of bucket 4
-  // (50 of 100 observations <= 5.0) and p90 at 9.0.
-  obs::Registry registry;
-  const obs::Histogram h = registry.histogram(
-      "lat", {1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
-  for (int i = 0; i < 100; ++i) h.observe(0.05 + i * 0.1);
-  const auto snap = registry.snapshot();
-  ASSERT_EQ(snap.histograms.size(), 1u);
-  const auto& hist = snap.histograms[0];
-  EXPECT_DOUBLE_EQ(hist.quantile(0.5), 5.0);
-  EXPECT_DOUBLE_EQ(hist.quantile(0.9), 9.0);
-  EXPECT_DOUBLE_EQ(hist.quantile(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(hist.quantile(1.0), 10.0);
-  // Halfway into bucket 3 (observations 30..40 span (3, 4]).
-  EXPECT_DOUBLE_EQ(hist.quantile(0.35), 3.5);
-}
-
-TEST(HistogramQuantile, OverflowMassClampsToLastBoundAndEmptyIsZero) {
-  obs::Registry registry;
-  const obs::Histogram h = registry.histogram("ms", {1.0, 2.0});
-  {
-    const auto empty = registry.snapshot();
-    EXPECT_DOUBLE_EQ(empty.histograms[0].quantile(0.5), 0.0);
-  }
-  h.observe(0.5);
-  h.observe(50.0);  // overflow bucket
-  h.observe(60.0);  // overflow bucket
-  const auto snap = registry.snapshot();
-  const auto& hist = snap.histograms[0];
-  // p50 and above land in overflow mass: no upper edge, clamp to 2.0.
-  EXPECT_DOUBLE_EQ(hist.quantile(0.99), 2.0);
-  // p25 falls inside bucket 0: 0.75 of the way through its single
-  // observation's bucket (target 0.75 of 1 observation in (0, 1]).
-  EXPECT_DOUBLE_EQ(hist.quantile(0.25), 0.75);
-}
-
-TEST(HistogramQuantile, JsonlSnapshotCarriesQuantiles) {
-  obs::Registry registry;
-  const obs::Histogram h = registry.histogram("ms", {1.0, 10.0});
-  h.observe(0.5);
-  const std::string jsonl = registry.snapshot().to_jsonl();
-  EXPECT_NE(jsonl.find("\"p50\":"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"p90\":"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"p99\":"), std::string::npos);
-}
 
 }  // namespace

@@ -30,6 +30,7 @@
 #include "serve/server.hpp"
 #include "util/csv.hpp"
 #include "util/json.hpp"
+#include "util/socket.hpp"
 
 namespace {
 
@@ -492,6 +493,53 @@ TEST_F(ServeTest, ColdMultiJobQueryIsByteStableAcrossRepeats) {
     ASSERT_EQ(response.body, first) << "repeat " << repeat;
   }
   EXPECT_FALSE(first.empty());
+}
+
+TEST_F(ServeTest, OverlongRequestLineIsANamedErrorAndClosesOnlyThatClient) {
+  const scenario::Plan plan = sweep_plan("reference.csv");
+  scenario::run_scenario(plan, quiet_options());
+  const std::string expected = read_file(plan.spec.output);
+
+  Daemon daemon(daemon_options(dir_, 2));
+  // A good client queries concurrently with the abusive one.
+  std::string good_body;
+  std::thread good([&] {
+    serve::Client client(daemon.server().socket_path());
+    good_body = client.query(sweep_spec_text("q.csv")).body;
+  });
+
+  // (A lambda, so a failed ASSERT still reaches the join below.)
+  [&] {
+    util::LineSocket bad = util::connect_unix(daemon.server().socket_path());
+    try {
+      bad.send_line(std::string(serve::kMaxRequestBytes + 1, 'x'));
+    } catch (const std::runtime_error&) {
+      // The daemon may close before the whole line is written (EPIPE).
+    }
+    const std::optional<std::string> reply = bad.recv_line();
+    ASSERT_TRUE(reply.has_value());
+    const serve::Response response = serve::parse_response(*reply);
+    EXPECT_EQ(response.type, "error");
+    EXPECT_NE(response.message.find(
+                  "exceeds " + std::to_string(serve::kMaxRequestBytes) +
+                  " bytes"),
+              std::string::npos)
+        << response.message;
+    // Then the daemon hangs up: EOF, or a reset when it closed with the
+    // rest of the line unread.
+    bool closed = false;
+    try {
+      closed = !bad.recv_line().has_value();
+    } catch (const std::runtime_error&) {
+      closed = true;
+    }
+    EXPECT_TRUE(closed);
+  }();
+  good.join();
+  EXPECT_EQ(good_body, expected);
+  // The daemon keeps serving new clients.
+  serve::Client after(daemon.server().socket_path());
+  EXPECT_EQ(after.query(sweep_spec_text("q.csv")).body, expected);
 }
 
 std::size_t process_thread_count() {

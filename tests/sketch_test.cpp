@@ -1,50 +1,33 @@
-// Streaming-sketch suite (obs/sketch): quantile accuracy against exact
-// sorted-rank answers, exact merge associativity, shard-count determinism,
-// serialization round-trips, and the DSA_METRICS_QUANTILES configuration.
+// Registry distributions (obs/metrics): quantile accuracy against exact
+// sorted-rank answers, shard-count determinism, reset and disabled handles,
+// moments, and the one error bound every exporter (metrics JSONL, telemetry
+// `sketches` section) reports.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <stdexcept>
+#include <filesystem>
+#include <fstream>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include "obs/metrics.hpp"
 #include "obs/obs.hpp"
-#include "obs/sketch/sketch.hpp"
+#include "obs/telemetry.hpp"
+#include "stats/descriptive.hpp"
+#include "util/json.hpp"
 
 namespace {
 
 using namespace dsa;
+using Value = obs::MetricsSnapshot::DistributionValue;
 
 // --- helpers --------------------------------------------------------------
-
-/// Restores an environment variable on scope exit.
-struct EnvGuard {
-  EnvGuard(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_ = true;
-      old_ = old;
-    }
-    if (value == nullptr) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value, 1);
-    }
-  }
-  ~EnvGuard() {
-    if (had_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  const char* name_;
-  std::string old_;
-  bool had_ = false;
-};
 
 /// Deterministic LCG (same constants as PCG's underlying generator) so the
 /// accuracy streams are identical on every platform.
@@ -57,9 +40,9 @@ struct Lcg {
   std::uint64_t state;
 };
 
-/// The exact-rank answer the sketch's cumulative walk targets: element of
-/// rank ceil(q*n) (1-indexed), i.e. the value whose cumulative count first
-/// reaches q*n.
+/// The exact-rank answer the distribution's cumulative walk targets:
+/// element of rank ceil(q*n) (1-indexed), i.e. the value whose cumulative
+/// count first reaches q*n.
 double exact_quantile(const std::vector<double>& sorted, double q) {
   const double target = q * static_cast<double>(sorted.size());
   std::size_t rank =
@@ -68,169 +51,66 @@ double exact_quantile(const std::vector<double>& sorted, double q) {
   return sorted[rank - 1];
 }
 
-// --- quantile-list parsing ------------------------------------------------
-
-TEST(QuantileList, ParsesLabelsAndFractions) {
-  const auto specs = obs::parse_quantile_list("p50, p90 ,p999,0.25");
-  ASSERT_EQ(specs.size(), 4u);
-  EXPECT_EQ(specs[0].label, "p50");
-  EXPECT_DOUBLE_EQ(specs[0].q, 0.5);
-  EXPECT_EQ(specs[1].label, "p90");
-  EXPECT_DOUBLE_EQ(specs[1].q, 0.9);
-  EXPECT_EQ(specs[2].label, "p999");
-  EXPECT_DOUBLE_EQ(specs[2].q, 0.999);
-  EXPECT_EQ(specs[3].label, "p25");
-  EXPECT_DOUBLE_EQ(specs[3].q, 0.25);
-}
-
-TEST(QuantileList, DigitsAfterPReadAsDecimalFraction) {
-  // p5 and p50 are the same quantile spelled at different precision.
-  EXPECT_DOUBLE_EQ(obs::parse_quantile_list("p5")[0].q, 0.5);
-  EXPECT_DOUBLE_EQ(obs::parse_quantile_list("p50")[0].q, 0.5);
-  EXPECT_DOUBLE_EQ(obs::parse_quantile_list("p05")[0].q, 0.05);
-}
-
-TEST(QuantileList, RejectsMalformedLists) {
-  EXPECT_THROW(obs::parse_quantile_list(""), std::invalid_argument);
-  EXPECT_THROW(obs::parse_quantile_list("p50,"), std::invalid_argument);
-  EXPECT_THROW(obs::parse_quantile_list(",p50"), std::invalid_argument);
-  EXPECT_THROW(obs::parse_quantile_list("p"), std::invalid_argument);
-  EXPECT_THROW(obs::parse_quantile_list("p9x"), std::invalid_argument);
-  EXPECT_THROW(obs::parse_quantile_list("median"), std::invalid_argument);
-  EXPECT_THROW(obs::parse_quantile_list("1.5"), std::invalid_argument);
-  EXPECT_THROW(obs::parse_quantile_list("0"), std::invalid_argument);
-  EXPECT_THROW(obs::parse_quantile_list("p0"), std::invalid_argument);
-}
-
-TEST(QuantileList, EnvironmentParsingIsStrict) {
-  {
-    EnvGuard guard("DSA_METRICS_QUANTILES", nullptr);
-    const auto specs = obs::quantiles_from_environment();
-    ASSERT_EQ(specs.size(), 3u);
-    EXPECT_EQ(specs[0].label, "p50");
-    EXPECT_EQ(specs[2].label, "p99");
-  }
-  {
-    EnvGuard guard("DSA_METRICS_QUANTILES", "p50,p999");
-    const auto specs = obs::quantiles_from_environment();
-    ASSERT_EQ(specs.size(), 2u);
-    EXPECT_EQ(specs[1].label, "p999");
-    EXPECT_DOUBLE_EQ(specs[1].q, 0.999);
-  }
-  {
-    EnvGuard guard("DSA_METRICS_QUANTILES", "p50,,p99");
-    EXPECT_THROW(obs::quantiles_from_environment(), std::runtime_error);
-  }
-}
-
-TEST(QuantileList, ExportListRoundTripsAndEmptyRestoresDefault) {
-  obs::set_export_quantiles({{"p25", 0.25}, {"p75", 0.75}});
-  auto specs = obs::export_quantiles();
-  ASSERT_EQ(specs.size(), 2u);
-  EXPECT_EQ(specs[0].label, "p25");
-  obs::set_export_quantiles({});
-  specs = obs::export_quantiles();
-  ASSERT_EQ(specs.size(), 3u);
-  EXPECT_EQ(specs[0].label, "p50");
-  EXPECT_EQ(specs[1].label, "p90");
-  EXPECT_EQ(specs[2].label, "p99");
-}
-
 // --- shared bucket walk ---------------------------------------------------
 
 TEST(QuantileBucket, CumulativeWalkSkipsEmptyBuckets) {
   const std::vector<std::uint64_t> buckets = {0, 3, 0, 2};
-  EXPECT_EQ(obs::quantile_bucket(buckets, 5, 0.0).index, 1u);
-  EXPECT_EQ(obs::quantile_bucket(buckets, 5, 0.6).index, 1u);
-  EXPECT_EQ(obs::quantile_bucket(buckets, 5, 0.61).index, 3u);
-  EXPECT_EQ(obs::quantile_bucket(buckets, 5, 1.0).index, 3u);
+  EXPECT_EQ(obs::quantile_bucket(buckets, 5, 0.0), 1u);
+  EXPECT_EQ(obs::quantile_bucket(buckets, 5, 0.6), 1u);
+  EXPECT_EQ(obs::quantile_bucket(buckets, 5, 0.61), 3u);
+  EXPECT_EQ(obs::quantile_bucket(buckets, 5, 1.0), 3u);
   // Empty distribution: one-past-the-end sentinel.
-  EXPECT_EQ(obs::quantile_bucket(buckets, 0, 0.5).index, buckets.size());
+  EXPECT_EQ(obs::quantile_bucket(buckets, 0, 0.5), buckets.size());
 }
 
-// --- snapshot merge/math (no insert path, works even when compiled out) ---
-
-TEST(SketchSnapshot, MergeIsExactlyAssociative) {
-  const auto make = [](std::uint64_t zero, std::uint64_t a, std::uint64_t b) {
-    obs::SketchSnapshot snap;
-    snap.name = "m";
-    snap.zero_count = zero;
-    snap.positive = {a, b, 0, 1};
-    snap.negative = {0, 0, b, a};
-    return snap;
-  };
-  const obs::SketchSnapshot a = make(1, 10, 3);
-  const obs::SketchSnapshot b = make(0, 7, 70);
-  const obs::SketchSnapshot c = make(5, 0, 2);
-
-  obs::SketchSnapshot left = a;
-  left.merge(b);
-  left.merge(c);
-  obs::SketchSnapshot bc = b;
-  bc.merge(c);
-  obs::SketchSnapshot right = a;
-  right.merge(bc);
-  EXPECT_TRUE(left == right);  // bucket counts are integers: exact equality
-  EXPECT_EQ(left.count(), a.count() + b.count() + c.count());
-}
-
-TEST(SketchSnapshot, MergeRejectsDifferentMappings) {
-  obs::SketchSnapshot a;
-  a.positive.assign(4, 0);
-  a.negative.assign(4, 0);
-  obs::SketchSnapshot b = a;
-  b.options.relative_error = 0.05;
-  EXPECT_THROW(a.merge(b), std::invalid_argument);
-}
+// --- snapshot math (no observe path, works even when compiled out) --------
 
 TEST(MomentsSnapshot, DerivedStatisticsAndMerge) {
-  obs::MomentsSnapshot a;
-  a.count = 2;
+  // Values {1, 3} in the first positive buckets' counts.
+  Value a;
+  a.positive = {2, 0};
+  a.negative = {0, 0};
   a.min = 1.0;
   a.max = 3.0;
-  a.sum = 4.0;          // values {1, 3}
+  a.sum = 4.0;
   a.sum_squares = 10.0;
+  EXPECT_EQ(a.count(), 2u);
   EXPECT_DOUBLE_EQ(a.mean(), 2.0);
   EXPECT_DOUBLE_EQ(a.variance(), 1.0);
   EXPECT_DOUBLE_EQ(a.stddev(), 1.0);
 
-  obs::MomentsSnapshot empty;
+  const Value empty;
+  EXPECT_EQ(empty.count(), 0u);
   EXPECT_DOUBLE_EQ(empty.mean(), 0.0);
   EXPECT_DOUBLE_EQ(empty.variance(), 0.0);
+  EXPECT_DOUBLE_EQ(empty.quantile(0.5), 0.0);
 
-  obs::MomentsSnapshot b;
-  b.count = 1;
-  b.min = b.max = -2.0;
-  b.sum = -2.0;
-  b.sum_squares = 4.0;
-  a.merge(b);
-  EXPECT_EQ(a.count, 3u);
-  EXPECT_DOUBLE_EQ(a.min, -2.0);
-  EXPECT_DOUBLE_EQ(a.max, 3.0);
-  a.merge(empty);  // merging nothing changes nothing
-  EXPECT_EQ(a.count, 3u);
-
-  obs::MomentsSnapshot from_empty;
-  from_empty.merge(b);  // min/max adopt the other side's values
-  EXPECT_DOUBLE_EQ(from_empty.min, -2.0);
-  EXPECT_DOUBLE_EQ(from_empty.max, -2.0);
-}
-
-TEST(SketchSnapshot, FromJsonRejectsForeignOrMalformedObjects) {
-  EXPECT_THROW(obs::SketchSnapshot::from_json("{\"type\":\"bench\"}"),
-               std::runtime_error);
-  EXPECT_THROW(obs::SketchSnapshot::from_json("{\"type\":\"sketch\"}"),
-               std::runtime_error);
-  EXPECT_THROW(
-      obs::SketchSnapshot::from_json(
-          "{\"type\":\"sketch\",\"alpha\":0.01,\"min_value\":1e-6,"
-          "\"max_value\":1e9,\"zero\":0,\"neg\":{},\"pos\":{\"bogus\":3}}"),
-      std::runtime_error);
+#if DSA_OBS_COMPILED_IN
+  // The registry's snapshot merges per-thread moments: an exited thread's
+  // extrema combine with the live thread's, and a thread that never
+  // observed contributes nothing.
+  obs::set_enabled(true);
+  obs::Registry registry;
+  const obs::Distribution merged = registry.distribution("m");
+  std::thread([&merged] {
+    merged.observe(1.0);
+    merged.observe(3.0);
+  }).join();
+  std::thread([&registry] { registry.counter("idle").increment(); }).join();
+  merged.observe(-2.0);
+  obs::set_enabled(false);
+  const Value snap = registry.snapshot().distributions.at(0);
+  EXPECT_EQ(snap.count(), 3u);
+  EXPECT_DOUBLE_EQ(snap.min, -2.0);
+  EXPECT_DOUBLE_EQ(snap.max, 3.0);
+  EXPECT_DOUBLE_EQ(snap.sum, 2.0);
+  EXPECT_DOUBLE_EQ(snap.sum_squares, 14.0);
+#endif
 }
 
 #if DSA_OBS_COMPILED_IN
 
-// --- insert path (needs the runtime switch) -------------------------------
+// --- observe path (needs the runtime switch) ------------------------------
 
 /// Restores the global obs switch so test order never matters.
 struct ObsStateGuard {
@@ -238,17 +118,16 @@ struct ObsStateGuard {
   ~ObsStateGuard() { obs::set_enabled(false); }
 };
 
-/// Inserts `values` into a fresh registry and checks every reported
-/// quantile against the exact sorted-rank answer, within the registered
-/// relative error. The 1.0001 factor absorbs float rounding in the
-/// log-bucket index at bucket boundaries.
+/// Observes `values` into a fresh registry and checks every reported
+/// quantile against the exact sorted-rank answer, within the relative error
+/// bound. The 1.0001 factor absorbs float rounding in the log-bucket index
+/// at bucket boundaries.
 void expect_quantiles_within_alpha(const std::vector<double>& values) {
-  constexpr double kAlpha = 0.01;
   ObsStateGuard guard;
-  obs::SketchRegistry registry;
-  const obs::QuantileSketch sketch = registry.sketch("acc");
-  for (double v : values) sketch.insert(v);
-  const obs::SketchSnapshot snap = registry.snapshot().sketches.at(0);
+  obs::Registry registry;
+  const obs::Distribution distribution = registry.distribution("acc");
+  for (double v : values) distribution.observe(v);
+  const Value snap = registry.snapshot().distributions.at(0);
   ASSERT_EQ(snap.count(), values.size());
 
   std::vector<double> sorted = values;
@@ -256,7 +135,8 @@ void expect_quantiles_within_alpha(const std::vector<double>& values) {
   for (double q : {0.0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999}) {
     const double exact = exact_quantile(sorted, q);
     const double estimate = snap.quantile(q);
-    EXPECT_LE(std::abs(estimate - exact), kAlpha * 1.0001 * exact + 1e-9)
+    EXPECT_LE(std::abs(estimate - exact),
+              obs::kDistributionAlpha * 1.0001 * exact + 1e-9)
         << "q=" << q << " exact=" << exact << " estimate=" << estimate;
   }
 }
@@ -277,7 +157,7 @@ TEST(SketchAccuracy, HeavyTailedParetoStreamWithinRelativeError) {
   values.reserve(10000);
   for (int i = 0; i < 10000; ++i) {
     // Pareto(xm = 1, a = 1.5) by inverse transform; the tail stresses the
-    // log-bucket mapping far from min_value.
+    // log-bucket mapping far from the minimum value.
     const double u = rng.next_unit();
     values.push_back(std::pow(1.0 - u * 0.9999, -1.0 / 1.5));
   }
@@ -299,14 +179,14 @@ TEST(SketchAccuracy, AdversarialSortedStreamsWithinRelativeError) {
 
 TEST(SketchAccuracy, SignedStreamOrdersNegativeZeroPositive) {
   ObsStateGuard guard;
-  obs::SketchRegistry registry;
-  const obs::QuantileSketch sketch = registry.sketch("signed");
+  obs::Registry registry;
+  const obs::Distribution distribution = registry.distribution("signed");
   for (int i = 1; i <= 10; ++i) {
-    sketch.insert(static_cast<double>(-i));
-    sketch.insert(static_cast<double>(i));
+    distribution.observe(static_cast<double>(-i));
+    distribution.observe(static_cast<double>(i));
   }
-  sketch.insert(0.0);
-  const obs::SketchSnapshot snap = registry.snapshot().sketches.at(0);
+  distribution.observe(0.0);
+  const Value snap = registry.snapshot().distributions.at(0);
   EXPECT_EQ(snap.count(), 21u);
   EXPECT_LT(snap.quantile(0.02), -9.0);  // most negative magnitude first
   EXPECT_DOUBLE_EQ(snap.quantile(0.5), 0.0);
@@ -315,20 +195,23 @@ TEST(SketchAccuracy, SignedStreamOrdersNegativeZeroPositive) {
 
 TEST(SketchInsert, EdgeValuesLandWhereDocumented) {
   ObsStateGuard guard;
-  obs::SketchRegistry registry;
-  const obs::QuantileSketch sketch = registry.sketch("edges");
-  sketch.insert(0.0);
-  sketch.insert(1e-9);   // below min_value: zero bucket
-  sketch.insert(-1e-9);
-  sketch.insert(1e12);   // above max_value: clamps into the edge bucket
-  sketch.insert(std::nan(""));  // carries no rank: dropped
-  const obs::SketchSnapshot snap = registry.snapshot().sketches.at(0);
+  obs::Registry registry;
+  const obs::Distribution distribution = registry.distribution("edges");
+  distribution.observe(0.0);
+  distribution.observe(1e-9);  // below kDistributionMin: zero bucket
+  distribution.observe(-1e-9);
+  distribution.observe(1e12);  // above kDistributionMax: clamps to the top
+  distribution.observe(std::nan(""));  // carries no rank: dropped
+  const Value snap = registry.snapshot().distributions.at(0);
   EXPECT_EQ(snap.count(), 4u);
   EXPECT_EQ(snap.zero_count, 3u);
   EXPECT_DOUBLE_EQ(snap.quantile(0.5), 0.0);
   const double top = snap.quantile(1.0);
   EXPECT_TRUE(std::isfinite(top));
   EXPECT_GT(top, 1e8);
+  // Moments see the exact values, NaN excluded.
+  EXPECT_DOUBLE_EQ(snap.min, -1e-9);
+  EXPECT_DOUBLE_EQ(snap.max, 1e12);
 }
 
 TEST(SketchRegistry, ShardedInsertsMatchSingleThreadExactly) {
@@ -340,162 +223,176 @@ TEST(SketchRegistry, ShardedInsertsMatchSingleThreadExactly) {
     values.push_back(0.01 + 100.0 * rng.next_unit());
   }
 
-  obs::SketchRegistry sharded;
+  obs::Registry sharded;
   {
-    const obs::QuantileSketch sketch = sharded.sketch("s");
-    const obs::MomentsAccumulator moments = sharded.moments("s");
+    const obs::Distribution distribution = sharded.distribution("s");
     std::vector<std::thread> workers;
     for (std::size_t t = 0; t < 4; ++t) {
       workers.emplace_back([&, t] {
         for (std::size_t i = t; i < values.size(); i += 4) {
-          sketch.insert(values[i]);
-          moments.insert(values[i]);
+          distribution.observe(values[i]);
         }
       });
     }
     for (std::thread& worker : workers) worker.join();
   }
 
-  obs::SketchRegistry single;
+  obs::Registry single;
   {
-    const obs::QuantileSketch sketch = single.sketch("s");
-    const obs::MomentsAccumulator moments = single.moments("s");
-    for (double v : values) {
-      sketch.insert(v);
-      moments.insert(v);
-    }
+    const obs::Distribution distribution = single.distribution("s");
+    for (double v : values) distribution.observe(v);
   }
 
-  const obs::SketchRegistrySnapshot a = sharded.snapshot();
-  const obs::SketchRegistrySnapshot b = single.snapshot();
+  const Value a = sharded.snapshot().distributions.at(0);
+  const Value b = single.snapshot().distributions.at(0);
   // Bucket counts are integer adds: 4-thread and 1-thread streams must be
-  // IDENTICAL, not just close.
-  EXPECT_TRUE(a.sketches.at(0) == b.sketches.at(0));
+  // IDENTICAL, not just close — and so is every quantile.
+  EXPECT_EQ(a.zero_count, b.zero_count);
+  EXPECT_EQ(a.positive, b.positive);
+  EXPECT_EQ(a.negative, b.negative);
+  for (double q : {0.5, 0.9, 0.99}) {
+    EXPECT_EQ(a.quantile(q), b.quantile(q)) << "q=" << q;
+  }
   // Moments: count/min/max are order-independent; the float sums are only
   // near-equal across shard merge orders (documented contract).
-  EXPECT_EQ(a.moments.at(0).count, b.moments.at(0).count);
-  EXPECT_DOUBLE_EQ(a.moments.at(0).min, b.moments.at(0).min);
-  EXPECT_DOUBLE_EQ(a.moments.at(0).max, b.moments.at(0).max);
-  EXPECT_NEAR(a.moments.at(0).mean(), b.moments.at(0).mean(),
-              1e-9 * std::abs(b.moments.at(0).mean()));
-  EXPECT_NEAR(a.moments.at(0).stddev(), b.moments.at(0).stddev(),
-              1e-7 * std::abs(b.moments.at(0).stddev()));
-}
-
-TEST(SketchRegistry, ShardSnapshotsMergeToTheWholeStream) {
-  ObsStateGuard guard;
-  Lcg rng(123);
-  std::vector<double> values;
-  for (int i = 0; i < 3000; ++i) values.push_back(0.1 + 50.0 * rng.next_unit());
-
-  // Three independent registries each see a third of the stream — the
-  // "merge partial sketches from separate processes" shape.
-  obs::SketchRegistry parts[3];
-  obs::SketchRegistry whole;
-  const obs::QuantileSketch all = whole.sketch("w");
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    parts[i % 3].sketch("w").insert(values[i]);
-    all.insert(values[i]);
-  }
-  obs::SketchSnapshot merged = parts[0].snapshot().sketches.at(0);
-  merged.merge(parts[1].snapshot().sketches.at(0));
-  merged.merge(parts[2].snapshot().sketches.at(0));
-  EXPECT_TRUE(merged == whole.snapshot().sketches.at(0));
-}
-
-TEST(SketchSnapshot, JsonRoundTripIsExact) {
-  ObsStateGuard guard;
-  obs::SketchRegistry registry;
-  const obs::QuantileSketch sketch = registry.sketch("rt");
-  Lcg rng(5);
-  for (int i = 0; i < 500; ++i) {
-    const double v = 200.0 * (rng.next_unit() - 0.5);
-    sketch.insert(v);
-  }
-  sketch.insert(0.0);
-  const obs::SketchSnapshot snap = registry.snapshot().sketches.at(0);
-  const obs::SketchSnapshot parsed =
-      obs::SketchSnapshot::from_json(snap.to_json());
-  EXPECT_TRUE(snap == parsed);
-  EXPECT_EQ(snap.to_json(), parsed.to_json());
-}
-
-TEST(SketchRegistry, ReRegistrationValidatesOptions) {
-  obs::SketchRegistry registry;
-  obs::SketchOptions options;
-  (void)registry.sketch("x", options);
-  (void)registry.sketch("x", options);  // idempotent
-  options.relative_error = 0.05;
-  EXPECT_THROW(registry.sketch("x", options), std::invalid_argument);
-
-  obs::SketchOptions bad;
-  bad.relative_error = 0.0;
-  EXPECT_THROW(registry.sketch("y", bad), std::invalid_argument);
-  bad = {};
-  bad.min_value = 10.0;
-  bad.max_value = 1.0;
-  EXPECT_THROW(registry.sketch("y", bad), std::invalid_argument);
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_DOUBLE_EQ(a.min, b.min);
+  EXPECT_DOUBLE_EQ(a.max, b.max);
+  EXPECT_NEAR(a.mean(), b.mean(), 1e-9 * std::abs(b.mean()));
+  EXPECT_NEAR(a.stddev(), b.stddev(), 1e-7 * std::abs(b.stddev()));
 }
 
 TEST(SketchRegistry, ResetZeroesCountsButKeepsRegistrations) {
   ObsStateGuard guard;
-  obs::SketchRegistry registry;
-  const obs::QuantileSketch sketch = registry.sketch("r");
-  const obs::MomentsAccumulator moments = registry.moments("r");
-  sketch.insert(3.0);
-  moments.insert(3.0);
+  obs::Registry registry;
+  const obs::Distribution distribution = registry.distribution("r");
+  distribution.observe(3.0);
   registry.reset();
-  const obs::SketchRegistrySnapshot snap = registry.snapshot();
-  ASSERT_EQ(snap.sketches.size(), 1u);
-  EXPECT_EQ(snap.sketches[0].name, "r");
-  EXPECT_EQ(snap.sketches[0].count(), 0u);
-  ASSERT_EQ(snap.moments.size(), 1u);
-  EXPECT_EQ(snap.moments[0].count, 0u);
-  EXPECT_DOUBLE_EQ(snap.moments[0].min, 0.0);
-  // Handles stay live after reset.
-  sketch.insert(4.0);
-  EXPECT_EQ(registry.snapshot().sketches.at(0).count(), 1u);
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  ASSERT_EQ(snap.distributions.size(), 1u);
+  EXPECT_EQ(snap.distributions[0].name, "r");
+  EXPECT_EQ(snap.distributions[0].count(), 0u);
+  EXPECT_DOUBLE_EQ(snap.distributions[0].min, 0.0);
+  EXPECT_DOUBLE_EQ(snap.distributions[0].sum, 0.0);
+  // Handles stay live after reset, and the extrema start afresh.
+  distribution.observe(4.0);
+  const Value after = registry.snapshot().distributions.at(0);
+  EXPECT_EQ(after.count(), 1u);
+  EXPECT_DOUBLE_EQ(after.min, 4.0);
+  EXPECT_DOUBLE_EQ(after.max, 4.0);
 }
 
 TEST(SketchRegistry, DisabledOrDetachedHandlesRecordNothing) {
-  obs::SketchRegistry registry;
-  const obs::QuantileSketch sketch = registry.sketch("off");
-  const obs::MomentsAccumulator moments = registry.moments("off");
+  obs::Registry registry;
+  const obs::Distribution distribution = registry.distribution("off");
   obs::set_enabled(false);
-  sketch.insert(1.0);
-  moments.insert(1.0);
-  EXPECT_EQ(registry.snapshot().sketches.at(0).count(), 0u);
-  EXPECT_EQ(registry.snapshot().moments.at(0).count, 0u);
+  distribution.observe(1.0);
+  EXPECT_EQ(registry.snapshot().distributions.at(0).count(), 0u);
   // Default-constructed handles are inert even when obs is on.
   ObsStateGuard guard;
-  obs::QuantileSketch detached;
-  obs::MomentsAccumulator detached_moments;
-  detached.insert(1.0);
-  detached_moments.insert(1.0);
+  const obs::Distribution detached;
+  detached.observe(1.0);
 }
 
 TEST(MomentsAccumulator, ExactExtremaAndNearMeanVariance) {
   ObsStateGuard guard;
-  obs::SketchRegistry registry;
-  const obs::MomentsAccumulator moments = registry.moments("m");
+  obs::Registry registry;
+  const obs::Distribution distribution = registry.distribution("m");
   double sum = 0.0, sum_squares = 0.0;
   Lcg rng(11);
   double min = 1e300, max = -1e300;
   for (int i = 0; i < 2000; ++i) {
     const double v = 10.0 * (rng.next_unit() - 0.3);
-    moments.insert(v);
+    distribution.observe(v);
     sum += v;
     sum_squares += v * v;
     min = std::min(min, v);
     max = std::max(max, v);
   }
-  const obs::MomentsSnapshot snap = registry.snapshot().moments.at(0);
-  EXPECT_EQ(snap.count, 2000u);
+  const Value snap = registry.snapshot().distributions.at(0);
+  EXPECT_EQ(snap.count(), 2000u);
   EXPECT_DOUBLE_EQ(snap.min, min);
   EXPECT_DOUBLE_EQ(snap.max, max);
   EXPECT_NEAR(snap.sum, sum, 1e-9 * std::abs(sum));
   const double mean = sum / 2000.0;
   EXPECT_NEAR(snap.variance(), sum_squares / 2000.0 - mean * mean, 1e-9);
+}
+
+// --- one error bound on every exporter ------------------------------------
+
+TEST(DistributionExport, JsonlAndTelemetryAgreeWithinTheErrorBound) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("dsa_sketch_export_" +
+                        std::to_string(static_cast<long long>(::getpid())));
+  fs::remove_all(dir);
+
+  // A known latency stream: log-uniform over [0.2, 11] ms. 1001 values put
+  // p50/p90/p99 on exact order statistics for both the sketch's rank rule
+  // and stats::percentile's interpolation (q * (n - 1) is an integer).
+  Lcg rng(2011);
+  std::vector<double> latencies;
+  for (int i = 0; i < 1001; ++i) {
+    latencies.push_back(0.2 * std::exp(4.0 * rng.next_unit()));
+  }
+  const std::string name = "sketch_test.latency_ms";
+
+  obs::Telemetry telemetry;
+  obs::TelemetryOptions options;
+  options.enabled = true;
+  options.interval_ms = 3'600'000;  // samples are driven explicitly
+  options.dir = dir;
+  telemetry.configure(options);
+  obs::TelemetryRun run =
+      telemetry.begin_run({.name = "export", .kind = "test"});
+  {
+    ObsStateGuard guard;
+    const obs::Distribution distribution =
+        obs::Registry::global().distribution(name);
+    for (double v : latencies) distribution.observe(v);
+  }
+  telemetry.sample_now();
+  const obs::StatusFile status =
+      obs::load_status_file(dir / "export.status.json");
+  const std::string jsonl = obs::Registry::global().snapshot().to_jsonl();
+  run.finish(true);
+  telemetry.configure(obs::TelemetryOptions{});
+  obs::set_enabled(false);
+  fs::remove_all(dir);
+
+  const auto heartbeat = status.sketches.find(name);
+  ASSERT_NE(heartbeat, status.sketches.end());
+  const util::json::Value* line = nullptr;
+  std::istringstream lines(jsonl);
+  std::string text;
+  util::json::Value parsed;
+  while (std::getline(lines, text)) {
+    if (text.find("\"name\":\"" + name + "\"") == std::string::npos) continue;
+    parsed = util::json::parse(text);
+    line = &parsed;
+  }
+  ASSERT_NE(line, nullptr) << jsonl;
+  EXPECT_EQ(line->find("type")->text, "distribution");
+  EXPECT_EQ(line->find("count")->number, 1001.0);
+  EXPECT_EQ(heartbeat->second.at("count"), 1001.0);
+
+  for (const auto& [label, q] :
+       {std::pair{"p50", 0.5}, std::pair{"p90", 0.9}, std::pair{"p99", 0.99}}) {
+    const double exported = line->find(label)->number;
+    EXPECT_EQ(heartbeat->second.at(label), exported) << label;
+    const double exact = stats::percentile(latencies, q);
+    EXPECT_LE(std::abs(exported - exact),
+              obs::kDistributionAlpha * 1.0001 * exact)
+        << label << " exact=" << exact << " exported=" << exported;
+  }
+  for (const char* moment : {"min", "max", "mean", "stddev"}) {
+    EXPECT_EQ(heartbeat->second.at(moment), line->find(moment)->number)
+        << moment;
+  }
+  EXPECT_EQ(line->find("min")->number,
+            *std::min_element(latencies.begin(), latencies.end()));
+  EXPECT_EQ(line->find("max")->number,
+            *std::max_element(latencies.begin(), latencies.end()));
 }
 
 #endif  // DSA_OBS_COMPILED_IN

@@ -51,7 +51,6 @@
 #include "obs/obs.hpp"
 #include "obs/profiler.hpp"
 #include "obs/recorder.hpp"
-#include "obs/sketch/sketch.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "report/report.hpp"
@@ -131,8 +130,8 @@ const util::HelpIndex& help_index() {
        "PRA quantification of all 3270 protocols with live progress,\n"
        "checkpoint resume, and a cached CSV dataset (skipped when the\n"
        "output already exists; --force recomputes).\n"
-       "Scale via DSA_FULL / DSA_ROUNDS / DSA_POPULATION / DSA_RUNS /\n"
-       "DSA_SEED; threads via --threads or DSA_THREADS.\n"},
+       "Scale via DSA_FULL / DSA_ROUNDS / DSA_POPULATION / DSA_PERF_RUNS /\n"
+       "DSA_ENCOUNTER_RUNS / DSA_SEED; threads via --threads or DSA_THREADS.\n"},
       {"swarm", "piece-level swarm head-to-head (Sec. 5)",
        "usage: dsa_cli swarm [--a C] [--b C] [--fraction X] [--runs N]\n"
        "                     [--seed N] [fault flags]\n"
@@ -363,7 +362,7 @@ const util::HelpIndex& help_index() {
       "                     load it in chrome://tracing or\n"
       "                     https://ui.perfetto.dev\n"
       "  --metrics-out FILE write a JSONL metrics snapshot (counters,\n"
-      "                     gauges, histograms) when the command finishes\n",
+      "                     gauges, distributions) when the command finishes\n",
       help_index().command_list().c_str());
   std::exit(2);
 }
@@ -1754,10 +1753,10 @@ int cmd_version() {
               "phases %s)\n",
               obs::Profiler::kMaxLiveDepth,
               DSA_OBS_COMPILED_IN != 0 ? "compiled in" : "compiled out");
-  std::printf("  sketches:        streaming quantile/moments summaries feed "
-              "health timelines\n"
-              "                   (DSA_METRICS_QUANTILES, default p50,p90,p99;"
-              " `dsa_cli report\n"
+  std::printf("  sketches:        registry distributions (p50/p90/p99 within "
+              "1%% relative error,\n"
+              "                   min/max/mean/stddev) feed health timelines "
+              "(`dsa_cli report\n"
               "                   --health`)\n");
   std::printf("  serve daemon:    compiled in (dsa_cli serve / query over a "
               "unix socket;\n"
@@ -1806,9 +1805,6 @@ int main(int argc, char** argv) {
     // strict parsing means a misspelled value aborts with a named error.
     obs::Telemetry::global().configure(
         obs::TelemetryOptions::from_environment());
-    // DSA_METRICS_QUANTILES picks the quantiles every exporter renders
-    // (metrics JSONL, telemetry sketch sections, bench summaries).
-    obs::set_export_quantiles(obs::quantiles_from_environment());
     // DSA_PROF=on starts the wall-clock sampling profiler for any command.
     // Unless DSA_PROF_OUT says otherwise, the collapsed stacks land in
     // results/PROF_<command>.folded.
