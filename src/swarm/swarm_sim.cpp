@@ -1,7 +1,9 @@
 #include "swarm/swarm_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -69,6 +71,12 @@ namespace {
 
 constexpr std::int32_t kNoPiece = -1;
 constexpr std::int32_t kNoPeer = -1;
+constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
+
+/// Piece p's bit within its 64-piece word of a peer's bitset row.
+constexpr std::uint64_t piece_bit(std::size_t p) {
+  return std::uint64_t{1} << (p % 64);
+}
 
 /// Full mutable state of one swarm run. Peer 0 is the seeder; leecher l of
 /// the input sits at index l + 1.
@@ -81,18 +89,19 @@ class SwarmEngine {
         plan_(config.faults),
         n_(leechers.size() + 1),
         pieces_(config.piece_count),
+        words_((config.piece_count + 63) / 64),
         rng_(config.seed),
         // Faults draw from their own stream so an empty plan leaves the
         // baseline run bitwise-identical.
         fault_rng_(util::hash64(config.seed ^ 0x0fa17ed5eedc0deULL)),
         variant_(n_, ClientVariant::kBitTorrent),
         capacity_(n_, config.seeder_capacity_kbps),
-        have_(n_ * pieces_, 0),
+        have_(n_ * words_, 0),
         have_count_(n_, 0),
         active_(n_, 1),
         completion_tick_(n_, -1),
         availability_(pieces_, 1),  // the seeder has everything
-        claimed_(n_ * pieces_, 0),
+        claimed_(n_ * words_, 0),
         piece_from_(n_ * n_, kNoPiece),
         bytes_done_(n_ * pieces_, 0.0),
         recv_cur_(n_ * n_, 0.0),
@@ -120,7 +129,7 @@ class SwarmEngine {
       }
     }
     // Seeder starts complete.
-    for (std::size_t p = 0; p < pieces_; ++p) have_[p] = 1;
+    for (std::size_t p = 0; p < pieces_; ++p) have_[p / 64] |= piece_bit(p);
     have_count_[0] = pieces_;
     completion_tick_[0] = 0;
     // Crash events fire in tick order; stable sort keeps same-tick events in
@@ -318,12 +327,10 @@ class SwarmEngine {
                                 static_cast<double>(have_count_[i]), 0.0, 0.0}},
                      .label = "crash"});
     }
-    for (std::size_t p = 0; p < pieces_; ++p) {
-      if (have_[i * pieces_ + p]) --availability_[p];
-      have_[i * pieces_ + p] = 0;
-      claimed_[i * pieces_ + p] = 0;
-      bytes_done_[i * pieces_ + p] = 0.0;
-    }
+    drop_availability(i);
+    std::fill_n(&have_[i * words_], words_, 0);
+    std::fill_n(&claimed_[i * words_], words_, 0);
+    std::fill_n(&bytes_done_[i * pieces_], pieces_, 0.0);
     have_count_[i] = 0;
     // In-flight pieces it was receiving die with it (claimed_ row already
     // cleared above); pieces it was sending free up for other senders.
@@ -398,10 +405,23 @@ class SwarmEngine {
 
   /// Abandons in-flight pieces that made no progress for the timeout window
   /// and puts the (receiver, sender) pair in exponential backoff.
+  ///
+  /// The pair scan runs only once `tick` reaches next_expiry_, a lower bound
+  /// on every in-flight pair's deadline (last_progress_ + timeout): progress
+  /// only moves a deadline later, a release only removes a pair, and a new
+  /// assignment lowers the bound to its own deadline. Before that tick no
+  /// pair can have timed out, so skipping the scan changes nothing.
   void expire_timeouts(std::size_t tick) {
+    if (tick < next_expiry_) return;
+    next_expiry_ = kNever;
     for (std::size_t pair = 0; pair < n_ * n_; ++pair) {
       if (piece_from_[pair] == kNoPiece) continue;
-      if (tick - last_progress_[pair] < plan_.piece_timeout_ticks) continue;
+      const std::size_t deadline =
+          last_progress_[pair] + plan_.piece_timeout_ticks;
+      if (tick < deadline) {
+        next_expiry_ = std::min(next_expiry_, deadline);
+        continue;
+      }
       const std::size_t receiver = pair / n_;
       const std::size_t sender = pair % n_;
       release_assignment(receiver, sender);
@@ -482,11 +502,11 @@ class SwarmEngine {
     }
 
     // Release in-flight assignments on pairs that are no longer unchoked so
-    // a choked-off piece can be re-claimed from another sender.
-    for (std::size_t sender = 0; sender < n_; ++sender) {
-      for (std::size_t receiver = 0; receiver < n_; ++receiver) {
-        const std::int32_t piece = piece_from_[receiver * n_ + sender];
-        if (piece == kNoPiece) continue;
+    // a choked-off piece can be re-claimed from another sender. Each release
+    // touches only its own pair, so the walk follows piece_from_'s layout.
+    for (std::size_t receiver = 0; receiver < n_; ++receiver) {
+      for (std::size_t sender = 0; sender < n_; ++sender) {
+        if (piece_from_[receiver * n_ + sender] == kNoPiece) continue;
         if (!is_unchoked(sender, receiver)) {
           release_assignment(receiver, sender);
         }
@@ -509,7 +529,8 @@ class SwarmEngine {
     if (piece == kNoPiece) return;
     // Progress on the piece persists (block-level download, as in BT):
     // another sender can pick it up and continue where this one stopped.
-    claimed_[receiver * pieces_ + static_cast<std::size_t>(piece)] = 0;
+    const auto p = static_cast<std::size_t>(piece);
+    claimed_[receiver * words_ + p / 64] &= ~piece_bit(p);
     piece_from_[receiver * n_ + sender] = kNoPiece;
   }
 
@@ -692,9 +713,11 @@ class SwarmEngine {
     }
   }
 
-  /// Guarantees an in-flight piece from sender to receiver, choosing the
-  /// rarest assignable piece (random tie-break). Returns false when nothing
-  /// is assignable or the pair is serving a timeout backoff.
+  /// Guarantees an in-flight piece from sender to receiver. Among the
+  /// assignable pieces (the sender has them, the receiver neither has nor
+  /// has claimed them) it picks the first least-available one at or after a
+  /// uniformly drawn offset, wrapping around. Returns false when nothing is
+  /// assignable or the pair is serving a timeout backoff.
   bool ensure_assignment(std::size_t receiver, std::size_t sender,
                          std::size_t tick) {
     if (piece_from_[receiver * n_ + sender] != kNoPiece) return true;
@@ -702,30 +725,47 @@ class SwarmEngine {
         tick < blocked_until_[receiver * n_ + sender]) {
       return false;
     }
-    std::size_t best = pieces_;
-    std::uint32_t best_availability = 0;
-    std::size_t tie_count = 0;
+    // Drawn even when the scan finds nothing: every draw is part of the
+    // pinned RNG stream.
     const std::size_t offset = static_cast<std::size_t>(rng_.below(pieces_));
-    for (std::size_t raw = 0; raw < pieces_; ++raw) {
-      const std::size_t p = (raw + offset) % pieces_;
-      if (!have_[sender * pieces_ + p] || have_[receiver * pieces_ + p] ||
-          claimed_[receiver * pieces_ + p]) {
-        continue;
-      }
-      if (best == pieces_ || availability_[p] < best_availability) {
-        best = p;
-        best_availability = availability_[p];
-        tie_count = 1;
-      }
-    }
+    std::size_t best = pieces_;
+    std::uint32_t best_availability = std::numeric_limits<std::uint32_t>::max();
+    rarest_in(receiver, sender, offset, pieces_, best, best_availability);
+    rarest_in(receiver, sender, 0, offset, best, best_availability);
     if (best == pieces_) return false;
-    (void)tie_count;
-    claimed_[receiver * pieces_ + best] = 1;
+    claimed_[receiver * words_ + best / 64] |= piece_bit(best);
     piece_from_[receiver * n_ + sender] = static_cast<std::int32_t>(best);
     if (plan_.piece_timeout_ticks > 0) {
       last_progress_[receiver * n_ + sender] = tick;
+      next_expiry_ = std::min(next_expiry_, tick + plan_.piece_timeout_ticks);
     }
     return true;
+  }
+
+  /// Walks the pieces in [begin, end) that sender could assign to receiver,
+  /// in index order, and keeps the first one whose availability is strictly
+  /// below best_availability.
+  void rarest_in(std::size_t receiver, std::size_t sender, std::size_t begin,
+                 std::size_t end, std::size_t& best,
+                 std::uint32_t& best_availability) const {
+    if (begin >= end) return;
+    const std::uint64_t* offered = &have_[sender * words_];
+    const std::uint64_t* held = &have_[receiver * words_];
+    const std::uint64_t* claimed = &claimed_[receiver * words_];
+    const std::size_t last = (end - 1) / 64;
+    for (std::size_t w = begin / 64; w <= last; ++w) {
+      std::uint64_t candidates = offered[w] & ~held[w] & ~claimed[w];
+      if (w == begin / 64) candidates &= ~std::uint64_t{0} << (begin % 64);
+      if (w == last && end % 64 != 0) candidates &= piece_bit(end) - 1;
+      for (; candidates != 0; candidates &= candidates - 1) {
+        const std::size_t p =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(candidates));
+        if (availability_[p] < best_availability) {
+          best = p;
+          best_availability = availability_[p];
+        }
+      }
+    }
   }
 
   void deliver(std::size_t sender, std::size_t receiver, double rate_kbps,
@@ -755,7 +795,7 @@ class SwarmEngine {
     done += rate_kbps;  // one tick = one second
     if (done + 1e-9 < config_.piece_size_kb) return;
 
-    have_[receiver * pieces_ + piece] = 1;
+    have_[receiver * words_ + piece / 64] |= piece_bit(piece);
     ++have_count_[receiver];
     ++availability_[piece];
     observe_progress(receiver);
@@ -784,9 +824,7 @@ class SwarmEngine {
     for (std::uint32_t peer : departing_) {
       active_[peer] = 0;
       // Its pieces leave the swarm.
-      for (std::size_t p = 0; p < pieces_; ++p) {
-        if (have_[peer * pieces_ + p]) --availability_[p];
-      }
+      drop_availability(peer);
       // Free pieces other peers were downloading from it.
       for (std::size_t receiver = 0; receiver < n_; ++receiver) {
         release_assignment(receiver, peer);
@@ -797,21 +835,35 @@ class SwarmEngine {
     departing_.clear();
   }
 
+  /// Removes every piece `peer` holds from the availability census.
+  void drop_availability(std::size_t peer) {
+    for (std::size_t w = 0; w < words_; ++w) {
+      for (std::uint64_t held = have_[peer * words_ + w]; held != 0;
+           held &= held - 1) {
+        --availability_[w * 64 +
+                        static_cast<std::size_t>(std::countr_zero(held))];
+      }
+    }
+  }
+
   const SwarmConfig& config_;
   const fault::FaultPlan& plan_;
   const std::size_t n_;
   const std::size_t pieces_;
+  const std::size_t words_;  // 64-piece words per bitset row
   util::Rng rng_;
   util::Rng fault_rng_;
 
   std::vector<ClientVariant> variant_;
   std::vector<double> capacity_;
-  std::vector<std::uint8_t> have_;          // [peer * pieces + p]
+  // Piece bitsets, one row of words_ words per peer: bit p % 64 of word
+  // [peer * words + p / 64].
+  std::vector<std::uint64_t> have_;
   std::vector<std::size_t> have_count_;
   std::vector<std::uint8_t> active_;
   std::vector<std::int64_t> completion_tick_;
   std::vector<std::uint32_t> availability_;  // active holders per piece
-  std::vector<std::uint8_t> claimed_;        // [receiver * pieces + p]
+  std::vector<std::uint64_t> claimed_;  // in flight to the row's receiver
   std::vector<std::int32_t> piece_from_;     // [receiver * n + sender]
   std::vector<double> bytes_done_;           // [receiver * pieces + p], KB
   std::vector<double> recv_cur_, recv_prev_;  // [receiver * n + sender], KB
@@ -830,6 +882,7 @@ class SwarmEngine {
   std::vector<std::size_t> last_progress_;    // [receiver * n + sender]
   std::vector<std::size_t> blocked_until_;    // [receiver * n + sender]
   std::vector<std::size_t> backoff_;          // [receiver * n + sender]
+  std::size_t next_expiry_ = kNever;  // <= every in-flight pair's deadline
   std::vector<fault::CrashEvent> crash_schedule_;  // sorted by tick
   std::size_t next_crash_ = 0;
   bool seeder_out_ = false;

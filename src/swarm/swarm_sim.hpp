@@ -13,7 +13,12 @@
 //    choke rounds (policy varies per variant, see client.hpp);
 //  * per-tick transfers: a peer's capacity splits equally across the
 //    unchoked peers that are actively downloading from it; receivers pick
-//    pieces rarest-first, one in-flight piece per (receiver, sender) pair;
+//    pieces rarest-first, one in-flight piece per (receiver, sender) pair.
+//    The pick is the first least-available piece the sender can assign
+//    (the receiver neither has nor has claimed it) at or after an offset
+//    drawn uniformly from [0, piece_count), wrapping around. Every attempt on
+//    a pair that is not in timeout backoff draws one offset, even when
+//    nothing turns out to be assignable;
 //  * leechers depart the moment they complete, as in the paper's setup
 //    ("peers leave upon completing their download");
 //  * optional fault injection driven by a deterministic FaultPlan (see
