@@ -10,16 +10,6 @@
 
 namespace dsa::explore {
 
-namespace {
-
-std::size_t as_size(const util::json::Cursor& cursor) {
-  const std::int64_t raw = cursor.as_int();
-  if (raw < 0) cursor.fail("must be >= 0");
-  return static_cast<std::size_t>(raw);
-}
-
-}  // namespace
-
 swarm::ClientVariant client_from_name(const std::string& name) {
   using swarm::ClientVariant;
   if (name == "bt") return ClientVariant::kBitTorrent;
@@ -33,7 +23,7 @@ swarm::ClientVariant client_from_name(const std::string& name) {
 
 std::string to_json(const Counterexample& ce) {
   std::ostringstream out;
-  out << "{\"type\":\"fault_plan\",\"schema\":1,"
+  out << "{\"type\":\"fault_plan\",\"schema\":2,"
       << fault::fault_plan_json_fields(ce.plan) << ",\"swarm\":{\"a\":\""
       << util::json::escape(ce.a) << "\",\"b\":\"" << util::json::escape(ce.b)
       << "\",\"count_a\":" << ce.count_a << ",\"total\":" << ce.total
@@ -52,18 +42,10 @@ std::string to_json(const Counterexample& ce) {
 Counterexample load_counterexample(const std::filesystem::path& path) {
   const util::json::Value document = util::json::parse_file(path);
   const util::json::Cursor root(document, path.string());
-  root.allow_only({"type", "schema", "message_loss", "piece_timeout_ticks",
-                   "retry_backoff_ticks", "max_backoff_ticks",
-                   "seeder_outages", "crashes", "swarm", "search"});
-  if (root.key("type").as_string() != "fault_plan") {
-    root.key("type").fail("expected \"fault_plan\"");
-  }
-  if (root.key("schema").as_int() != 1) {
-    root.key("schema").fail("unsupported fault_plan schema (expected 1)");
-  }
+  using fault::as_size;
 
   Counterexample ce;
-  ce.plan = fault::fault_plan_from_json(root);
+  ce.plan = fault::read_fault_plan_document(root, {"swarm", "search"});
   if (const auto swarm_block = root.try_key("swarm")) {
     swarm_block->allow_only({"a", "b", "count_a", "total", "seed",
                              "piece_count", "piece_size_kb",

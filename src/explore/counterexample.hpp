@@ -8,7 +8,7 @@
 // loader serves both `dsa_cli swarm --fault-file <bare plan>` and
 // `--fault-file <counterexample>`:
 //
-//   {"type":"fault_plan","schema":1, <fault-plan fields>,
+//   {"type":"fault_plan","schema":2, <fault-plan fields>,
 //    "swarm":{"a":"bt","b":"same","count_a":10,"total":20,"seed":500,
 //             "piece_count":40,"piece_size_kb":64,
 //             "seeder_capacity_kbps":128,"max_ticks":20000},

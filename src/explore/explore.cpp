@@ -283,11 +283,9 @@ std::string describe(const Domain& domain, const Schedule& schedule) {
 }
 
 fault::FaultPlan materialize(const Domain& domain, const Schedule& schedule,
-                             double message_loss,
-                             std::size_t piece_timeout_ticks) {
+                             double message_loss) {
   fault::FaultPlan plan;
   plan.message_loss = message_loss;
-  plan.piece_timeout_ticks = piece_timeout_ticks;
   std::vector<fault::SeederOutage> windows;
   for (const Assignment& assignment : schedule) {
     const FaultTemplate& tmpl = domain.templates[assignment.tmpl];

@@ -118,12 +118,11 @@ SpaceCount for_each_schedule(const Domain& domain, const ScheduleFn& fn);
 
 /// Expands a schedule into a concrete FaultPlan: crashes become CrashEvents,
 /// outages become SeederOutage windows (overlapping windows are unioned —
-/// the seeder-down predicate is a union anyway), and the ambient loss /
-/// timeout knobs ride along on every plan of the exploration.
+/// the seeder-down predicate is a union anyway), and the ambient loss
+/// rides along on every plan of the exploration.
 [[nodiscard]] fault::FaultPlan materialize(const Domain& domain,
                                            const Schedule& schedule,
-                                           double message_loss,
-                                           std::size_t piece_timeout_ticks);
+                                           double message_loss);
 
 /// What "worst" means. All objectives are higher-is-worse.
 enum class Objective : std::uint8_t {

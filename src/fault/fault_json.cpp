@@ -4,6 +4,7 @@
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "util/fingerprint.hpp"
 #include "util/fs.hpp"
@@ -12,22 +13,25 @@ namespace dsa::fault {
 
 namespace {
 
-// as_int() already rejects non-integral numbers; this adds the sign check so
-// size_t fields get a path-named error instead of a silent wrap.
+constexpr std::string_view kPlanKeys[] = {"type", "schema", "message_loss",
+                                          "seeder_outages", "crashes"};
+// Keys only schema 1 knew; see the header for how they are read.
+constexpr std::string_view kRemovedKeys[] = {
+    "piece_timeout_ticks", "retry_backoff_ticks", "max_backoff_ticks"};
+
+}  // namespace
+
 std::size_t as_size(const util::json::Cursor& cursor) {
+  // as_int() already rejects non-integral numbers; this adds the sign check
+  // so size_t fields get a path-named error instead of a silent wrap.
   const std::int64_t raw = cursor.as_int();
   if (raw < 0) cursor.fail("must be >= 0");
   return static_cast<std::size_t>(raw);
 }
 
-}  // namespace
-
 std::string fault_plan_json_fields(const FaultPlan& plan) {
   std::ostringstream out;
   out << "\"message_loss\":" << util::exact_number(plan.message_loss)
-      << ",\"piece_timeout_ticks\":" << plan.piece_timeout_ticks
-      << ",\"retry_backoff_ticks\":" << plan.retry_backoff_ticks
-      << ",\"max_backoff_ticks\":" << plan.max_backoff_ticks
       << ",\"seeder_outages\":[";
   for (std::size_t i = 0; i < plan.seeder_outages.size(); ++i) {
     const SeederOutage& outage = plan.seeder_outages[i];
@@ -47,23 +51,40 @@ std::string fault_plan_json_fields(const FaultPlan& plan) {
 }
 
 std::string to_json(const FaultPlan& plan) {
-  return "{\"type\":\"fault_plan\",\"schema\":1," +
+  return "{\"type\":\"fault_plan\",\"schema\":2," +
          fault_plan_json_fields(plan) + "}\n";
 }
 
-FaultPlan fault_plan_from_json(const util::json::Cursor& root) {
+FaultPlan read_fault_plan_document(
+    const util::json::Cursor& root,
+    std::initializer_list<std::string_view> extra_keys) {
+  if (root.key("type").as_string() != "fault_plan") {
+    root.key("type").fail("expected \"fault_plan\"");
+  }
+  const std::int64_t schema = root.key("schema").as_int();
+  if (schema != 1 && schema != 2) {
+    root.key("schema").fail(
+        "unsupported fault_plan schema (expected 2, or legacy 1)");
+  }
+  std::vector<std::string_view> allowed(std::begin(kPlanKeys),
+                                        std::end(kPlanKeys));
+  if (schema == 1) {
+    allowed.insert(allowed.end(), std::begin(kRemovedKeys),
+                   std::end(kRemovedKeys));
+  }
+  allowed.insert(allowed.end(), extra_keys.begin(), extra_keys.end());
+  root.allow_only(allowed);
+  if (const auto timeout = root.try_key("piece_timeout_ticks")) {
+    if (as_size(*timeout) != 0) {
+      timeout->fail(
+          "piece timeouts were removed in fault_plan schema 2; a schema-1 "
+          "plan must set 0");
+    }
+  }
+
   FaultPlan plan;
   if (const auto loss = root.try_key("message_loss")) {
     plan.message_loss = loss->as_double();
-  }
-  if (const auto timeout = root.try_key("piece_timeout_ticks")) {
-    plan.piece_timeout_ticks = as_size(*timeout);
-  }
-  if (const auto backoff = root.try_key("retry_backoff_ticks")) {
-    plan.retry_backoff_ticks = as_size(*backoff);
-  }
-  if (const auto cap = root.try_key("max_backoff_ticks")) {
-    plan.max_backoff_ticks = as_size(*cap);
   }
   if (const auto outages = root.try_key("seeder_outages")) {
     for (std::size_t i = 0; i < outages->size(); ++i) {
@@ -92,16 +113,7 @@ FaultPlan fault_plan_from_json(const util::json::Cursor& root) {
 FaultPlan load_fault_plan(const std::filesystem::path& path) {
   const util::json::Value document = util::json::parse_file(path);
   const util::json::Cursor root(document, path.string());
-  root.allow_only({"type", "schema", "message_loss", "piece_timeout_ticks",
-                   "retry_backoff_ticks", "max_backoff_ticks",
-                   "seeder_outages", "crashes"});
-  if (root.key("type").as_string() != "fault_plan") {
-    root.key("type").fail("expected \"fault_plan\"");
-  }
-  if (root.key("schema").as_int() != 1) {
-    root.key("schema").fail("unsupported fault_plan schema (expected 1)");
-  }
-  FaultPlan plan = fault_plan_from_json(root);
+  FaultPlan plan = read_fault_plan_document(root);
   // Validate with the loosest bounds a file can be checked against; the
   // engine re-validates with the run's real leecher count and horizon.
   plan.validate(std::numeric_limits<std::size_t>::max());

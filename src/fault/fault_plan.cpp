@@ -10,8 +10,7 @@
 namespace dsa::fault {
 
 bool FaultPlan::empty() const noexcept {
-  return message_loss == 0.0 && piece_timeout_ticks == 0 &&
-         seeder_outages.empty() && crashes.empty();
+  return message_loss == 0.0 && seeder_outages.empty() && crashes.empty();
 }
 
 bool FaultPlan::seeder_down(std::size_t tick) const noexcept {
@@ -27,17 +26,6 @@ void FaultPlan::validate(std::size_t leecher_count,
     throw std::invalid_argument(
         "FaultPlan.message_loss: must be in [0, 1], got " +
         std::to_string(message_loss));
-  }
-  if (piece_timeout_ticks > 0) {
-    if (retry_backoff_ticks == 0) {
-      throw std::invalid_argument(
-          "FaultPlan.retry_backoff_ticks: must be > 0 when piece timeouts "
-          "are enabled");
-    }
-    if (max_backoff_ticks < retry_backoff_ticks) {
-      throw std::invalid_argument(
-          "FaultPlan.max_backoff_ticks: must be >= retry_backoff_ticks");
-    }
   }
   for (const SeederOutage& outage : seeder_outages) {
     if (outage.end_tick <= outage.begin_tick) {
@@ -113,7 +101,6 @@ FaultPlan make_fault_plan(const FaultSpec& spec, std::size_t leecher_count,
   // max_message_loss; clamp so the plan always validates.
   plan.message_loss =
       std::clamp(spec.intensity * spec.max_message_loss, 0.0, 1.0);
-  plan.piece_timeout_ticks = spec.piece_timeout_ticks;
 
   // Crashes: a scaled fraction of distinct leechers, each crashing once in
   // the first half of the horizon and staying dark for 2-10% of it.

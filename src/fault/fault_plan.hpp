@@ -1,11 +1,10 @@
 // Deterministic fault schedules for the piece-level swarm simulator
 // (Sec. 5 validation substrate). A FaultPlan is a value object describing
-// every adverse event of one run — per-link message loss, in-flight piece
-// timeouts with exponential-backoff retry, leecher crash/rejoin events, and
-// seeder outage windows. The swarm engine replays the plan tick by tick from
-// a dedicated fault RNG stream, so the same (seed, plan) pair always yields
-// a bitwise-identical SwarmResult and an empty plan leaves the baseline run
-// untouched.
+// every adverse event of one run — per-link message loss, leecher
+// crash/rejoin events, and seeder outage windows. The swarm engine replays
+// the plan tick by tick from a dedicated fault RNG stream, so the same
+// (seed, plan) pair always yields a bitwise-identical SwarmResult and an
+// empty plan leaves the baseline run untouched.
 //
 // Plans are either assembled field by field or generated from a FaultSpec,
 // whose single `intensity` dial scales every fault class at once — the knob
@@ -40,16 +39,6 @@ struct FaultPlan {
   /// piece. In [0, 1].
   double message_loss = 0.0;
 
-  /// Ticks an in-flight piece may go without progress before the receiver
-  /// abandons the sender and re-requests elsewhere. 0 disables timeouts.
-  std::size_t piece_timeout_ticks = 0;
-
-  /// First retry delay after a timeout on a (receiver, sender) link; doubles
-  /// on every consecutive timeout of the pair (capped below) and resets when
-  /// the pair completes a piece.
-  std::size_t retry_backoff_ticks = 4;
-  std::size_t max_backoff_ticks = 64;
-
   std::vector<SeederOutage> seeder_outages;
   std::vector<CrashEvent> crashes;
 
@@ -62,10 +51,9 @@ struct FaultPlan {
   /// Rejects malformed plans with std::invalid_argument naming the offending
   /// field: loss probability outside [0, 1], empty/inverted/overlapping
   /// outage windows, crash targets outside [0, leecher_count), zero
-  /// downtime, zero backoff (or a cap below the base) with timeouts on, and
-  /// — when `max_ticks` > 0 — crash ticks at or past the horizon. Every
-  /// construction path (field-by-field, FaultSpec expansion, JSON) funnels
-  /// through this before a plan reaches the engine.
+  /// downtime, and — when `max_ticks` > 0 — crash ticks at or past the
+  /// horizon. Every construction path (field-by-field, FaultSpec expansion,
+  /// JSON) funnels through this before a plan reaches the engine.
   void validate(std::size_t leecher_count, std::size_t max_ticks = 0) const;
 };
 
@@ -79,7 +67,6 @@ struct FaultSpec {
   double max_message_loss = 0.25;   // loss probability at intensity 1
   double crash_fraction = 0.5;      // fraction of leechers crashed once
   double outage_fraction = 0.25;    // fraction of the horizon the seeder is dark
-  std::size_t piece_timeout_ticks = 30;  // enabled whenever intensity > 0
 
   std::uint64_t seed = 1;
 };

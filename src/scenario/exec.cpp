@@ -99,9 +99,8 @@ JobRows execute_swarm(const Job& job) {
   const auto seed = static_cast<std::uint64_t>(p.get_int("seed"));
   const double intensity = p.get_double("intensity");
   const double loss = p.get_double("loss");
-  const std::int64_t timeout = p.get_int("timeout");
   const auto horizon = static_cast<std::size_t>(p.get_int("horizon"));
-  const bool faulty = intensity > 0.0 || loss >= 0.0 || timeout >= 0;
+  const bool faulty = intensity > 0.0 || loss >= 0.0;
 
   const auto count_a = std::clamp<std::size_t>(
       static_cast<std::size_t>(std::lround(fraction *
@@ -127,10 +126,6 @@ JobRows execute_swarm(const Job& job) {
       spec.seed = seed + run;
       config.faults = fault::make_fault_plan(spec, total, horizon);
       if (loss >= 0.0) config.faults.message_loss = loss;
-      if (timeout >= 0) {
-        config.faults.piece_timeout_ticks =
-            static_cast<std::size_t>(timeout);
-      }
     }
     const swarm::SwarmResult result =
         swarm::run_mixed_swarm(a, b, count_a, total, config);
@@ -140,7 +135,6 @@ JobRows execute_swarm(const Job& job) {
     times_all.push_back(result.group_mean_time(0, total, cap));
     if (!result.all_completed) ++incomplete_runs;
     totals.messages_lost += result.fault_stats.messages_lost;
-    totals.retries_issued += result.fault_stats.retries_issued;
     totals.crashes += result.fault_stats.crashes;
   }
 
@@ -153,7 +147,6 @@ JobRows execute_swarm(const Job& job) {
            util::format_number(stats::ci95_half_width(times_b)),
            util::format_number(stats::mean(times_all)),
            std::to_string(totals.messages_lost),
-           std::to_string(totals.retries_issued),
            std::to_string(totals.crashes),
            std::to_string(incomplete_runs)}};
 }

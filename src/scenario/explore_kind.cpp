@@ -31,7 +31,6 @@ ExploreContext explore_context(const ParamSet& params) {
 
   ctx.objective = explore::parse_objective(params.get_string("objective"));
   ctx.loss = params.get_double("loss");
-  ctx.timeout = static_cast<std::size_t>(params.get_int("timeout"));
 
   const auto crash_leechers =
       static_cast<std::size_t>(params.get_int("crash_leechers"));
@@ -72,8 +71,7 @@ ExploreContext explore_context(const ParamSet& params) {
 swarm::SwarmResult run_explore_schedule(const ExploreContext& ctx,
                                         const explore::Schedule& schedule) {
   swarm::SwarmConfig config = ctx.config;
-  config.faults =
-      explore::materialize(ctx.domain, schedule, ctx.loss, ctx.timeout);
+  config.faults = explore::materialize(ctx.domain, schedule, ctx.loss);
   return swarm::run_mixed_swarm(ctx.a, ctx.b, ctx.count_a, ctx.total, config);
 }
 

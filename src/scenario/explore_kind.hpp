@@ -29,8 +29,7 @@ struct ExploreContext {
   std::size_t count_a = 0;
   std::size_t total = 0;
   explore::Objective objective = explore::Objective::kMeanTime;
-  double loss = 0.0;           ///< ambient message loss on every plan
-  std::size_t timeout = 0;     ///< ambient piece timeout on every plan
+  double loss = 0.0;  ///< ambient message loss on every plan
 };
 
 /// Builds the context from a validated explore-kind ParamSet. Throws

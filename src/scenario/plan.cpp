@@ -37,8 +37,8 @@ std::vector<std::string> job_columns_for(Kind kind) {
     case Kind::kSwarm:
       return {"a", "b", "total", "count_a", "fraction", "intensity", "seed",
               "runs", "mean_time_a_s", "ci95_a_s", "mean_time_b_s",
-              "ci95_b_s", "mean_time_all_s", "messages_lost",
-              "retries_issued", "crashes", "incomplete_runs"};
+              "ci95_b_s", "mean_time_all_s", "messages_lost", "crashes",
+              "incomplete_runs"};
     case Kind::kEvolution:
       return {"menu", "rounds", "population", "generations",
               "runs_per_generation", "mutation", "seed", "fixated_index",

@@ -183,7 +183,6 @@ const std::vector<ParamDef>& params_for(Kind kind) {
       {"seed", PT::kInt, std::int64_t{500}, PC::kNonNegative},
       {"intensity", PT::kDouble, 0.0, PC::kUnitInterval},
       {"loss", PT::kDouble, -1.0},   // < 0 = no override
-      {"timeout", PT::kInt, std::int64_t{-1}},  // < 0 = no override
       {"crash_fraction", PT::kDouble, 0.5, PC::kUnitInterval},
       {"outage_fraction", PT::kDouble, 0.25, PC::kUnitInterval},
       {"horizon", PT::kInt, std::int64_t{600}, PC::kPositive},
@@ -233,7 +232,6 @@ const std::vector<ParamDef>& params_for(Kind kind) {
       {"max_ticks", PT::kInt, std::int64_t{20000}, PC::kPositive},
       // Ambient fault knobs applied to every schedule of the exploration.
       {"loss", PT::kDouble, 0.0, PC::kUnitInterval},
-      {"timeout", PT::kInt, std::int64_t{0}, PC::kNonNegative},
       // Template vocabulary: crash templates for the first `crash_leechers`
       // leechers, `outage_count` seeder-outage templates.
       {"crash_leechers", PT::kInt, std::int64_t{2}, PC::kNonNegative},

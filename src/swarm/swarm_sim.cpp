@@ -71,7 +71,6 @@ namespace {
 
 constexpr std::int32_t kNoPiece = -1;
 constexpr std::int32_t kNoPeer = -1;
-constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
 
 /// Piece p's bit within its 64-piece word of a peer's bitset row.
 constexpr std::uint64_t piece_bit(std::size_t p) {
@@ -115,9 +114,6 @@ class SwarmEngine {
         uploaded_(n_, 0.0),
         downloaded_(n_, 0.0),
         crashed_until_(n_, -1),
-        last_progress_(n_ * n_, 0),
-        blocked_until_(n_ * n_, 0),
-        backoff_(n_ * n_, config.faults.retry_backoff_ticks),
         crash_schedule_(config.faults.crashes) {
     for (std::size_t l = 0; l < leechers.size(); ++l) {
       variant_[l + 1] = leechers[l];
@@ -163,7 +159,6 @@ class SwarmEngine {
         if (tick % config_.rechoke_interval == 0) rechoke();
         tick_transferred_ = 0.0;
         transfer(tick);
-        if (plan_.piece_timeout_ticks > 0) expire_timeouts(tick);
         process_departures();
         if (tick_transferred_ == 0.0 && any_active_incomplete()) {
           ++stats_.stall_ticks;
@@ -213,7 +208,6 @@ class SwarmEngine {
     registry.counter("swarm.ticks").add(ticks);
     registry.counter("swarm.fault.messages_lost").add(stats_.messages_lost);
     registry.gauge("swarm.fault.lost_kb").add(stats_.lost_kb);
-    registry.counter("swarm.fault.retries_issued").add(stats_.retries_issued);
     registry.counter("swarm.fault.crashes").add(stats_.crashes);
     registry.counter("swarm.fault.pieces_wiped").add(stats_.pieces_wiped);
     registry.counter("swarm.fault.stall_ticks").add(stats_.stall_ticks);
@@ -340,17 +334,14 @@ class SwarmEngine {
     for (std::size_t receiver = 0; receiver < n_; ++receiver) {
       release_assignment(receiver, i);
     }
-    // The rejoined peer is a stranger: no receipts, streaks, or backoff
-    // state survive in either direction.
+    // The rejoined peer is a stranger: no receipts or streaks survive in
+    // either direction.
     for (std::size_t j = 0; j < n_; ++j) {
       const std::size_t row = i * n_ + j;
       const std::size_t col = j * n_ + i;
       recv_cur_[row] = recv_cur_[col] = 0.0;
       recv_prev_[row] = recv_prev_[col] = 0.0;
       streak_[row] = streak_[col] = 0;
-      last_progress_[row] = last_progress_[col] = 0;
-      blocked_until_[row] = blocked_until_[col] = 0;
-      backoff_[row] = backoff_[col] = plan_.retry_backoff_ticks;
     }
     unchoked_[i].clear();
     optimistic_[i] = kNoPeer;
@@ -400,34 +391,6 @@ class SwarmEngine {
                      .value = {{static_cast<double>(tick - down_since_), 0.0,
                                 0.0, 0.0}},
                      .label = "outage_end"});
-    }
-  }
-
-  /// Abandons in-flight pieces that made no progress for the timeout window
-  /// and puts the (receiver, sender) pair in exponential backoff.
-  ///
-  /// The pair scan runs only once `tick` reaches next_expiry_, a lower bound
-  /// on every in-flight pair's deadline (last_progress_ + timeout): progress
-  /// only moves a deadline later, a release only removes a pair, and a new
-  /// assignment lowers the bound to its own deadline. Before that tick no
-  /// pair can have timed out, so skipping the scan changes nothing.
-  void expire_timeouts(std::size_t tick) {
-    if (tick < next_expiry_) return;
-    next_expiry_ = kNever;
-    for (std::size_t pair = 0; pair < n_ * n_; ++pair) {
-      if (piece_from_[pair] == kNoPiece) continue;
-      const std::size_t deadline =
-          last_progress_[pair] + plan_.piece_timeout_ticks;
-      if (tick < deadline) {
-        next_expiry_ = std::min(next_expiry_, deadline);
-        continue;
-      }
-      const std::size_t receiver = pair / n_;
-      const std::size_t sender = pair % n_;
-      release_assignment(receiver, sender);
-      ++stats_.retries_issued;
-      blocked_until_[pair] = tick + backoff_[pair];
-      backoff_[pair] = std::min(backoff_[pair] * 2, plan_.max_backoff_ticks);
     }
   }
 
@@ -695,7 +658,7 @@ class SwarmEngine {
       targets_.clear();
       auto consider = [&](std::size_t receiver) {
         if (!active_[receiver] || is_complete(receiver)) return;
-        if (ensure_assignment(receiver, sender, tick)) {
+        if (ensure_assignment(receiver, sender)) {
           targets_.push_back(static_cast<std::uint32_t>(receiver));
         }
       };
@@ -717,14 +680,9 @@ class SwarmEngine {
   /// assignable pieces (the sender has them, the receiver neither has nor
   /// has claimed them) it picks the first least-available one at or after a
   /// uniformly drawn offset, wrapping around. Returns false when nothing is
-  /// assignable or the pair is serving a timeout backoff.
-  bool ensure_assignment(std::size_t receiver, std::size_t sender,
-                         std::size_t tick) {
+  /// assignable.
+  bool ensure_assignment(std::size_t receiver, std::size_t sender) {
     if (piece_from_[receiver * n_ + sender] != kNoPiece) return true;
-    if (plan_.piece_timeout_ticks > 0 &&
-        tick < blocked_until_[receiver * n_ + sender]) {
-      return false;
-    }
     // Drawn even when the scan finds nothing: every draw is part of the
     // pinned RNG stream.
     const std::size_t offset = static_cast<std::size_t>(rng_.below(pieces_));
@@ -735,10 +693,6 @@ class SwarmEngine {
     if (best == pieces_) return false;
     claimed_[receiver * words_ + best / 64] |= piece_bit(best);
     piece_from_[receiver * n_ + sender] = static_cast<std::int32_t>(best);
-    if (plan_.piece_timeout_ticks > 0) {
-      last_progress_[receiver * n_ + sender] = tick;
-      next_expiry_ = std::min(next_expiry_, tick + plan_.piece_timeout_ticks);
-    }
     return true;
   }
 
@@ -786,9 +740,6 @@ class SwarmEngine {
     downloaded_[receiver] += rate_kbps;
     tick_transferred_ += rate_kbps;
     recv_cur_[receiver * n_ + sender] += rate_kbps;
-    if (plan_.piece_timeout_ticks > 0) {
-      last_progress_[receiver * n_ + sender] = tick;
-    }
     const auto piece =
         static_cast<std::size_t>(piece_from_[receiver * n_ + sender]);
     double& done = bytes_done_[receiver * pieces_ + piece];
@@ -811,8 +762,6 @@ class SwarmEngine {
     }
     piece_from_[receiver * n_ + sender] = kNoPiece;
     done = 0.0;
-    // A completed piece proves the link healthy again.
-    backoff_[receiver * n_ + sender] = plan_.retry_backoff_ticks;
 
     if (is_complete(receiver)) {
       completion_tick_[receiver] = static_cast<std::int64_t>(tick) + 1;
@@ -879,10 +828,6 @@ class SwarmEngine {
 
   // Fault state.
   std::vector<std::int64_t> crashed_until_;   // rejoin tick; -1 = not crashed
-  std::vector<std::size_t> last_progress_;    // [receiver * n + sender]
-  std::vector<std::size_t> blocked_until_;    // [receiver * n + sender]
-  std::vector<std::size_t> backoff_;          // [receiver * n + sender]
-  std::size_t next_expiry_ = kNever;  // <= every in-flight pair's deadline
   std::vector<fault::CrashEvent> crash_schedule_;  // sorted by tick
   std::size_t next_crash_ = 0;
   bool seeder_out_ = false;

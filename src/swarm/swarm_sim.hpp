@@ -17,15 +17,14 @@
 //    The pick is the first least-available piece the sender can assign
 //    (the receiver neither has nor has claimed it) at or after an offset
 //    drawn uniformly from [0, piece_count), wrapping around. Every attempt on
-//    a pair that is not in timeout backoff draws one offset, even when
-//    nothing turns out to be assignable;
+//    a pair without an in-flight piece draws one offset, even when nothing
+//    turns out to be assignable;
 //  * leechers depart the moment they complete, as in the paper's setup
 //    ("peers leave upon completing their download");
 //  * optional fault injection driven by a deterministic FaultPlan (see
-//    fault/fault_plan.hpp): per-link message loss, in-flight piece timeouts
-//    with exponential-backoff retry, leecher crash/rejoin, and seeder outage
-//    windows. An empty plan leaves the run bitwise-identical to the
-//    fault-free baseline.
+//    fault/fault_plan.hpp): per-link message loss, leecher crash/rejoin,
+//    and seeder outage windows. An empty plan leaves the run
+//    bitwise-identical to the fault-free baseline.
 //
 // One tick is one second; download times are reported in seconds.
 #pragma once
@@ -80,7 +79,9 @@ struct SwarmTick {
 struct FaultStats {
   std::uint64_t messages_lost = 0;   // per-tick deliveries eaten by loss
   double lost_kb = 0.0;              // bytes those deliveries carried
-  std::uint64_t retries_issued = 0;  // in-flight pieces abandoned on timeout
+  /// Always 0: the engine has no piece timeouts, so nothing is retried.
+  /// Kept so existing readers of the struct (and its golden hash) stand.
+  std::uint64_t retries_issued = 0;
   std::uint64_t crashes = 0;         // crash events that actually struck
   std::uint64_t pieces_wiped = 0;    // pieces erased by those crashes
   std::uint64_t stall_ticks = 0;     // ticks with active leechers but no bytes

@@ -348,6 +348,11 @@ std::optional<Cursor> Cursor::try_key(const std::string& key) const {
 
 void Cursor::allow_only(
     std::initializer_list<std::string_view> allowed) const {
+  allow_only(
+      std::span<const std::string_view>(allowed.begin(), allowed.size()));
+}
+
+void Cursor::allow_only(std::span<const std::string_view> allowed) const {
   if (!is_object()) {
     fail(std::string("expected object, got ") + value_->type_name());
   }

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <initializer_list>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -102,8 +103,10 @@ class Cursor {
   [[nodiscard]] std::optional<Cursor> try_key(const std::string& key) const;
 
   /// Fails when the object holds any key outside `allowed` — the
-  /// unknown-key rejection that catches spec typos.
+  /// unknown-key rejection that catches spec typos. The span form takes an
+  /// allow-list assembled at run time.
   void allow_only(std::initializer_list<std::string_view> allowed) const;
+  void allow_only(std::span<const std::string_view> allowed) const;
 
   /// Array length; fails unless the value is an array.
   [[nodiscard]] std::size_t size() const;

@@ -312,10 +312,8 @@ TEST(ExploreEnumeration, DescribeAndMaterializeAgree) {
   EXPECT_EQ(explore::describe(domain, schedule), "crash:l0@81x60;outage@1x80");
 
   const fault::FaultPlan plan =
-      explore::materialize(domain, schedule, /*message_loss=*/0.1,
-                           /*piece_timeout_ticks=*/25);
+      explore::materialize(domain, schedule, /*message_loss=*/0.1);
   EXPECT_EQ(plan.message_loss, 0.1);
-  EXPECT_EQ(plan.piece_timeout_ticks, 25u);
   ASSERT_EQ(plan.crashes.size(), 1u);
   EXPECT_EQ(plan.crashes[0].leecher, 0u);
   EXPECT_EQ(plan.crashes[0].tick, 81u);
@@ -338,7 +336,7 @@ TEST(ExploreEnumeration, MaterializeUnionsOverlappingOutageWindows) {
   domain.ticks = {1, 41};
   domain.max_faults = 2;
   const fault::FaultPlan plan =
-      explore::materialize(domain, {{0, 0}, {1, 1}}, 0.0, 0);
+      explore::materialize(domain, {{0, 0}, {1, 1}}, 0.0);
   ASSERT_EQ(plan.seeder_outages.size(), 1u);
   EXPECT_EQ(plan.seeder_outages[0].begin_tick, 1u);
   EXPECT_EQ(plan.seeder_outages[0].end_tick, 121u);
@@ -411,9 +409,6 @@ TEST(ExploreShrink, ProducesAOneMinimalSchedule) {
 TEST(ExploreJson, FaultPlanRoundTripsThroughDisk) {
   fault::FaultPlan plan;
   plan.message_loss = 0.125;
-  plan.piece_timeout_ticks = 30;
-  plan.retry_backoff_ticks = 2;
-  plan.max_backoff_ticks = 32;
   plan.seeder_outages.push_back({5, 45});
   plan.crashes.push_back({3, 17, 12});
 
@@ -422,6 +417,7 @@ TEST(ExploreJson, FaultPlanRoundTripsThroughDisk) {
                          std::to_string(static_cast<long long>(::getpid())) +
                          ".json");
   fault::save_fault_plan(path, plan);
+  EXPECT_NE(fault::to_json(plan).find("\"schema\":2,"), std::string::npos);
   const fault::FaultPlan loaded = fault::load_fault_plan(path);
   EXPECT_EQ(fault::to_json(loaded), fault::to_json(plan));
   EXPECT_EQ(loaded.message_loss, plan.message_loss);
@@ -464,6 +460,65 @@ TEST(ExploreJson, CounterexampleReplaysBitwise) {
                 static_cast<double>(loaded.max_ticks)),
             loaded.value);
   fs::remove(path);
+}
+
+/// Writes `text` to a per-process temp file and returns the loader's error
+/// message ("" when it loads).
+std::string fault_plan_load_error(const std::string& text) {
+  const fs::path path = fs::temp_directory_path() /
+                        ("dsa_explore_schema_" +
+                         std::to_string(static_cast<long long>(::getpid())) +
+                         ".json");
+  std::ofstream(path) << text;
+  std::string error;
+  try {
+    (void)fault::load_fault_plan(path);
+  } catch (const std::exception& e) {
+    error = e.what();
+  }
+  fs::remove(path);
+  return error;
+}
+
+TEST(ExploreJson, CommittedCounterexampleStillReplays) {
+  // A schema-1 document: piece_timeout_ticks 0 plus the backoff keys that
+  // schema 2 dropped. It must load and reproduce its recorded value.
+  const explore::Counterexample ce = explore::load_counterexample(
+      fs::path(DSA_SOURCE_DIR) / "examples/faults/minimal_counterexample.json");
+  EXPECT_EQ(ce.value, 147.55);
+  const swarm::SwarmResult replayed = explore::run_counterexample(ce);
+  EXPECT_EQ(explore::objective_value(explore::Objective::kMeanTime, replayed,
+                                     static_cast<double>(ce.max_ticks)),
+            ce.value);
+}
+
+TEST(ExploreJson, SchemaOnePlanWithATimeoutIsRejectedByName) {
+  const std::string error = fault_plan_load_error(
+      R"({"type":"fault_plan","schema":1,"message_loss":0,)"
+      R"("piece_timeout_ticks":5,"retry_backoff_ticks":4,)"
+      R"("max_backoff_ticks":64,"seeder_outages":[],"crashes":[]})");
+  EXPECT_NE(error.find("$.piece_timeout_ticks"), std::string::npos) << error;
+  EXPECT_NE(error.find("removed in fault_plan schema 2"), std::string::npos)
+      << error;
+  EXPECT_EQ(fault_plan_load_error(
+                R"({"type":"fault_plan","schema":1,"piece_timeout_ticks":0,)"
+                R"("retry_backoff_ticks":4,"max_backoff_ticks":64})"),
+            "");
+}
+
+TEST(ExploreJson, SchemaTwoRejectsTheRemovedKeys) {
+  for (const char* key :
+       {"piece_timeout_ticks", "retry_backoff_ticks", "max_backoff_ticks"}) {
+    const std::string error = fault_plan_load_error(
+        std::string(R"({"type":"fault_plan","schema":2,")") + key +
+        R"(":0})");
+    EXPECT_NE(error.find(std::string("unknown key \"") + key + "\""),
+              std::string::npos)
+        << error;
+  }
+  EXPECT_NE(fault_plan_load_error(R"({"type":"fault_plan","schema":3})")
+                .find("unsupported fault_plan schema"),
+            std::string::npos);
 }
 
 // ----------------------------------------------------- failure reporting ----
@@ -662,7 +717,6 @@ TEST_F(ExploreScenario, BoundedSearchBeatsRandomFaultSpecDraws) {
     config.faults = fault::make_fault_plan(spec, ctx.total,
                                            /*horizon_ticks=*/300);
     config.faults.message_loss = 0.0;  // the domain has no ambient loss
-    config.faults.piece_timeout_ticks = 0;
     const swarm::SwarmResult result =
         swarm::run_mixed_swarm(ctx.a, ctx.b, ctx.count_a, ctx.total, config);
     random_worst =

@@ -1,7 +1,7 @@
 // Fault-injection tests: deterministic replay of fault plans in the swarm
-// simulator, crash/rejoin piece accounting, seeder outages, message loss and
-// piece-timeout retries, pluggable fault processes in the round model, and
-// the field-named validation errors of both configs.
+// simulator, crash/rejoin piece accounting, seeder outages, message loss,
+// pluggable fault processes in the round model, and the field-named
+// validation errors of both configs.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -37,7 +37,6 @@ void expect_identical(const SwarmResult& a, const SwarmResult& b) {
   EXPECT_EQ(a.all_completed, b.all_completed);
   EXPECT_EQ(a.fault_stats.messages_lost, b.fault_stats.messages_lost);
   EXPECT_EQ(a.fault_stats.lost_kb, b.fault_stats.lost_kb);
-  EXPECT_EQ(a.fault_stats.retries_issued, b.fault_stats.retries_issued);
   EXPECT_EQ(a.fault_stats.crashes, b.fault_stats.crashes);
   EXPECT_EQ(a.fault_stats.pieces_wiped, b.fault_stats.pieces_wiped);
   EXPECT_EQ(a.fault_stats.stall_ticks, b.fault_stats.stall_ticks);
@@ -189,7 +188,7 @@ TEST(SwarmFaults, SeederOutageDelaysSwarmAndRecoveryIsMeasured) {
             baseline.group_mean_time(0, 8, config.max_ticks) - 1e-9);
 }
 
-// ------------------------------------------------- loss, timeouts, retry ----
+// ------------------------------------------------------------------ loss ----
 
 TEST(SwarmFaults, MessageLossSlowsDownloads) {
   const auto leechers = uniform(10, ClientVariant::kBitTorrent);
@@ -202,18 +201,6 @@ TEST(SwarmFaults, MessageLossSlowsDownloads) {
   EXPECT_GT(lossy.fault_stats.lost_kb, 0.0);
   EXPECT_GT(lossy.group_mean_time(0, 10, lossy_config.max_ticks),
             clean.group_mean_time(0, 10, lossy_config.max_ticks));
-}
-
-TEST(SwarmFaults, TimeoutsIssueRetriesUnderHeavyLoss) {
-  SwarmConfig config = small_config(31);
-  config.max_ticks = 2000;
-  config.faults.message_loss = 0.9;
-  config.faults.piece_timeout_ticks = 3;
-  config.faults.retry_backoff_ticks = 2;
-  config.faults.max_backoff_ticks = 16;
-  const auto result = run_swarm(uniform(8, ClientVariant::kBitTorrent),
-                                std::vector<double>(8, 80.0), config);
-  EXPECT_GT(result.fault_stats.retries_issued, 0u);
 }
 
 // ----------------------------------------------------- schedule edge cases ----
@@ -266,31 +253,6 @@ TEST(SwarmFaults, OutageSpanningTheFinalTickCountsOnlySimulatedTicks) {
   EXPECT_LT(result.fault_stats.mean_seeder_recovery_ticks, 0.0);
 }
 
-TEST(SwarmFaults, RetryBackoffSaturatesAtTheCapAndStillCompletes) {
-  // Heavy loss with a tiny cap forces many consecutive timeouts per link;
-  // the doubling backoff must clamp at max_backoff_ticks instead of growing
-  // unboundedly (which would starve the link and strand the swarm).
-  SwarmConfig config = small_config(47);
-  config.max_ticks = 4000;
-  config.faults.message_loss = 0.8;
-  config.faults.piece_timeout_ticks = 2;
-  config.faults.retry_backoff_ticks = 2;
-  config.faults.max_backoff_ticks = 4;
-  const auto capped = run_swarm(uniform(6, ClientVariant::kBitTorrent),
-                                std::vector<double>(6, 90.0), config);
-  EXPECT_GT(capped.fault_stats.retries_issued, 0u);
-  EXPECT_TRUE(capped.all_completed);
-
-  // A looser cap means longer waits between retries on hot links, so the
-  // saturated plan never issues fewer retries than the loose one.
-  SwarmConfig loose = config;
-  loose.faults.max_backoff_ticks = 512;
-  const auto uncapped = run_swarm(uniform(6, ClientVariant::kBitTorrent),
-                                  std::vector<double>(6, 90.0), loose);
-  EXPECT_GE(capped.fault_stats.retries_issued,
-            uncapped.fault_stats.retries_issued);
-}
-
 // -------------------------------------------------------------- validation ----
 
 template <typename Fn>
@@ -326,13 +288,6 @@ TEST(FaultValidation, ErrorsNameTheOffendingField) {
       thrown_message([&] { bad_outage.validate(10); }).find("seeder_outages"),
       std::string::npos);
 
-  fault::FaultPlan backoff;
-  backoff.piece_timeout_ticks = 5;
-  backoff.retry_backoff_ticks = 0;
-  EXPECT_NE(
-      thrown_message([&] { backoff.validate(10); }).find("retry_backoff"),
-      std::string::npos);
-
   SwarmConfig config;
   config.piece_count = 0;
   EXPECT_NE(thrown_message([&] { config.validate(5); }).find("piece_count"),
@@ -359,15 +314,6 @@ TEST(FaultValidation, ErrorsNameTheOffendingField) {
             }).find("horizon"),
             std::string::npos);
   beyond_horizon.validate(10);  // no horizon given: any tick is legal
-
-  fault::FaultPlan inverted_backoff;
-  inverted_backoff.piece_timeout_ticks = 5;
-  inverted_backoff.retry_backoff_ticks = 8;
-  inverted_backoff.max_backoff_ticks = 4;
-  EXPECT_NE(thrown_message([&] {
-              inverted_backoff.validate(10);
-            }).find("max_backoff"),
-            std::string::npos);
 
   // The swarm config path funnels through the same plan validation.
   SwarmConfig faulty_config;

@@ -72,6 +72,24 @@ TEST(SpecParser, SweepRejectsTheRemovedEngineParameter) {
   }
 }
 
+TEST(SpecParser, SwarmAndExploreRejectTheRemovedTimeoutParameter) {
+  // The swarm has no piece timeouts, so neither kind takes a timeout.
+  for (const char* kind : {"swarm", "explore"}) {
+    const std::string json =
+        std::string(R"({"scenario": "t", "kind": ")") + kind +
+        R"(", "output": "o.csv", "params": {"timeout": 5}})";
+    try {
+      (void)scenario::parse_scenario_text(json, "old.json");
+      ADD_FAILURE() << "expected SchemaError for kind " << kind;
+    } catch (const SchemaError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find("$.params"), std::string::npos) << what;
+      EXPECT_NE(what.find("unknown parameter \"timeout\""), std::string::npos)
+          << what;
+    }
+  }
+}
+
 TEST(SpecParser, RangeViolationNamesKeyPath) {
   const std::string json = R"({"scenario": "t", "kind": "swarm",
     "output": "o.csv", "params": {"fraction": 1.5}})";

@@ -2,14 +2,16 @@
 // substrate). Each case hashes the raw bytes of every per-leecher output
 // (completion time, uploaded and downloaded KB), every FaultStats field and,
 // when recorded, the per-tick series. The expected hashes were recorded
-// before the engine's piece maps moved to bitsets and its timeout scan was
-// gated, so any change to rarest-first choice, RNG consumption or fault
-// bookkeeping shows up here as a hash mismatch.
+// before the engine's piece maps moved to bitsets, and those of the
+// hand-built lossy crash/outage and staggered-arrival cases on the engine
+// that still had piece timeouts, with no timeout set. Any change to
+// rarest-first choice, RNG consumption or fault bookkeeping shows up here as
+// a hash mismatch.
 //
 // The grid covers all five variants, piece counts on both sides of every
 // 64-bit word boundary, generated fault plans across the intensity dial,
-// hand-built plans in which timeouts, backoff and blocked pairs actually
-// fire, crashes, seeder outages, staggered arrivals and the series.
+// hand-built plans with loss, crashes and seeder outages, staggered arrivals
+// and the series.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -180,50 +182,6 @@ TEST(SwarmGolden, GeneratedFaultPlansAcrossIntensity) {
   });
 }
 
-TEST(SwarmGolden, TimeoutsAndBackoffFire) {
-  std::vector<std::uint64_t> actual;
-  std::uint64_t seed = 300;
-  std::uint64_t retries = 0;
-  for (std::size_t timeout : {2, 3, 5}) {
-    for (double loss : {0.5, 0.7, 0.9}) {
-      for (std::size_t pieces : {64, 65}) {
-        SwarmConfig config = config_for(pieces, ++seed);
-        config.max_ticks = 4000;
-        config.faults.message_loss = loss;
-        config.faults.piece_timeout_ticks = timeout;
-        config.faults.retry_backoff_ticks = 2;
-        config.faults.max_backoff_ticks = timeout == 3 ? 4 : 32;
-        const SwarmResult result = run_mixed_swarm(
-            kVariants[seed % 5], kVariants[(seed + 1) % 5], 4, 10, config);
-        retries += result.fault_stats.retries_issued;
-        actual.push_back(result_hash(result));
-      }
-    }
-  }
-  // The grid is only a pin on the timeout path if that path runs.
-  EXPECT_GT(retries, 0u);
-  expect_hashes(actual, {
-      0x49a89903c5728c5ULL,
-      0x14dfc20a0c63b117ULL,
-      0xb063674d54e896fULL,
-      0xc05168366f415e2bULL,
-      0xec41b33d6f106998ULL,
-      0x63662e4efea51d88ULL,
-      0xfbe0804c3fc7c47bULL,
-      0x46c527f6fa52b92aULL,
-      0xf3be89f04cbb7123ULL,
-      0xf853fdff25688416ULL,
-      0xa915e505365a1dfeULL,
-      0xdb2750382f05430dULL,
-      0x2f9724fb83e9fb9cULL,
-      0x50fe8cec558f2033ULL,
-      0xab6be07e7a797ef7ULL,
-      0xb5576640b6568115ULL,
-      0x7ac16c36f678982dULL,
-      0xed395f739eaa6b90ULL,
-  });
-}
-
 TEST(SwarmGolden, CrashesAndOutages) {
   std::vector<std::uint64_t> actual;
   std::uint64_t seed = 400;
@@ -238,7 +196,6 @@ TEST(SwarmGolden, CrashesAndOutages) {
       config.faults.seeder_outages = {{15, 45}, {120, 160}};
       if (v % 2 == 1) {
         config.faults.message_loss = 0.6;
-        config.faults.piece_timeout_ticks = 3;
       }
       const SwarmResult result = run_mixed_swarm(
           kVariants[v], kVariants[(v + 3) % 5], 5, 12, config);
@@ -251,19 +208,19 @@ TEST(SwarmGolden, CrashesAndOutages) {
   EXPECT_GT(down, 0u);
   expect_hashes(actual, {
       0x343876e7d77bb24fULL,
-      0x5e36a530b6a17d5dULL,
+      0x4a135ea1115bfb23ULL,
       0x8ad3f90e4a72d74dULL,
-      0xdfee0161a14cf423ULL,
+      0xd19f9d699fb677c0ULL,
       0xa76f67a6cfb6c27eULL,
       0x487e9fdcda2dacc9ULL,
-      0xc1887aca0682ad6eULL,
+      0xf3368fcb1fb5a756ULL,
       0xc97b6c385f17ed4bULL,
-      0x525647c575bd8441ULL,
+      0x343256d511966c0cULL,
       0x51742442fa95d572ULL,
       0xa1dd6258e5612707ULL,
-      0xee484366a2ee7d72ULL,
+      0x5516b2a4b95db7e4ULL,
       0xf8d1fd05d99b277bULL,
-      0x9e6a2c6cbaf1928aULL,
+      0xa343e74ff10b1822ULL,
       0xebe9677731a930b8ULL,
   });
 }
@@ -279,7 +236,6 @@ TEST(SwarmGolden, StaggeredArrivalsWithSeries) {
       config.record_series = true;
       if (v == 4) {
         config.faults.message_loss = 0.5;
-        config.faults.piece_timeout_ticks = 4;
         config.faults.crashes = {{2, 25, 10}};
       }
       actual.push_back(result_hash(run_mixed_swarm(
@@ -291,12 +247,12 @@ TEST(SwarmGolden, StaggeredArrivalsWithSeries) {
       0x6875d0feea890b26ULL,
       0x2d40e98dc0ba4258ULL,
       0x424760798d77a55ULL,
-      0xd664772a5dd22980ULL,
+      0x86eb090c1b753e3eULL,
       0x2f5473a52bb8e212ULL,
       0x998319dcefaf9291ULL,
       0x77ce7aa933d872fULL,
       0x8d211e0a06a59877ULL,
-      0xca703dc5d53ed63aULL,
+      0xa61c84074eb3276dULL,
   });
 }
 

@@ -133,8 +133,10 @@ TEST(Swarm, GroupMeanTimeChecksRange) {
   result.completion_time = {10.0, 20.0, -1.0};
   EXPECT_DOUBLE_EQ(result.group_mean_time(0, 2, 100.0), 15.0);
   EXPECT_DOUBLE_EQ(result.group_mean_time(2, 3, 100.0), 100.0);
-  EXPECT_THROW(result.group_mean_time(1, 1, 100.0), std::invalid_argument);
-  EXPECT_THROW(result.group_mean_time(0, 4, 100.0), std::invalid_argument);
+  EXPECT_THROW((void)result.group_mean_time(1, 1, 100.0),
+               std::invalid_argument);
+  EXPECT_THROW((void)result.group_mean_time(0, 4, 100.0),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------------ variants ----

@@ -145,7 +145,6 @@ const util::HelpIndex& help_index() {
        "                   deterministic schedule of message loss, leecher\n"
        "                   crashes, and a seeder outage (0 = fault-free)\n"
        "  --loss P         override per-delivery message-loss probability\n"
-       "  --timeout T      override in-flight piece timeout (ticks)\n"
        "  --crash-frac X   leecher fraction crashed at full intensity\n"
        "                   (default 0.5)\n"
        "  --outage-frac X  seeder outage length at full intensity, as a\n"
@@ -597,7 +596,6 @@ int cmd_swarm(const util::CliArgs& args) {
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1000));
   const double fault = args.get_double("fault", 0.0);
   const double loss = args.get_double("loss", -1.0);
-  const int timeout = static_cast<int>(args.get_int("timeout", -1));
   const double crash_frac = args.get_double("crash-frac", 0.5);
   const double outage_frac = args.get_double("outage-frac", 0.25);
   const auto horizon =
@@ -607,7 +605,7 @@ int cmd_swarm(const util::CliArgs& args) {
   if (fault < 0.0 || fault > 1.0) usage("--fault outside [0,1]");
 
   swarm::SwarmConfig config;
-  const bool faulty = fault > 0.0 || loss >= 0.0 || timeout >= 0;
+  const bool faulty = fault > 0.0 || loss >= 0.0;
   const auto count_a =
       std::clamp<std::size_t>(static_cast<std::size_t>(std::lround(
                                   fraction * 50.0)),
@@ -645,10 +643,6 @@ int cmd_swarm(const util::CliArgs& args) {
       spec.seed = seed + run;
       config.faults = fault::make_fault_plan(spec, 50, horizon);
       if (loss >= 0.0) config.faults.message_loss = loss;
-      if (timeout >= 0) {
-        config.faults.piece_timeout_ticks =
-            static_cast<std::size_t>(timeout);
-      }
     }
     const auto result = swarm::run_mixed_swarm(a, b, count_a, 50, config);
     const double cap = static_cast<double>(config.max_ticks);
@@ -658,7 +652,6 @@ int cmd_swarm(const util::CliArgs& args) {
     const swarm::FaultStats& fs = result.fault_stats;
     totals.messages_lost += fs.messages_lost;
     totals.lost_kb += fs.lost_kb;
-    totals.retries_issued += fs.retries_issued;
     totals.crashes += fs.crashes;
     totals.pieces_wiped += fs.pieces_wiped;
     totals.stall_ticks += fs.stall_ticks;
@@ -678,10 +671,9 @@ int cmd_swarm(const util::CliArgs& args) {
               stats::ci95_half_width(times_b));
   if (faulty) {
     std::printf("faults over %zu runs: %llu messages lost (%.0f KB), "
-                "%llu retries, %llu crashes (%llu pieces wiped)\n",
+                "%llu crashes (%llu pieces wiped)\n",
                 runs, static_cast<unsigned long long>(totals.messages_lost),
                 totals.lost_kb,
-                static_cast<unsigned long long>(totals.retries_issued),
                 static_cast<unsigned long long>(totals.crashes),
                 static_cast<unsigned long long>(totals.pieces_wiped));
     std::printf("  %llu stall ticks, %llu seeder-down ticks",
@@ -983,8 +975,7 @@ int explore_postprocess(const scenario::Plan& plan,
               util::exact_number(shrunk.value).c_str());
 
   explore::Counterexample ce;
-  ce.plan = explore::materialize(ctx.domain, shrunk.schedule, ctx.loss,
-                                 ctx.timeout);
+  ce.plan = explore::materialize(ctx.domain, shrunk.schedule, ctx.loss);
   ce.a = ctx.a_name;
   ce.b = ctx.b_name;
   ce.count_a = ctx.count_a;
