@@ -18,8 +18,12 @@ void print_game(const std::string& title, const BimatrixGame& game) {
   std::printf("\n%s (fast payoff, slow payoff):\n", title.c_str());
   util::TablePrinter table({"fast \\ slow", "cooperate", "defect"});
   auto cell = [&](Action fa, Action sa) {
-    return "(" + util::fixed(game.payoff(Role::kFast, fa, sa), 0) + ", " +
-           util::fixed(game.payoff(Role::kSlow, fa, sa), 0) + ")";
+    std::string text = "(";
+    text += util::fixed(game.payoff(Role::kFast, fa, sa), 0);
+    text += ", ";
+    text += util::fixed(game.payoff(Role::kSlow, fa, sa), 0);
+    text += ')';
+    return text;
   };
   table.add_row({"cooperate", cell(Action::kCooperate, Action::kCooperate),
                  cell(Action::kCooperate, Action::kDefect)});

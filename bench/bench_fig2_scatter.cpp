@@ -46,8 +46,8 @@ int main() {
   std::printf("\nMarginal histograms (protocol counts per decile):\n");
   util::TablePrinter hist({"interval", "performance", "robustness"});
   for (std::size_t bin = 0; bin < 10; ++bin) {
-    hist.add_row({"[" + util::fixed(perf_hist.bin_lower(bin), 1) + "," +
-                      util::fixed(perf_hist.bin_upper(bin), 1) + ")",
+    hist.add_row({bench::interval_label(perf_hist.bin_lower(bin),
+                                        perf_hist.bin_upper(bin)),
                   std::to_string(perf_hist.count(bin)),
                   std::to_string(robust_hist.count(bin))});
   }

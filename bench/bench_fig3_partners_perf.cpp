@@ -32,8 +32,8 @@ int main() {
                             "k=5", "k=6", "k=7", "k=8", "k=9", "n"});
   for (std::size_t row = grid.rows(); row-- > 0;) {
     std::vector<std::string> cells;
-    cells.push_back("[" + util::fixed(grid.row_lower(row), 1) + "," +
-                    util::fixed(grid.row_upper(row), 1) + ")");
+    cells.push_back(
+        bench::interval_label(grid.row_lower(row), grid.row_upper(row)));
     for (std::size_t k = 0; k < 10; ++k) {
       cells.push_back(util::fixed(grid.row_relative_frequency(row, k), 2));
     }

@@ -49,8 +49,7 @@ int main() {
       {"R \\ A", "[0,.2)", "[.2,.4)", "[.4,.6)", "[.6,.8)", "[.8,1]"});
   for (std::size_t r = kBins; r-- > 0;) {
     std::vector<std::string> cells;
-    cells.push_back("[" + util::fixed(r * 0.2, 1) + "," +
-                    util::fixed((r + 1) * 0.2, 1) + ")");
+    cells.push_back(bench::interval_label(r * 0.2, (r + 1) * 0.2));
     for (std::size_t a = 0; a < kBins; ++a) {
       cells.push_back(std::to_string(grid[r][a]));
     }

@@ -218,6 +218,18 @@ inline void banner(const std::string& experiment, const std::string& claim) {
   std::printf("================================================================\n");
 }
 
+/// "[lo,hi)" with one decimal: a histogram bin's row label. Built by
+/// appends, since GCC 12 warns (-Wrestrict, a libstdc++ false positive)
+/// about `"[" + std::string&&`.
+inline std::string interval_label(double lo, double hi) {
+  std::string label = "[";
+  label += util::fixed(lo, 1);
+  label += ',';
+  label += util::fixed(hi, 1);
+  label += ')';
+  return label;
+}
+
 /// "REPRODUCED" / "DEVIATION" verdict line.
 inline void verdict(bool reproduced, const std::string& detail) {
   std::printf("[%s] %s\n", reproduced ? "REPRODUCED" : "DEVIATION",

@@ -1,6 +1,7 @@
 #include "swarming/bandwidth.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace dsa::swarming {
@@ -23,6 +24,12 @@ BandwidthDistribution::BandwidthDistribution(std::vector<Knot> knots)
   if (knots_.front().capacity_kbps <= 0.0) {
     throw std::invalid_argument(
         "BandwidthDistribution: capacities must be positive");
+  }
+  for (const Knot& knot : knots_) {
+    if (!std::isfinite(knot.capacity_kbps)) {
+      throw std::invalid_argument(
+          "BandwidthDistribution: capacities must be finite");
+    }
   }
 }
 

@@ -26,8 +26,8 @@ class BandwidthDistribution {
   };
 
   /// Builds from knots sorted by quantile, starting at quantile 0 and ending
-  /// at quantile 1, with non-decreasing capacities. Throws
-  /// std::invalid_argument otherwise.
+  /// at quantile 1, with finite, positive, non-decreasing capacities.
+  /// Throws std::invalid_argument otherwise.
   explicit BandwidthDistribution(std::vector<Knot> knots);
 
   /// The Piatek et al. NSDI'07 approximation described above.

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <span>
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -58,113 +61,90 @@ double SimulationOutcome::population_mean() const {
 
 // ------------------------------------------------------------ workspace --
 
+/// A candidate's place in the ranking's (key, tie draw, id) total order,
+/// packed into one integer: the key's bits, then the tie draw, then the
+/// candidate's position in the ascending candidate list (positions order
+/// like ids). The packing is exact only for finite keys >= +0: their
+/// IEEE-754 bit patterns order like their values once `+ 0.0` folds -0.0
+/// onto +0.0, and inverting the bits reverses the order. Every key is a
+/// window bandwidth, a streak or a capacity distance, so simulate_rounds
+/// rejects capacities that are negative or not finite.
+using RankKey = unsigned __int128;
+
 struct SimWorkspace::Impl {
-  /// One generation of the interaction history. The now/prev/next roles
-  /// rotate between rounds instead of copying. value[receiver * n + giver]
-  /// carries a slot's bandwidth; the slot exists only while stamp matches
-  /// the generation's epoch, so recycling a generation is an epoch bump
-  /// plus list clears instead of an O(n^2) fill, and invalidating a churned
-  /// peer's history is an O(n) stamp walk.
-  /// A slot's bandwidth and the epoch stamp that says whether it is live.
-  /// Packed together so a give or a stamped read touches one cache line.
-  struct Cell {
+  /// One slot of the interaction history: `giver` opened a slot carrying
+  /// `value` to the receiver whose list holds it. `streak` counts the
+  /// consecutive rounds ending here in which that giver gave the receiver a
+  /// positive amount; it is kept only for receivers that rank by Loyal, the
+  /// only ranking that reads it.
+  struct Slot {
+    std::uint32_t giver;
+    std::uint32_t streak;
     double value;
-    std::uint64_t stamp;
-  };
-  struct Streak {
-    std::uint64_t stamp;
-    std::uint16_t value;
   };
 
+  /// One round of the interaction history as per-receiver slot lists: the
+  /// slots opened to receiver `to` are slot[to * n + c] for c < count[to],
+  /// ascending by giver (peers act in index order, so gives append in
+  /// order). The now/prev/next roles rotate between rounds; recycling a
+  /// generation resets its n counts.
   struct Generation {
-    std::vector<Cell> cell;
-    std::uint64_t epoch = 0;
-    /// Per receiver: the givers that opened a slot to it this round, in
-    /// ascending order (peers act in index order). Doubles as the round's
-    /// touched-cell list — each ordered (giver, receiver) pair opens at
-    /// most one slot per round.
-    std::vector<std::vector<std::uint32_t>> in;
+    std::vector<Slot> slot;
+    std::vector<std::uint32_t> count;
   };
 
   std::array<Generation, 3> gen;
-  std::vector<Streak> streak;
-  std::uint64_t streak_epoch = 0;
-  /// Monotone epoch source, never reset: stamps written in earlier rounds
-  /// or earlier runs can never collide with a live epoch, which is what
-  /// makes cross-run reuse safe without clearing the O(n^2) arrays.
-  std::uint64_t epoch_counter = 0;
 
   std::vector<double> capacities;
   std::vector<double> aspiration;
   std::vector<double> round_received;
   std::vector<double> total_received;
 
-  // Per-peer scratch reused across rounds.
+  // Per-peer scratch reused across rounds. The candidate arrays are aligned
+  // by position and ascending by id; candidates has room for the acting
+  // peer's own id, slotted in as the stranger-exclusion set.
   std::vector<std::uint32_t> candidates;
+  std::vector<double> candidate_window;
+  std::vector<std::uint32_t> candidate_streak;
+  /// A selected partner with the window bandwidth it was ranked by, which
+  /// the stranger rule, Prop Share and the recorder read.
+  struct Partner {
+    std::uint32_t id;
+    double window;
+  };
+  std::vector<Partner> partners;
+  std::vector<RankKey> rank_keys;
   std::vector<std::uint32_t> eligible_strangers;
-  std::vector<std::uint8_t> is_candidate;
   std::vector<std::uint32_t> tie_priority;
   std::vector<std::uint32_t> victim_scratch;
-  std::vector<double> intake_scale;
 
-  /// One ranked candidate with its ordering key hoisted out, so the
-  /// partial sort compares scalars instead of re-reading the stamped
-  /// history matrices on every comparison.
-  struct RankEntry {
-    double key;
-    std::uint32_t tie;
-    std::uint32_t id;
-  };
-  std::vector<RankEntry> rank_entries;
-  std::vector<std::uint32_t> excluded_scratch;
-  /// Window bandwidth per candidate, aligned with `candidates` at build
-  /// time — the Fastest/Slowest ranking key without re-reading the
-  /// history matrices.
-  std::vector<double> candidate_window;
-
-  std::uint64_t next_epoch() noexcept { return ++epoch_counter; }
-
-  /// True when the last prepare() found the O(n^2) arrays already sized.
+  /// True when the last prepare() found the slot storage already sized.
   bool last_prepare_reused = false;
 
   /// Readies the workspace for a fresh n-peer run. O(n) work and, once the
   /// buffers have grown to this n, zero allocations.
   void prepare(std::size_t n, const std::vector<double>& caps) {
-    const std::size_t cells = n * n;
-    // A reuse hit means the epoch-stamped arrays were already big enough —
-    // the whole run proceeds allocation-free (reported as the
+    // A reuse hit means the slot storage was already big enough — the whole
+    // run proceeds allocation-free (reported as the
     // sim.sparse.workspace_reuse_hits metric).
-    last_prepare_reused =
-        gen[0].cell.size() >= cells && streak.size() >= cells;
+    last_prepare_reused = gen[0].slot.size() >= n * n;
     for (Generation& g : gen) {
-      g.cell.resize(cells);
-      g.epoch = next_epoch();
-      // Clear every receiver list, including ones beyond this run's n left
-      // over from an earlier, larger run.
-      for (auto& list : g.in) list.clear();
-      g.in.resize(n);
+      if (g.slot.size() < n * n) g.slot.resize(n * n);
+      g.count.assign(n, 0);
     }
-    streak.resize(cells);
-    streak_epoch = next_epoch();
-
     capacities = caps;
     aspiration = caps;
     round_received.assign(n, 0.0);
     total_received.assign(n, 0.0);
-    candidates.clear();
-    candidates.reserve(n);
+    candidates.resize(n);
+    candidate_window.resize(n);
+    candidate_streak.resize(n);
+    partners.resize(n);
+    rank_keys.resize(n);
     eligible_strangers.clear();
     eligible_strangers.reserve(n);
-    is_candidate.assign(n, 0);
     tie_priority.assign(n, 0);
     victim_scratch.clear();
-    intake_scale.assign(n, 0.0);
-    rank_entries.clear();
-    rank_entries.reserve(n);
-    excluded_scratch.clear();
-    excluded_scratch.reserve(n);
-    candidate_window.clear();
-    candidate_window.reserve(n);
   }
 };
 
@@ -192,19 +172,26 @@ void observe_score_spread(const std::vector<double>& peer_throughput) {
 /// against. The state lives in a reusable SimWorkspace and a round costs
 /// O(n * (k + h)), proportional to the slots actually opened:
 ///
-///  * The three history generations rotate roles; recycling one bumps its
-///    epoch instead of refilling n^2 cells, and stamp mismatches read as
-///    "no slot" / 0.0.
-///  * Candidate lists come from per-receiver incoming-giver lists (built
-///    ascending as peers act in index order, so the merged candidate order
-///    matches the dense engine's ascending row scan exactly).
-///  * Streaks update only over the cells touched this round; absent stamped
-///    entries are streak 0, which is exactly what the dense full-matrix
-///    pass computes for untouched cells.
-///  * Churn invalidates a peer's history with an O(n) stamp walk (stamp 0
-///    is never a live epoch), mirroring the dense row/column zeroing.
+///  * The history is three generations of per-receiver slot lists whose
+///    roles rotate. A give appends to its receiver's list, so every list
+///    stays ascending by giver, and a candidate list is one list (TFT) or
+///    the merge of two (TF2T): the dense engine's ascending row scan.
+///  * A candidate's window bandwidth and streak are read once, when the
+///    candidate list is built, and carried through ranking, the stranger
+///    rule, allocation and the recorder.
+///  * Candidates are ranked only when something reads the ranking: when
+///    every candidate is selected and the allocation ignores their order,
+///    the gives go out in ascending order to distinct receivers, which
+///    cannot change a bit.
+///  * Streaks are kept only for receivers that rank by Loyal. A pair with
+///    no slot in the latest generation has streak 0, exactly what the
+///    dense full-matrix pass computes.
+///  * Churn clears the replaced peer's own lists and removes it as a giver
+///    from every other list, mirroring the dense row/column zeroing.
 class SparseEngine {
   using Generation = SimWorkspace::Impl::Generation;
+  using Slot = SimWorkspace::Impl::Slot;
+  using Partner = SimWorkspace::Impl::Partner;
 
  public:
   SparseEngine(const std::vector<ProtocolSpec>& protocols,
@@ -285,7 +272,11 @@ class SparseEngine {
 
  private:
   [[nodiscard]] Generation& gen(int role) { return ws_.gen[role]; }
-  [[nodiscard]] const Generation& gen(int role) const { return ws_.gen[role]; }
+
+  /// Receiver `to`'s slot list in generation `g`.
+  [[nodiscard]] Slot* slots(Generation& g, std::size_t to) {
+    return g.slot.data() + to * n_;
+  }
 
   void step(std::size_t round) {
     std::fill(ws_.round_received.begin(), ws_.round_received.end(), 0.0);
@@ -305,76 +296,59 @@ class SparseEngine {
       } else {
         act<false>(me);
       }
-      // Restore the all-zero candidate-mark invariant for the next peer
-      // (the dense engine instead overwrites the whole array per peer).
-      // excluded_scratch holds the full candidate set in build order — the
-      // candidates list itself only keeps its ranked top-k intact.
-      for (const std::uint32_t j : ws_.excluded_scratch) {
-        ws_.is_candidate[j] = 0;
-      }
     }
 
     finish_round(round);
   }
 
-  /// Builds the candidate list of `me` — everyone with a live slot to it in
-  /// the window — in ascending peer order, matching the dense row scan.
-  void build_candidates(std::size_t me, bool two_rounds) {
-    auto& candidates = ws_.candidates;
-    candidates.clear();
-    ws_.candidate_window.clear();
-    const Generation& now = gen(now_);
-    const std::size_t base = me * n_;
-    // Each push records the candidate's window bandwidth alongside it; the
-    // arithmetic mirrors window_received() addend for addend, so a ranking
-    // key read from candidate_window is bit-equal to recomputing it.
-    auto push = [&](std::uint32_t j, double window) {
-      ws_.is_candidate[j] = 1;
-      candidates.push_back(j);
-      ws_.candidate_window.push_back(window);
-    };
-    const std::vector<std::uint32_t>& now_in = now.in[me];
+  /// Builds the candidate list of `me` — everyone with a slot to it in the
+  /// window — ascending by id, with each candidate's window bandwidth and
+  /// streak, and returns its length. The window is the dense engine's
+  /// now + prev sum addend for addend: a giver missing from one generation
+  /// adds an exact 0.0 there.
+  std::size_t build_candidates(std::size_t me, bool two_rounds) {
+    std::uint32_t* ids = ws_.candidates.data();
+    double* window = ws_.candidate_window.data();
+    std::uint32_t* streak = ws_.candidate_streak.data();
+    const Slot* now = slots(gen(now_), me);
+    const std::size_t now_count = gen(now_).count[me];
     if (!two_rounds) {
-      for (const std::uint32_t j : now_in) {
-        const SimWorkspace::Impl::Cell& cell = now.cell[base + j];
-        if (cell.stamp == now.epoch) push(j, cell.value);
+      for (std::size_t c = 0; c < now_count; ++c) {
+        ids[c] = now[c].giver;
+        window[c] = now[c].value;
+        streak[c] = now[c].streak;
       }
-      return;
+      return now_count;
     }
-    // Merge the two ascending giver lists, deduplicating; a giver counts if
-    // its slot in either generation is still live (churn may have stamped
-    // one of them out).
-    const Generation& prev = gen(prev_);
-    const std::vector<std::uint32_t>& prev_in = prev.in[me];
+    const Slot* prev = slots(gen(prev_), me);
+    const std::size_t prev_count = gen(prev_).count[me];
+    // Branch-free merge of the two ascending lists: a giver in both takes
+    // both addends, a giver in one list adds 0.0 for the other; only a slot
+    // in the latest generation can carry a streak.
     std::size_t a = 0;
     std::size_t b = 0;
-    while (a < now_in.size() || b < prev_in.size()) {
-      if (b == prev_in.size() ||
-          (a < now_in.size() && now_in[a] < prev_in[b])) {
-        // Only in now's list: the prev generation never wrote this cell, so
-        // the prev addend of the window is exactly 0.0.
-        const std::uint32_t j = now_in[a++];
-        const SimWorkspace::Impl::Cell& cell = now.cell[base + j];
-        if (cell.stamp == now.epoch) push(j, cell.value + 0.0);
-      } else if (a == now_in.size() || prev_in[b] < now_in[a]) {
-        const std::uint32_t j = prev_in[b++];
-        const SimWorkspace::Impl::Cell& cell = prev.cell[base + j];
-        if (cell.stamp == prev.epoch) push(j, 0.0 + cell.value);
-      } else {
-        const std::uint32_t j = now_in[a];
-        ++a;
-        ++b;
-        const SimWorkspace::Impl::Cell& now_cell = now.cell[base + j];
-        const SimWorkspace::Impl::Cell& prev_cell = prev.cell[base + j];
-        const bool now_live = now_cell.stamp == now.epoch;
-        const bool prev_live = prev_cell.stamp == prev.epoch;
-        if (now_live || prev_live) {
-          double window = now_live ? now_cell.value : 0.0;
-          window += prev_live ? prev_cell.value : 0.0;
-          push(j, window);
-        }
-      }
+    std::size_t out = 0;
+    for (; a < now_count && b < prev_count; ++out) {
+      const bool from_now = now[a].giver <= prev[b].giver;
+      const bool from_prev = prev[b].giver <= now[a].giver;
+      ids[out] = from_now ? now[a].giver : prev[b].giver;
+      window[out] = (from_now ? now[a].value : 0.0) +
+                    (from_prev ? prev[b].value : 0.0);
+      streak[out] = from_now ? now[a].streak : 0;
+      a += from_now;
+      b += from_prev;
     }
+    for (; a < now_count; ++a, ++out) {
+      ids[out] = now[a].giver;
+      window[out] = now[a].value + 0.0;
+      streak[out] = now[a].streak;
+    }
+    for (; b < prev_count; ++b, ++out) {
+      ids[out] = prev[b].giver;
+      window[out] = 0.0 + prev[b].value;
+      streak[out] = 0;
+    }
+    return out;
   }
 
   template <bool kRecordFull>
@@ -383,17 +357,19 @@ class SparseEngine {
     const bool two_rounds = spec.window == CandidateWindow::kTf2t;
 
     // 1. Candidate list (see build_candidates).
-    build_candidates(me, two_rounds);
-    auto& candidates = ws_.candidates;
-    candidates_scanned_ += candidates.size();  // only live slots are touched
-    // Snapshot the ascending candidate set before ranking permutes the
-    // list: it is the stranger-exclusion set and the mark-clearing list.
-    ws_.excluded_scratch.assign(candidates.begin(), candidates.end());
+    const std::size_t count = build_candidates(me, two_rounds);
+    candidates_scanned_ += count;
 
-    // 2. Rank and select the top k partners.
+    // 2. Rank and select the top k partners. Prop Share's contribution sum
+    // and the recorder's event order read the ranking itself.
     const std::size_t k = spec.partner_slots;
-    std::size_t partner_count = std::min(k, candidates.size());
-    if (partner_count > 0) rank_candidates(me, spec, partner_count);
+    const std::size_t partner_count = std::min(k, count);
+    if (partner_count > 0) {
+      select_partners(me, spec, count, partner_count,
+                      kRecordFull ||
+                          spec.allocation == AllocationPolicy::kPropShare);
+    }
+    const Partner* partners = ws_.partners.data();
 
     // 3. Strangers — same "when needed" fullness rule as the dense engine.
     std::size_t stranger_count = 0;
@@ -402,14 +378,12 @@ class SparseEngine {
       if (spec.stranger_policy == StrangerPolicy::kWhenNeeded) {
         std::size_t contributing = 0;
         for (std::size_t p = 0; p < partner_count; ++p) {
-          if (window_received(me, candidates[p], two_rounds) > 0.0) {
-            ++contributing;
-          }
+          if (partners[p].window > 0.0) ++contributing;
         }
         wants_strangers = contributing < k;
       }
       if (wants_strangers) {
-        stranger_count = pick_strangers(me, spec.stranger_slots);
+        stranger_count = pick_strangers(me, count, spec.stranger_slots);
       }
     }
 
@@ -437,35 +411,34 @@ class SparseEngine {
                      .run = config_.seed,
                      .time = round_,
                      .actor = static_cast<std::uint32_t>(me),
-                     .value = {{static_cast<double>(candidates.size()),
+                     .value = {{static_cast<double>(count),
                                 static_cast<double>(partner_count),
                                 static_cast<double>(stranger_count),
                                 static_cast<double>(lanes)}}});
     }
+    // `window` is the partner's window bandwidth (0.0 for strangers).
     auto record_give = [&](obs::EventKind kind, std::uint32_t to,
-                           double amount) {
+                           double amount, double window) {
       if constexpr (!kRecordFull) {
         (void)kind;
         (void)to;
         (void)amount;
+        (void)window;
         return;
       } else {
-        obs::Event event{.kind = kind,
-                         .run = config_.seed,
-                         .time = round_,
-                         .actor = static_cast<std::uint32_t>(me),
-                         .peer = to};
-        event.value[0] = amount;
-        if (kind == obs::EventKind::kPartner) {
-          event.value[1] = window_received(me, to, two_rounds);
-        }
-        capture_.emit(std::move(event));
+        capture_.emit({.kind = kind,
+                       .run = config_.seed,
+                       .time = round_,
+                       .actor = static_cast<std::uint32_t>(me),
+                       .peer = to,
+                       .value = {{amount, window, 0.0, 0.0}}});
       }
     };
+    const std::uint32_t* strangers = ws_.eligible_strangers.data();
     if (defects_on_strangers) {
       for (std::size_t s = 0; s < stranger_count; ++s) {
-        give(me, ws_.eligible_strangers[s], 0.0);  // visible defection
-        record_give(obs::EventKind::kStranger, ws_.eligible_strangers[s], 0.0);
+        give(me, strangers[s], 0.0);  // visible defection
+        record_give(obs::EventKind::kStranger, strangers[s], 0.0, 0.0);
       }
     }
     if (lanes == 0) return;
@@ -474,8 +447,8 @@ class SparseEngine {
     const double lane_rate = capacity / static_cast<double>(lanes);
     const double gift = lane_rate * config_.stranger_efficiency;
     for (std::size_t s = 0; s < gifted_strangers; ++s) {
-      give(me, ws_.eligible_strangers[s], gift);
-      record_give(obs::EventKind::kStranger, ws_.eligible_strangers[s], gift);
+      give(me, strangers[s], gift);
+      record_give(obs::EventKind::kStranger, strangers[s], gift, 0.0);
     }
 
     if (partner_count == 0) return;
@@ -484,148 +457,145 @@ class SparseEngine {
     switch (spec.allocation) {
       case AllocationPolicy::kEqualSplit: {
         for (std::size_t p = 0; p < partner_count; ++p) {
-          give(me, candidates[p], lane_rate);
-          record_give(obs::EventKind::kPartner, candidates[p], lane_rate);
+          give(me, partners[p].id, lane_rate);
+          record_give(obs::EventKind::kPartner, partners[p].id, lane_rate,
+                      partners[p].window);
         }
         break;
       }
       case AllocationPolicy::kPropShare: {
         double contribution_sum = 0.0;
         for (std::size_t p = 0; p < partner_count; ++p) {
-          contribution_sum += window_received(me, candidates[p], two_rounds);
+          contribution_sum += partners[p].window;
         }
         for (std::size_t p = 0; p < partner_count; ++p) {
           const double share =
               contribution_sum > 0.0
-                  ? partner_budget *
-                        window_received(me, candidates[p], two_rounds) /
-                        contribution_sum
+                  ? partner_budget * partners[p].window / contribution_sum
                   : 0.0;
-          give(me, candidates[p], share);
-          record_give(obs::EventKind::kPartner, candidates[p], share);
+          give(me, partners[p].id, share);
+          record_give(obs::EventKind::kPartner, partners[p].id, share,
+                      partners[p].window);
         }
         break;
       }
       case AllocationPolicy::kFreeride: {
         for (std::size_t p = 0; p < partner_count; ++p) {
-          give(me, candidates[p], 0.0);
-          record_give(obs::EventKind::kPartner, candidates[p], 0.0);
+          give(me, partners[p].id, 0.0);
+          record_give(obs::EventKind::kPartner, partners[p].id, 0.0,
+                      partners[p].window);
         }
         break;
       }
     }
   }
 
-  /// Bandwidth `me` observed from `j` over the window: stamped reads, so a
-  /// recycled or churn-invalidated cell contributes exactly 0.0.
-  [[nodiscard]] double window_received(std::size_t me, std::size_t j,
-                                       bool two_rounds) const {
-    const std::size_t idx = me * n_ + j;
-    const Generation& now = gen(now_);
-    const SimWorkspace::Impl::Cell& now_cell = now.cell[idx];
-    double amount = now_cell.stamp == now.epoch ? now_cell.value : 0.0;
-    if (two_rounds) {
-      const Generation& prev = gen(prev_);
-      const SimWorkspace::Impl::Cell& prev_cell = prev.cell[idx];
-      amount += prev_cell.stamp == prev.epoch ? prev_cell.value : 0.0;
-    }
-    return amount;
-  }
-
-  [[nodiscard]] double streak_of(std::size_t me, std::size_t j) const {
-    const SimWorkspace::Impl::Streak& s = ws_.streak[me * n_ + j];
-    return s.stamp == ws_.streak_epoch ? static_cast<double>(s.value) : 0.0;
-  }
-
-  void rank_candidates(std::size_t me, const ProtocolSpec& spec,
-                       std::size_t top) {
-    auto& candidates = ws_.candidates;
-    // The ordering (key, then tie priority, then index) is a strict total
-    // order, so the selected top-k — and their order — is the same for any
-    // correct selection algorithm; hoisting the keys out of the comparator
-    // cannot change the result, only the cost per comparison.
-    auto by_key = [&](auto key, bool descending) {
-      using RankEntry = SimWorkspace::Impl::RankEntry;
-      auto cmp = [descending](const RankEntry& a, const RankEntry& b) {
-        if (a.key != b.key) return descending ? a.key > b.key : a.key < b.key;
-        if (a.tie != b.tie) return a.tie < b.tie;
-        return a.id < b.id;
-      };
-      constexpr std::size_t kSmallTop = 16;  // design space: k <= 9
-      const std::size_t count = candidates.size();
-      if (top <= kSmallTop) {
-        ++topk_boundary_scans_;
-        // Boundary-scan selection: keep a sorted window of the best `top`
-        // seen so far; most entries fail the single compare against the
-        // window's worst and cost nothing more.
-        RankEntry best[kSmallTop];
-        std::size_t filled = 0;
-        for (std::size_t i = 0; i < count; ++i) {
-          const std::uint32_t j = candidates[i];
-          const RankEntry e{key(i, j), ws_.tie_priority[j], j};
-          if (filled == top && !cmp(e, best[top - 1])) continue;
-          std::size_t pos = filled < top ? filled : top - 1;
-          while (pos > 0 && cmp(e, best[pos - 1])) {
-            best[pos] = best[pos - 1];
-            --pos;
-          }
-          best[pos] = e;
-          if (filled < top) ++filled;
-        }
-        for (std::size_t i = 0; i < top; ++i) candidates[i] = best[i].id;
+  /// Fills ws_.partners[0, top) with the `top` best of the `count`
+  /// candidates, best first, in the dense engine's (key, tie draw, id)
+  /// order. When every candidate is selected and `ordered` is false, the
+  /// partners stay in ascending id order instead: each goes to a distinct
+  /// receiver, so the order of the gives cannot change a bit.
+  void select_partners(std::size_t me, const ProtocolSpec& spec,
+                       std::size_t count, std::size_t top, bool ordered) {
+    Partner* partners = ws_.partners.data();
+    const std::uint32_t* ids = ws_.candidates.data();
+    const double* window = ws_.candidate_window.data();
+    const bool random = spec.ranking == RankingFunction::kRandom;
+    if (random || (top == count && !ordered)) {
+      for (std::size_t c = 0; c < count; ++c) {
+        partners[c] = {ids[c], window[c]};
+      }
+      if (!random) {
+        ++unranked_selections_;
         return;
       }
-      auto& entries = ws_.rank_entries;
-      entries.clear();
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::uint32_t j = candidates[i];
-        entries.push_back({key(i, j), ws_.tie_priority[j], j});
+      // A random draw of `top` candidates via partial Fisher-Yates over
+      // the ascending list, draw for draw as the dense engine.
+      for (std::size_t i = 0; i < top; ++i) {
+        const std::size_t j =
+            i + static_cast<std::size_t>(rng_.below(count - i));
+        std::swap(partners[i], partners[j]);
       }
-      std::partial_sort(entries.begin(), entries.begin() + top, entries.end(),
-                        cmp);
-      for (std::size_t i = 0; i < top; ++i) candidates[i] = entries[i].id;
+      return;
+    }
+
+    RankKey* keys = ws_.rank_keys.data();
+    auto pack = [&](auto key_of, bool descending) {
+      const std::uint64_t flip = descending ? ~std::uint64_t{0} : 0;
+      for (std::size_t c = 0; c < count; ++c) {
+        const auto bits = std::bit_cast<std::uint64_t>(key_of(c) + 0.0);
+        keys[c] = RankKey{bits ^ flip} << 64 |
+                  RankKey{ws_.tie_priority[ids[c]]} << 32 | RankKey{c};
+      }
     };
-    // Keys take (position, id): Fastest/Slowest read the window recorded at
-    // build time (bit-equal to window_received, see build_candidates), the
-    // others derive from the id.
     switch (spec.ranking) {
       case RankingFunction::kFastest:
-        by_key([&](std::size_t i, std::uint32_t) {
-                 return ws_.candidate_window[i];
-               },
-               /*descending=*/true);
-        break;
       case RankingFunction::kSlowest:
-        by_key([&](std::size_t i, std::uint32_t) {
-                 return ws_.candidate_window[i];
-               },
-               /*descending=*/false);
+        pack([&](std::size_t c) { return window[c]; },
+             /*descending=*/spec.ranking == RankingFunction::kFastest);
         break;
       case RankingFunction::kProximity:
-        by_key(
-            [&](std::size_t, std::uint32_t j) {
-              return std::fabs(ws_.capacities[j] - ws_.capacities[me]);
+      case RankingFunction::kAdaptive: {
+        const double target = spec.ranking == RankingFunction::kProximity
+                                  ? ws_.capacities[me]
+                                  : ws_.aspiration[me];
+        pack(
+            [&](std::size_t c) {
+              return std::fabs(ws_.capacities[ids[c]] - target);
             },
             /*descending=*/false);
         break;
-      case RankingFunction::kAdaptive:
-        by_key(
-            [&](std::size_t, std::uint32_t j) {
-              return std::fabs(ws_.capacities[j] - ws_.aspiration[me]);
-            },
-            /*descending=*/false);
-        break;
+      }
       case RankingFunction::kLoyal:
-        by_key([&](std::size_t, std::uint32_t j) { return streak_of(me, j); },
-               /*descending=*/true);
+        pack(
+            [&](std::size_t c) {
+              return static_cast<double>(ws_.candidate_streak[c]);
+            },
+            /*descending=*/true);
         break;
       case RankingFunction::kRandom:
-        for (std::size_t i = 0; i < top; ++i) {
-          const std::size_t j =
-              i + static_cast<std::size_t>(rng_.below(candidates.size() - i));
-          std::swap(candidates[i], candidates[j]);
-        }
-        break;
+        break;  // drawn above
+    }
+    rank_front(keys, count, top);
+    for (std::size_t i = 0; i < top; ++i) {
+      const auto c = static_cast<std::uint32_t>(keys[i]);
+      partners[i] = {ids[c], window[c]};
+    }
+  }
+
+  /// Moves the `top` smallest of the distinct keys[0, count) to the front,
+  /// ascending.
+  static void rank_front(RankKey* keys, std::size_t count, std::size_t top) {
+    if (top == 1) {
+      std::size_t best = 0;
+      for (std::size_t c = 1; c < count; ++c) {
+        best = keys[c] < keys[best] ? c : best;
+      }
+      keys[0] = keys[best];
+      return;
+    }
+    constexpr std::size_t kCountingMax = 12;
+    if (count <= kCountingMax) {
+      // Rank by counting: a key's rank is the number of smaller keys. No
+      // data-dependent branch, and the keys are distinct, so the ranks are
+      // a permutation.
+      RankKey ranked[kCountingMax];
+      for (std::size_t i = 0; i < count; ++i) {
+        std::size_t rank = 0;
+        for (std::size_t j = 0; j < count; ++j) rank += keys[j] < keys[i];
+        ranked[rank] = keys[i];
+      }
+      std::copy(ranked, ranked + top, keys);
+      return;
+    }
+    // Boundary scan: keep the best `top` sorted at the front; most later
+    // keys fail the one compare against the worst kept key.
+    for (std::size_t i = 1; i < count; ++i) {
+      const RankKey key = keys[i];
+      if (i >= top && !(key < keys[top - 1])) continue;
+      std::size_t pos = std::min(i, top - 1);
+      for (; pos > 0 && key < keys[pos - 1]; --pos) keys[pos] = keys[pos - 1];
+      keys[pos] = key;
     }
   }
 
@@ -636,18 +606,22 @@ class SparseEngine {
   /// order) index a *virtual* copy of that list: position x resolves to the
   /// x-th non-excluded peer in O(|excluded|), and the handful of swaps the
   /// shuffle would have made live in a tiny overlay. Falls back to the
-  /// materialized scan when the exclusion set is a large fraction of n —
-  /// both paths pick identical peers.
-  std::size_t pick_strangers(std::size_t me, std::size_t want) {
+  /// materialized scan when more than kMaxOverlayPicks strangers are
+  /// wanted — both paths pick identical peers.
+  ///
+  /// The exclusion set is the ascending candidate list with `me` slotted
+  /// in, so this must run after the partners are selected.
+  std::size_t pick_strangers(std::size_t me, std::size_t count,
+                             std::size_t want) {
     constexpr std::size_t kMaxOverlayPicks = 8;  // design space: h <= 3
     auto& eligible = ws_.eligible_strangers;
 
-    // excluded_scratch already holds the ascending candidate set (snapshot
-    // taken in act() before ranking permuted the list); slot `me` in.
-    auto& excluded = ws_.excluded_scratch;
+    std::uint32_t* ids = ws_.candidates.data();
     const auto me_id = static_cast<std::uint32_t>(me);
-    excluded.insert(std::lower_bound(excluded.begin(), excluded.end(), me_id),
-                    me_id);
+    std::uint32_t* at = std::lower_bound(ids, ids + count, me_id);
+    std::copy_backward(at, ids + count, ids + count + 1);
+    *at = me_id;
+    const std::span<const std::uint32_t> excluded(ids, count + 1);
     const std::size_t eligible_size = n_ - excluded.size();
 
     if (want > kMaxOverlayPicks) {
@@ -718,71 +692,63 @@ class SparseEngine {
   /// Opens a slot from `me` to `to` carrying `amount` (possibly zero).
   void give(std::size_t me, std::size_t to, double amount) {
     Generation& next = gen(next_);
-    next.cell[to * n_ + me] = {amount, next.epoch};
-    next.in[to].push_back(static_cast<std::uint32_t>(me));
+    slots(next, to)[next.count[to]++] = {static_cast<std::uint32_t>(me), 0,
+                                         amount};
     ws_.round_received[to] += amount;
   }
 
   void finish_round(std::size_t round) {
     auto& round_received = ws_.round_received;
 
-    // Receiver intake cap, over the touched cells only. Every touched cell
-    // of `next` is still live here (nothing can invalidate `next` before
-    // the swap), and scaling untouched cells would multiply zeros.
+    // Receiver intake cap: scale this round's slots of a capped receiver,
+    // as the dense engine scales its whole row (the zeros elsewhere stay
+    // zero).
     if (config_.intake_factor > 0.0) {
       Generation& next = gen(next_);
-      bool any_capped = false;
-      for (std::size_t j = 0; j < n_; ++j) {
-        const double intake = config_.intake_factor * ws_.capacities[j];
-        if (round_received[j] <= intake) {
-          ws_.intake_scale[j] = -1.0;  // sentinel: not capped
-          continue;
+      for (std::size_t to = 0; to < n_; ++to) {
+        const double intake = config_.intake_factor * ws_.capacities[to];
+        if (round_received[to] <= intake) continue;
+        const double scale = intake / round_received[to];
+        Slot* list = slots(next, to);
+        for (std::size_t c = 0; c < next.count[to]; ++c) {
+          list[c].value *= scale;
         }
-        ws_.intake_scale[j] = intake / round_received[j];
-        round_received[j] = intake;
-        any_capped = true;
-      }
-      if (any_capped) {
-        for (std::size_t to = 0; to < n_; ++to) {
-          const double scale = ws_.intake_scale[to];
-          if (scale < 0.0) continue;
-          const std::size_t base = to * n_;
-          for (const std::uint32_t giver : next.in[to]) {
-            next.cell[base + giver].value *= scale;
-          }
-        }
+        round_received[to] = intake;
       }
     }
 
     // Shift the history window: rotate generation roles; the recycled one
-    // gets a fresh epoch instead of an O(n^2) refill.
+    // only resets its counts.
     const int recycled = prev_;
     prev_ = now_;
     now_ = next_;
     next_ = recycled;
-    Generation& fresh = gen(next_);
-    fresh.epoch = ws_.next_epoch();
-    for (std::size_t j = 0; j < n_; ++j) fresh.in[j].clear();
+    std::vector<std::uint32_t>& fresh = gen(next_).count;
+    std::fill(fresh.begin(), fresh.end(), 0);
 
-    // Cooperation streaks: only cells given to this round can be positive;
-    // every other cell's streak is 0, i.e. simply absent under the new
-    // streak epoch. The in-lists enumerate exactly this round's cells.
-    const Generation& now = gen(now_);
-    const std::uint64_t new_streak_epoch = ws_.next_epoch();
+    // Cooperation streaks, only for receivers that rank by Loyal: nothing
+    // else reads them, and churn replaces a peer with the same protocol. A
+    // slot continues the streak its giver held in the previous round's list
+    // or starts from 0, as in the dense full-matrix pass.
+    Generation& now = gen(now_);
+    Generation& prev = gen(prev_);
     for (std::size_t to = 0; to < n_; ++to) {
-      const std::size_t base = to * n_;
-      for (const std::uint32_t giver : now.in[to]) {
-        const std::size_t idx = base + giver;
-        if (now.cell[idx].value > 0.0) {
-          SimWorkspace::Impl::Streak& s = ws_.streak[idx];
-          const int prev_streak = s.stamp == ws_.streak_epoch ? s.value : 0;
-          s.value = static_cast<std::uint16_t>(
-              std::min<int>(prev_streak + 1, 0xffff));
-          s.stamp = new_streak_epoch;
-        }
+      if (protocols_[to].ranking != RankingFunction::kLoyal) continue;
+      Slot* list = slots(now, to);
+      const Slot* before = slots(prev, to);
+      const std::size_t before_count = prev.count[to];
+      std::size_t b = 0;
+      for (std::size_t c = 0; c < now.count[to]; ++c) {
+        while (b < before_count && before[b].giver < list[c].giver) ++b;
+        const std::uint32_t held =
+            b < before_count && before[b].giver == list[c].giver
+                ? before[b].streak
+                : 0;
+        list[c].streak =
+            list[c].value > 0.0 ? std::min<std::uint32_t>(held + 1, 0xffff)
+                                : 0;
       }
     }
-    ws_.streak_epoch = new_streak_epoch;
 
     // Aspiration tracking (Adaptive): smooth toward this round's per-slot
     // receipts.
@@ -870,24 +836,30 @@ class SparseEngine {
     }
   }
 
-  /// Replaces peer i with a fresh same-protocol peer. History invalidation
-  /// is an O(n) stamp walk over i's row and column in the live generations
-  /// and the streak table — stamp 0 is never a live epoch.
+  /// Replaces peer i with a fresh same-protocol peer. Its own lists in the
+  /// live generations are cleared and it is removed as a giver from every
+  /// other list (its streaks go with its slots), mirroring the dense
+  /// row/column zeroing.
   void replace_peer(std::size_t i) {
     ++peers_replaced_;
     ws_.capacities[i] = churn_source_->sample(rng_);
     ws_.aspiration[i] = ws_.capacities[i];
-    Generation& now = gen(now_);
-    Generation& prev = gen(prev_);
-    for (std::size_t j = 0; j < n_; ++j) {
-      const std::size_t row = i * n_ + j;
-      const std::size_t col = j * n_ + i;
-      now.cell[row].stamp = 0;
-      now.cell[col].stamp = 0;
-      prev.cell[row].stamp = 0;
-      prev.cell[col].stamp = 0;
-      ws_.streak[row].stamp = 0;
-      ws_.streak[col].stamp = 0;
+    const auto id = static_cast<std::uint32_t>(i);
+    for (const int role : {now_, prev_}) {
+      Generation& g = gen(role);
+      g.count[i] = 0;
+      for (std::size_t to = 0; to < n_; ++to) {
+        Slot* list = slots(g, to);
+        Slot* end = list + g.count[to];
+        Slot* hit = std::lower_bound(
+            list, end, id,
+            [](const Slot& slot, std::uint32_t giver) {
+              return slot.giver < giver;
+            });
+        if (hit == end || hit->giver != id) continue;
+        std::copy(hit + 1, end, hit);
+        --g.count[to];
+      }
     }
   }
 
@@ -907,7 +879,7 @@ class SparseEngine {
   // Plain local tallies, flushed to the metrics registry once per run —
   // the hot loops never touch an atomic.
   std::size_t candidates_scanned_ = 0;
-  std::size_t topk_boundary_scans_ = 0;
+  std::size_t unranked_selections_ = 0;
 
   // Flight recorder: level/stride latched at construction, events buffered
   // locally and flushed once when the engine dies. Never touches rng_.
@@ -922,8 +894,8 @@ class SparseEngine {
         obs::Registry::global().counter("sim.sparse.rounds");
     static const obs::Counter scanned =
         obs::Registry::global().counter("sim.sparse.candidates_scanned");
-    static const obs::Counter boundary =
-        obs::Registry::global().counter("sim.sparse.topk_boundary_scans");
+    static const obs::Counter unranked =
+        obs::Registry::global().counter("sim.sparse.unranked_selections");
     static const obs::Counter reuse =
         obs::Registry::global().counter("sim.sparse.workspace_reuse_hits");
     static const obs::Counter replaced =
@@ -931,7 +903,7 @@ class SparseEngine {
     runs.increment();
     rounds.add(config_.rounds);
     scanned.add(candidates_scanned_);
-    boundary.add(topk_boundary_scans_);
+    unranked.add(unranked_selections_);
     if (ws_.last_prepare_reused) reuse.increment();
     replaced.add(peers_replaced_);
   }
@@ -948,6 +920,15 @@ SimulationOutcome simulate_rounds(const std::vector<ProtocolSpec>& protocols,
     throw std::invalid_argument(
         "simulate_rounds: protocols/capacities must be equal-length and "
         "non-empty");
+  }
+  // The ranking's packed keys are exact only for finite keys >= +0 (see
+  // RankKey), and every key derives from the capacities.
+  for (std::size_t i = 0; i < capacities.size(); ++i) {
+    if (!(std::isfinite(capacities[i]) && capacities[i] >= 0.0)) {
+      throw std::invalid_argument("simulate_rounds: capacities[" +
+                                  std::to_string(i) +
+                                  "] must be finite and >= 0");
+    }
   }
   config.validate();
   if (config.needs_churn_source() && churn_source == nullptr) {

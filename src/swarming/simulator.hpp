@@ -51,13 +51,14 @@
 
 namespace dsa::swarming {
 
-/// Reusable scratch memory for the sparse engine: the interaction-history
-/// generations, stamps, streaks, and per-peer scratch vectors of a run.
-/// Reusing one workspace across many simulate_rounds calls (one per thread —
-/// a workspace must never be shared between concurrent runs) keeps a sweep
-/// at O(1) heap allocations per thread; epoch stamping makes reuse safe
-/// without clearing the O(n^2) arrays between runs. A default-constructed
-/// workspace holds no memory until its first run.
+/// Reusable scratch memory for the sparse engine: the interaction history
+/// (three generations of per-receiver slot lists, with streaks) and the
+/// per-peer scratch vectors of a run. Reusing one workspace across many
+/// simulate_rounds calls (one per thread — a workspace must never be shared
+/// between concurrent runs) keeps a sweep at O(1) heap allocations per
+/// thread; a run resets only the n list lengths per generation, never the
+/// O(n^2) slot storage. A default-constructed workspace holds no memory
+/// until its first run.
 class SimWorkspace {
  public:
   SimWorkspace();
@@ -146,7 +147,8 @@ struct SimulationOutcome {
 /// Runs the round-based model for an arbitrary mixed population.
 ///
 /// `protocols[i]` and `capacities[i]` describe peer i; the two vectors must
-/// be equal-length and non-empty (throws std::invalid_argument otherwise).
+/// be equal-length and non-empty, and every capacity finite and >= 0
+/// (throws std::invalid_argument naming the first bad index otherwise).
 /// `churn_source` must be provided whenever the config replaces peers —
 /// churn_rate > 0 or any peer-replacing fault process (fresh peers draw
 /// their capacity from it).

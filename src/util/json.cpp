@@ -391,7 +391,12 @@ Cursor Cursor::at(std::size_t i) const {
     fail("index " + std::to_string(i) + " outside array of size " +
          std::to_string(value_->items.size()));
   }
-  return Cursor(&value_->items[i], *this, "[" + std::to_string(i) + "]");
+  // Appended, not `"[" + std::string&&`, which GCC 12 flags with a
+  // false-positive -Wrestrict.
+  std::string step = "[";
+  step += std::to_string(i);
+  step += ']';
+  return Cursor(&value_->items[i], *this, std::move(step));
 }
 
 std::string Cursor::as_string() const {

@@ -202,6 +202,77 @@ TEST_F(RecorderTest, StrideRecordsEveryKthRoundOnly) {
   EXPECT_EQ(round_events, 9u);
 }
 
+/// FNV-1a over a string's bytes.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST_F(RecorderTest, FullLevelRoundModelRecordingIsPinned) {
+  // Full-level recordings carry every per-decision value (partner shares
+  // and windows, stranger gifts, selection sizes), which no outcome test
+  // reads. Pinning their bytes guards them: Prop Share and TF2T windows,
+  // Defect strangers' zero slots, Loyal streak rankings and Random draws,
+  // with churn in one run and an intake cap in the other.
+  using swarming::AllocationPolicy;
+  using swarming::CandidateWindow;
+  using swarming::RankingFunction;
+  using swarming::StrangerPolicy;
+  auto make = [](StrangerPolicy policy, int h, CandidateWindow window,
+                 RankingFunction ranking, int k, AllocationPolicy allocation) {
+    swarming::ProtocolSpec spec;
+    spec.stranger_policy = policy;
+    spec.stranger_slots = static_cast<std::uint8_t>(h);
+    spec.window = window;
+    spec.ranking = ranking;
+    spec.partner_slots = static_cast<std::uint8_t>(k);
+    spec.allocation = allocation;
+    return spec;
+  };
+  std::vector<swarming::ProtocolSpec> protocols;
+  protocols.insert(protocols.end(), 8,
+                   make(StrangerPolicy::kWhenNeeded, 2, CandidateWindow::kTf2t,
+                        RankingFunction::kFastest, 3,
+                        AllocationPolicy::kPropShare));
+  protocols.insert(protocols.end(), 6,
+                   make(StrangerPolicy::kDefect, 1, CandidateWindow::kTft,
+                        RankingFunction::kLoyal, 2,
+                        AllocationPolicy::kEqualSplit));
+  protocols.insert(protocols.end(), 6,
+                   make(StrangerPolicy::kPeriodic, 1, CandidateWindow::kTf2t,
+                        RankingFunction::kLoyal, 5,
+                        AllocationPolicy::kPropShare));
+  protocols.insert(protocols.end(), 5,
+                   make(StrangerPolicy::kDefect, 3, CandidateWindow::kTf2t,
+                        RankingFunction::kRandom, 1,
+                        AllocationPolicy::kPropShare));
+  protocols.insert(protocols.end(), 5,
+                   make(StrangerPolicy::kPeriodic, 2, CandidateWindow::kTft,
+                        RankingFunction::kSlowest, 9,
+                        AllocationPolicy::kEqualSplit));
+  const auto bandwidths = swarming::BandwidthDistribution::piatek();
+  configure(obs::RecordLevel::kFull);
+  for (const std::uint64_t seed : {31u, 32u}) {
+    swarming::SimulationConfig config;
+    config.rounds = 40;
+    config.seed = seed;
+    if (seed == 31) config.churn_rate = 0.03;
+    if (seed == 32) config.intake_factor = 1.2;
+    (void)swarming::simulate_rounds(
+        protocols,
+        swarming::shuffled_capacities(protocols.size(), bandwidths, seed),
+        config, &bandwidths);
+  }
+  const std::string jsonl = obs::to_recording_jsonl(
+      obs::Recorder::global().snapshot(), obs::RecordLevel::kFull, 1);
+  EXPECT_GT(jsonl.size(), 100000u);
+  EXPECT_EQ(fnv1a(jsonl), 0xd822f79b43783d58ULL)
+      << std::hex << fnv1a(jsonl);
+}
+
 TEST_F(RecorderTest, RoundsLevelSkipsPerDecisionEvents) {
   configure(obs::RecordLevel::kRounds);
   run_round_model();

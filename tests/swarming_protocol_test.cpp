@@ -2,6 +2,8 @@
 // distribution.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "swarming/bandwidth.hpp"
@@ -175,6 +177,19 @@ TEST(Bandwidth, RejectsInvalidKnotSequences) {
       BandwidthDistribution({Knot{0.0, 5.0}, Knot{0.5, 3.0}, Knot{1.0, 9.0}}),
       std::invalid_argument);
   EXPECT_THROW(BandwidthDistribution({Knot{0.0, 0.0}, Knot{1.0, 1.0}}),
+               std::invalid_argument);
+}
+
+TEST(Bandwidth, RejectsNonFiniteCapacities) {
+  // A churned-in peer's capacity is a sample, so the distribution must
+  // never produce one that simulate_rounds would reject.
+  using Knot = BandwidthDistribution::Knot;
+  EXPECT_THROW(
+      BandwidthDistribution(
+          {Knot{0.0, 1.0}, Knot{1.0, std::numeric_limits<double>::infinity()}}),
+      std::invalid_argument);
+  EXPECT_THROW(BandwidthDistribution({Knot{0.0, 1.0}, Knot{0.5, std::nan("")},
+                                      Knot{1.0, 2.0}}),
                std::invalid_argument);
 }
 

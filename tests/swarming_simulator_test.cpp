@@ -4,6 +4,12 @@
 // effect, churn, and encounter mechanics.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_process.hpp"
@@ -11,6 +17,7 @@
 #include "swarming/bandwidth.hpp"
 #include "swarming/protocol.hpp"
 #include "swarming/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -81,6 +88,40 @@ TEST(RoundSim, ValidatesInput) {
                std::invalid_argument);
 }
 
+/// The std::invalid_argument message simulate_rounds throws for `caps`.
+std::string capacity_error(const std::vector<double>& caps) {
+  const std::vector<ProtocolSpec> protocols(caps.size(), bittorrent_protocol());
+  try {
+    (void)simulate_rounds(protocols, caps, quick(), &piatek());
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "no error";
+}
+
+TEST(RoundSim, RejectsNegativeCapacityByIndex) {
+  EXPECT_EQ(capacity_error({10.0, 20.0, 30.0, -1.0, 5.0}),
+            "simulate_rounds: capacities[3] must be finite and >= 0");
+}
+
+TEST(RoundSim, RejectsNanCapacityByIndex) {
+  EXPECT_EQ(capacity_error({std::nan(""), 20.0}),
+            "simulate_rounds: capacities[0] must be finite and >= 0");
+}
+
+TEST(RoundSim, RejectsInfiniteCapacityByIndex) {
+  EXPECT_EQ(
+      capacity_error({10.0, 20.0, std::numeric_limits<double>::infinity()}),
+      "simulate_rounds: capacities[2] must be finite and >= 0");
+  EXPECT_EQ(
+      capacity_error({-std::numeric_limits<double>::infinity(), 20.0}),
+      "simulate_rounds: capacities[0] must be finite and >= 0");
+}
+
+TEST(RoundSim, AcceptsZeroCapacities) {
+  EXPECT_EQ(capacity_error({0.0, -0.0, 10.0}), "no error");
+}
+
 TEST(RoundSim, ThroughputNeverExceedsOfferedCapacity) {
   // Received bandwidth is conserved: population mean throughput cannot
   // exceed mean upload capacity.
@@ -112,8 +153,8 @@ TEST(RoundSim, GroupMeanChecksRange) {
   EXPECT_DOUBLE_EQ(outcome.group_mean(0, 2), 1.5);
   EXPECT_DOUBLE_EQ(outcome.group_mean(2, 4), 3.5);
   EXPECT_DOUBLE_EQ(outcome.population_mean(), 2.5);
-  EXPECT_THROW(outcome.group_mean(2, 2), std::invalid_argument);
-  EXPECT_THROW(outcome.group_mean(0, 9), std::invalid_argument);
+  EXPECT_THROW((void)outcome.group_mean(2, 2), std::invalid_argument);
+  EXPECT_THROW((void)outcome.group_mean(0, 9), std::invalid_argument);
 }
 
 // ---------------------------------------------- paper-critical behavior ----
@@ -442,6 +483,87 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(RankingFunction::kFastest, RankingFunction::kSlowest,
                       RankingFunction::kProximity, RankingFunction::kAdaptive,
                       RankingFunction::kLoyal, RankingFunction::kRandom));
+
+TEST(EngineEquivalence, SampledProtocolPairsAtPopulation50) {
+  // A seeded sample of protocol-id pairs from the whole design space, run as
+  // encounters at population 50 — the scale of the PRA sweep — so the engine
+  // sees every partner count (k = 1 takes the single-best path, large k the
+  // "every candidate selected" case), crowded TF2T candidate lists, and all
+  // stranger counts, rankings and allocations. Each pair runs at splits
+  // 50/50 and 10/90, plain, with churn, and with an intake cap.
+  constexpr std::size_t kPairs = 48;
+  constexpr std::size_t kPopulation = 50;
+  dsa::util::Rng pick(0x5eed0fa1ULL);
+  std::vector<std::pair<ProtocolSpec, ProtocolSpec>> pairs;
+  std::array<bool, 10> k_seen{};
+  std::array<bool, 4> h_seen{};
+  std::array<bool, 2> window_seen{};
+  std::array<bool, 6> ranking_seen{};
+  std::array<bool, 3> allocation_seen{};
+  for (std::size_t i = 0; i < kPairs; ++i) {
+    const auto a = static_cast<std::uint32_t>(pick.below(kProtocolCount));
+    const auto b = static_cast<std::uint32_t>(pick.below(kProtocolCount));
+    pairs.emplace_back(decode_protocol(a), decode_protocol(b));
+    for (const ProtocolSpec& spec : {pairs.back().first, pairs.back().second}) {
+      k_seen[spec.partner_slots] = true;
+      h_seen[spec.stranger_slots] = true;
+      allocation_seen[static_cast<int>(spec.allocation)] = true;
+      if (spec.partner_slots == 0) continue;  // window/ranking are inert
+      window_seen[static_cast<int>(spec.window)] = true;
+      ranking_seen[static_cast<int>(spec.ranking)] = true;
+    }
+  }
+  for (int k = 1; k <= 9; ++k) ASSERT_TRUE(k_seen[k]) << "k = " << k;
+  for (int h = 0; h <= 3; ++h) ASSERT_TRUE(h_seen[h]) << "h = " << h;
+  for (const bool seen : window_seen) ASSERT_TRUE(seen);
+  for (const bool seen : ranking_seen) ASSERT_TRUE(seen);
+  for (const bool seen : allocation_seen) ASSERT_TRUE(seen);
+
+  for (std::size_t i = 0; i < kPairs; ++i) {
+    const auto& [a, b] = pairs[i];
+    for (const std::size_t count_a : {kPopulation / 2, kPopulation / 10}) {
+      std::vector<ProtocolSpec> protocols(count_a, a);
+      protocols.insert(protocols.end(), kPopulation - count_a, b);
+      for (int variant = 0; variant < 3; ++variant) {
+        SCOPED_TRACE(a.describe() + " vs " + b.describe() + ", " +
+                     std::to_string(count_a) + " of A, variant " +
+                     std::to_string(variant));
+        SimulationConfig config = quick(1000 + i, 80);
+        if (variant == 1) config.churn_rate = 0.03;
+        if (variant == 2) config.intake_factor = 1.1;
+        const std::vector<double> caps =
+            shuffled_capacities(kPopulation, piatek(), config.seed);
+        expect_bitwise_equal(
+            simulate_rounds(protocols, caps, config, &piatek()),
+            oracle::simulate_rounds_dense(protocols, caps, config, &piatek()));
+      }
+    }
+  }
+}
+
+TEST(EngineEquivalence, NegativeZeroCapacitiesTieWithZeroGifts) {
+  // -0.0 passes the capacity check (it is >= 0), and a -0.0 peer gives
+  // -0.0, which the dense engine's comparisons treat as equal to the 0.0
+  // that defectors give: their order must come from the tie draws alone.
+  const ProtocolSpec fastest =
+      make(StrangerPolicy::kPeriodic, 2, CandidateWindow::kTft,
+           RankingFunction::kFastest, 3, AllocationPolicy::kEqualSplit);
+  const ProtocolSpec slowest =
+      make(StrangerPolicy::kPeriodic, 2, CandidateWindow::kTf2t,
+           RankingFunction::kSlowest, 2, AllocationPolicy::kEqualSplit);
+  const ProtocolSpec defector =
+      make(StrangerPolicy::kDefect, 3, CandidateWindow::kTft,
+           RankingFunction::kFastest, 2, AllocationPolicy::kFreeride);
+  std::vector<ProtocolSpec> protocols(15, fastest);
+  protocols.insert(protocols.end(), 15, slowest);
+  protocols.insert(protocols.end(), 10, defector);
+  std::vector<double> caps = piatek().stratified_sample(protocols.size());
+  for (std::size_t i = 0; i < caps.size(); i += 2) caps[i] = -0.0;
+  const SimulationConfig config = quick(139, 120);
+  expect_bitwise_equal(
+      simulate_rounds(protocols, caps, config, &piatek()),
+      oracle::simulate_rounds_dense(protocols, caps, config, &piatek()));
+}
 
 TEST(EngineEquivalence, WorkspaceReuseAcrossRunsAndSizes) {
   // One workspace reused across runs of different populations and configs

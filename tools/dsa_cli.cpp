@@ -1531,14 +1531,18 @@ int cmd_status(const util::CliArgs& args) {
       out += ",\"counters\":{";
       for (auto it = s.counters.begin(); it != s.counters.end(); ++it) {
         if (it != s.counters.begin()) out += ',';
-        out += "\"" + util::json::escape(it->first) +
-               "\":" + std::to_string(it->second);
+        out += '"';
+        out += util::json::escape(it->first);
+        out += "\":";
+        out += std::to_string(it->second);
       }
       out += "},\"gauges\":{";
       for (auto it = s.gauges.begin(); it != s.gauges.end(); ++it) {
         if (it != s.gauges.begin()) out += ',';
-        out += "\"" + util::json::escape(it->first) +
-               "\":" + util::exact_number(it->second);
+        out += '"';
+        out += util::json::escape(it->first);
+        out += "\":";
+        out += util::exact_number(it->second);
       }
       out += "}";
       if (!s.spec_fp.empty()) {
