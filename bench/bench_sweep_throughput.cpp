@@ -27,7 +27,7 @@
 //   outcomes_identical        quantify() results bitwise-equal across engines
 //   peak_rss_kb      getrusage peak resident set after all passes
 //
-// Knobs: the DSA_* scale variables (see pra_dataset.hpp) plus
+// Knobs: the DSA_* scale variables (see scenario/knobs.hpp) plus
 //   DSA_BENCH_PROTOCOLS  protocols in the measured batch (default 64)
 //   DSA_BENCH_JSON       output path (default results/BENCH_pra_sweep.json)
 #include <sys/resource.h>
@@ -44,7 +44,7 @@
 #include "core/subspace.hpp"
 #include "oracle/dense_engine.hpp"
 #include "swarming/dsa_model.hpp"
-#include "swarming/pra_dataset.hpp"
+#include "scenario/exec.hpp"
 #include "util/env.hpp"
 #include "util/fs.hpp"
 #include "util/thread_pool.hpp"
@@ -70,23 +70,21 @@ struct ModeResult {
 };
 
 ModeResult run_mode(const core::EncounterModel& model, const char* name,
-                    const swarming::PraDatasetOptions& options,
+                    const core::PraConfig& pra,
                     const std::vector<std::uint32_t>& members,
                     util::ThreadPool& pool) {
   core::SubspaceModel subspace(model, members);
-  core::PraEngine engine_runner(subspace, options.pra, &pool);
+  core::PraEngine engine_runner(subspace, pra, &pool);
 
   ModeResult result;
   result.engine = name;
   const std::size_t in_space = members.size();
   const std::size_t opponents =
-      options.pra.opponent_sample > 0 &&
-              options.pra.opponent_sample < in_space - 1
-          ? options.pra.opponent_sample
+      pra.opponent_sample > 0 && pra.opponent_sample < in_space - 1
+          ? pra.opponent_sample
           : in_space - 1;
   result.simulations =
-      in_space * (options.pra.performance_runs +
-                  2 * opponents * options.pra.encounter_runs);
+      in_space * (pra.performance_runs + 2 * opponents * pra.encounter_runs);
 
   const auto start = std::chrono::steady_clock::now();
   result.metrics =
@@ -179,14 +177,17 @@ std::vector<ScalePoint> scaling_series(std::size_t rounds) {
 int main() {
   ::dsa::bench::MetricsScope metrics_scope("sweep_throughput");
   bench::runtime_banner();
-  const auto options = swarming::PraDatasetOptions::from_environment();
+  const scenario::SweepKnobs knobs = bench::sweep_knobs();
+  const scenario::ParamSet params = knobs.spec.scalar_params();
+  const core::PraConfig pra = scenario::sweep_pra_config(params);
+  const auto rounds = static_cast<std::size_t>(params.get_int("rounds"));
   const auto protocols = static_cast<std::uint32_t>(std::min<long long>(
       util::env_int("DSA_BENCH_PROTOCOLS", 64), swarming::kProtocolCount));
   const std::string json_path =
       util::env_string("DSA_BENCH_JSON", "results/BENCH_pra_sweep.json");
-  util::ThreadPool pool(options.pra.threads == 0
+  util::ThreadPool pool(knobs.threads == 0
                             ? util::ThreadPool::default_thread_count()
-                            : options.pra.threads);
+                            : knobs.threads);
 
   bench::banner("BENCH pra_sweep_throughput",
                 "engineering target (ROADMAP): the PRA sweep runs as fast as "
@@ -200,15 +201,15 @@ int main() {
 
   // Dense first (the "before"/seed implementation), then sparse.
   swarming::SimulationConfig sim;
-  sim.rounds = options.rounds;
+  sim.rounds = rounds;
   const swarming::oracle::DenseSwarmingModel dense_model(
       sim, swarming::BandwidthDistribution::piatek());
   const swarming::SwarmingModel sparse_model(
       sim, swarming::BandwidthDistribution::piatek());
   const ModeResult dense =
-      run_mode(dense_model, "dense", options, members, pool);
+      run_mode(dense_model, "dense", pra, members, pool);
   const ModeResult sparse =
-      run_mode(sparse_model, "sparse", options, members, pool);
+      run_mode(sparse_model, "sparse", pra, members, pool);
 
   const bool identical = metrics_identical(dense.metrics, sparse.metrics);
   const double speedup = dense.sims_per_sec > 0.0
@@ -216,8 +217,8 @@ int main() {
                              : 0.0;
 
   std::printf("\nper-simulation cost vs population (%zu rounds):\n",
-              options.rounds);
-  const std::vector<ScalePoint> scaling = scaling_series(options.rounds);
+              rounds);
+  const std::vector<ScalePoint> scaling = scaling_series(rounds);
   bool scaling_identical = true;
   double best_scaling_speedup = 0.0;
   for (const ScalePoint& point : scaling) {
@@ -255,10 +256,9 @@ int main() {
       "\"rounds\": %zu, \"population\": %zu, "
       "\"performance_runs\": %zu, \"encounter_runs\": %zu, "
       "\"opponents\": %zu, \"seed\": %llu},\n",
-      protocols, swarming::kProtocolCount / protocols, options.rounds,
-      options.pra.population, options.pra.performance_runs,
-      options.pra.encounter_runs, options.pra.opponent_sample,
-      static_cast<unsigned long long>(options.pra.seed));
+      protocols, swarming::kProtocolCount / protocols, rounds,
+      pra.population, pra.performance_runs, pra.encounter_runs,
+      pra.opponent_sample, static_cast<unsigned long long>(pra.seed));
   append("  \"modes\": [\n");
   for (const ModeResult* mode : {&dense, &sparse}) {
     append(

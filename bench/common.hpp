@@ -1,5 +1,6 @@
 // Shared helpers for the figure/table bench binaries: PRA dataset access
-// (cached in results/pra_results.csv), the DSA_OBS session with its
+// (the DSA_* sweep scenario, whose output results/pra_results.csv is reused
+// when its provenance matches), the DSA_OBS session with its
 // standardized perf output (BENCH_<name>.json), and small formatting
 // utilities.
 //
@@ -20,6 +21,8 @@
 
 #include "obs/config.hpp"
 #include "obs/metrics.hpp"
+#include "scenario/knobs.hpp"
+#include "scenario/runner.hpp"
 #include "stats/descriptive.hpp"
 #include "swarming/pra_dataset.hpp"
 #include "util/env.hpp"
@@ -39,14 +42,14 @@ namespace dsa::bench {
 inline std::string bench_json(
     const std::string& name, const std::vector<double>& wall_ms,
     const std::vector<std::pair<std::string, std::string>>& knobs) {
-  const auto options = swarming::PraDatasetOptions::from_environment();
+  const std::size_t configured =
+      scenario::sweep_knobs_from_environment().threads;
   // End-of-run memory footprint (zeros off-Linux). bench_compare reads only
   // the fields it is asked about, so the extra object never breaks committed
   // baselines.
   const util::ProcStat mem = util::read_proc_stat();
-  const std::size_t threads = options.pra.threads == 0
-                                  ? util::ThreadPool::default_thread_count()
-                                  : options.pra.threads;
+  const std::size_t threads =
+      configured == 0 ? util::ThreadPool::default_thread_count() : configured;
   std::ostringstream out;
   out << "{\"type\":\"bench\",\"schema\":1,\"bench\":\""
       << util::json::escape(name) << "\",\"threads\":" << threads
@@ -146,28 +149,54 @@ struct MetricsScope {
   std::vector<std::pair<std::string, std::string>> knobs_;
 };
 
-/// Loads (or computes and caches) the PRA dataset at env-configured scale.
+/// The DSA_* scale knobs as a sweep spec (scenario/knobs.hpp). A bad knob
+/// stops the bench with the CLI's usage-error status, naming the variable.
+inline scenario::SweepKnobs sweep_knobs() {
+  try {
+    return scenario::sweep_knobs_from_environment();
+  } catch (const scenario::KnobError& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    std::exit(2);
+  }
+}
+
+/// The PRA dataset at the knobs' scale: the sweep scenario is run (or its
+/// existing output reused, when its provenance sidecar matches), then
+/// loaded. An output from another spec stops the bench, naming both
+/// fingerprints.
 inline std::vector<swarming::PraRecord> dataset() {
-  return swarming::load_or_compute_pra_dataset(
-      swarming::PraDatasetOptions::from_environment());
+  const scenario::SweepKnobs knobs = sweep_knobs();
+  try {
+    const scenario::Plan plan = scenario::expand_plan(knobs.spec);
+    scenario::RunOptions options;
+    options.threads = knobs.threads;
+    (void)scenario::run_scenario(plan, options);
+    return swarming::load_pra_dataset(plan.spec.output);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    std::exit(1);
+  }
 }
 
 /// Prints the effective runtime configuration — thread count and every DSA_*
 /// scale knob — to stderr, so any captured bench output records the scale it
 /// ran at and runs are comparable across machines/PRs.
 inline void runtime_banner() {
-  const auto options = swarming::PraDatasetOptions::from_environment();
-  const std::size_t threads = options.pra.threads == 0
+  const scenario::SweepKnobs knobs = sweep_knobs();
+  const scenario::ParamSet params = knobs.spec.scalar_params();
+  const std::size_t threads = knobs.threads == 0
                                   ? util::ThreadPool::default_thread_count()
-                                  : options.pra.threads;
+                                  : knobs.threads;
   std::fprintf(
       stderr,
-      "[config] threads=%zu rounds=%zu population=%zu perf_runs=%zu "
-      "encounter_runs=%zu opponents=%zu seed=%llu\n",
-      threads, options.rounds, options.pra.population,
-      options.pra.performance_runs, options.pra.encounter_runs,
-      options.pra.opponent_sample,
-      static_cast<unsigned long long>(options.pra.seed));
+      "[config] threads=%zu rounds=%lld population=%lld perf_runs=%lld "
+      "encounter_runs=%lld opponents=%lld seed=%lld\n",
+      threads, static_cast<long long>(params.get_int("rounds")),
+      static_cast<long long>(params.get_int("population")),
+      static_cast<long long>(params.get_int("performance_runs")),
+      static_cast<long long>(params.get_int("encounter_runs")),
+      static_cast<long long>(params.get_int("opponent_sample")),
+      static_cast<long long>(params.get_int("seed")));
 }
 
 /// Prints the standard bench banner (and the runtime config to stderr).

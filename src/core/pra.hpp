@@ -98,7 +98,7 @@ class PraEngine {
 
   /// Raw performance of a single protocol. Seeds derive from (seed, p, run)
   /// only, so raw_performance()[p] == raw_performance_of(p) exactly — the
-  /// property the checkpoint/resume path of the PRA sweep relies on.
+  /// property a sharded, resumable PRA sweep relies on.
   [[nodiscard]] double raw_performance_of(std::uint32_t p) const;
 
   /// Win rate per protocol when it holds `pi_fraction` of the population.
@@ -114,7 +114,7 @@ class PraEngine {
   /// All three metrics for protocols [begin, end), scheduled as one
   /// flattened grid of performance_runs + 2 * opponents * encounter_runs
   /// simulations per protocol — the batch primitive behind the PRA dataset
-  /// sweep's checkpoint chunks. Entry i describes protocol begin + i, with
+  /// sweep's jobs. Entry i describes protocol begin + i, with
   /// values exactly equal to raw_performance_of / win_rate_of(·, 0.5) /
   /// win_rate_of(·, minority_fraction). The progress callback, if set,
   /// reports (protocols finished, protocols in batch).

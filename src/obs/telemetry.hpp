@@ -23,7 +23,7 @@
 // telemetry test suite): the sampler runs on its own thread, consumes no
 // RNG, takes no locks on simulation hot paths (worker-side updates are
 // relaxed atomics), and timestamps never enter any fingerprint — every
-// result CSV/checkpoint is bitwise-identical with telemetry on or off, at
+// result CSV/manifest is bitwise-identical with telemetry on or off, at
 // any thread count. Sampler I/O errors are swallowed: a full disk may lose
 // telemetry, never the experiment.
 //
@@ -53,7 +53,7 @@ struct TelemetryOptions {
   std::filesystem::path dir = "results";  // where status files land
 };
 
-/// Progress state of one shard (checkpoint chunk, scenario job).
+/// Progress state of one shard (a scenario job).
 enum class ShardState : std::uint8_t {
   kTodo = 0,
   kRunning = 1,

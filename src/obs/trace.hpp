@@ -8,7 +8,7 @@
 //   {"traceEvents":[
 //     {"name":"sweep/quantify","cat":"dsa","ph":"X","ts":12.5,"dur":834.0,
 //      "pid":1,"tid":2},
-//     {"name":"checkpoint-save","cat":"dsa","ph":"i","ts":900.1,"s":"g",
+//     {"name":"scenario/job-done","cat":"dsa","ph":"i","ts":900.1,"s":"g",
 //      "pid":1,"tid":1},
 //     ...],"displayTimeUnit":"ms"}
 //
@@ -44,7 +44,7 @@ class TraceSink {
                 std::chrono::steady_clock::time_point begin,
                 std::chrono::steady_clock::time_point end);
 
-  /// A global instant marker ("ph":"i","s":"g") — checkpoint saves,
+  /// A global instant marker ("ph":"i","s":"g") — job completions,
   /// resume events, fault activations.
   void instant(std::string_view name);
 

@@ -19,6 +19,7 @@
 #include "stats/descriptive.hpp"
 #include "swarm/swarm_sim.hpp"
 #include "swarming/dsa_model.hpp"
+#include "swarming/pra_dataset.hpp"
 #include "util/fingerprint.hpp"
 
 namespace dsa::scenario {
@@ -57,14 +58,7 @@ JobRows execute_sweep(const Job& job) {
   const ParamSet& p = job.params;
   const swarming::SwarmingModel model =
       model_from_params(p, p.get_double("churn"));
-  core::PraConfig pra;
-  pra.population = static_cast<std::size_t>(p.get_int("population"));
-  pra.performance_runs =
-      static_cast<std::size_t>(p.get_int("performance_runs"));
-  pra.encounter_runs = static_cast<std::size_t>(p.get_int("encounter_runs"));
-  pra.opponent_sample = static_cast<std::size_t>(p.get_int("opponent_sample"));
-  pra.minority_fraction = p.get_double("minority_fraction");
-  pra.seed = static_cast<std::uint64_t>(p.get_int("seed"));
+  core::PraConfig pra = sweep_pra_config(p);
   // Jobs already run concurrently on the runner's pool; a nested pool here
   // would deadlock it. threads=1 runs the engine's grid inline on this
   // worker without starting a thread — and per-item seeding keeps the
@@ -334,6 +328,20 @@ JobRows execute_explore(const Job& job) {
 
 }  // namespace
 
+core::PraConfig sweep_pra_config(const ParamSet& params) {
+  core::PraConfig pra;
+  pra.population = static_cast<std::size_t>(params.get_int("population"));
+  pra.performance_runs =
+      static_cast<std::size_t>(params.get_int("performance_runs"));
+  pra.encounter_runs =
+      static_cast<std::size_t>(params.get_int("encounter_runs"));
+  pra.opponent_sample =
+      static_cast<std::size_t>(params.get_int("opponent_sample"));
+  pra.minority_fraction = params.get_double("minority_fraction");
+  pra.seed = static_cast<std::uint64_t>(params.get_int("seed"));
+  return pra;
+}
+
 JobRows execute_job(const ScenarioSpec& spec, const Job& job) {
   DSA_OBS_PHASE("scenario/job");
   switch (spec.kind) {
@@ -349,51 +357,36 @@ JobRows execute_job(const ScenarioSpec& spec, const Job& job) {
 
 util::CsvTable merge_rows(const Plan& plan,
                           const std::vector<JobRows>& results) {
-  util::CsvTable table(plan.merged_columns);
   if (plan.spec.kind == Kind::kSweep) {
-    // Reproduce compute_pra_dataset + save_pra_dataset exactly: collect the
-    // exact raw metrics, normalize performance against the global best, and
-    // format with the dataset's display precision. exact_number strings
-    // round-trip, so raw/best here is bit-for-bit the uninterrupted sweep's
-    // quotient.
-    struct Rec {
-      std::uint32_t protocol;
-      double raw, robustness, aggressiveness;
-    };
-    std::vector<Rec> records;
+    // Collect the exact raw metrics, normalize performance against the
+    // global best, and write the canonical dataset. exact_number strings
+    // round-trip, so raw/best here is bit-for-bit the quotient of the
+    // in-memory values, whatever job or resume point produced them.
+    std::vector<swarming::PraRecord> records;
     for (const JobRows& rows : results) {
       for (const std::vector<std::string>& row : rows) {
-        records.push_back({static_cast<std::uint32_t>(
-                               std::strtoul(row[0].c_str(), nullptr, 10)),
-                           parse_exact_double(row[1]),
-                           parse_exact_double(row[2]),
-                           parse_exact_double(row[3])});
+        swarming::PraRecord& rec = records.emplace_back();
+        rec.protocol = static_cast<std::uint32_t>(
+            std::strtoul(row[0].c_str(), nullptr, 10));
+        rec.spec = swarming::decode_protocol(rec.protocol);
+        rec.raw_performance = parse_exact_double(row[1]);
+        rec.robustness = parse_exact_double(row[2]);
+        rec.aggressiveness = parse_exact_double(row[3]);
       }
     }
     double best = 0.0;
-    for (const Rec& rec : records) best = std::max(best, rec.raw);
-    for (const Rec& rec : records) {
-      const swarming::ProtocolSpec spec =
-          swarming::decode_protocol(rec.protocol);
-      table.add_row({
-          std::to_string(rec.protocol),
-          swarming::to_string(spec.stranger_policy),
-          std::to_string(spec.stranger_slots),
-          swarming::to_string(spec.window),
-          swarming::to_string(spec.ranking),
-          std::to_string(spec.partner_slots),
-          swarming::to_string(spec.allocation),
-          util::format_number(rec.raw),
-          util::format_number(best > 0.0 ? rec.raw / best : 0.0),
-          util::format_number(rec.robustness),
-          util::format_number(rec.aggressiveness),
-      });
+    for (const swarming::PraRecord& rec : records) {
+      best = std::max(best, rec.raw_performance);
     }
-  } else {
-    for (const JobRows& rows : results) {
-      for (const std::vector<std::string>& row : rows) {
-        table.add_row(row);
-      }
+    for (swarming::PraRecord& rec : records) {
+      rec.performance = best > 0.0 ? rec.raw_performance / best : 0.0;
+    }
+    return swarming::pra_dataset_table(records);
+  }
+  util::CsvTable table(plan.merged_columns);
+  for (const JobRows& rows : results) {
+    for (const std::vector<std::string>& row : rows) {
+      table.add_row(row);
     }
   }
   return table;

@@ -109,8 +109,6 @@ std::optional<ParsedJobLine> parse_job_line(const json::Value& value) {
   return parsed;
 }
 
-namespace {
-
 bool header_matches(const json::Value& value, const Plan& plan) {
   if (value.type != json::Value::Type::kObject) return false;
   const json::Value* fp = value.find("spec_fp");
@@ -136,6 +134,8 @@ bool header_matches(const json::Value& value, const Plan& plan) {
   }
   return true;
 }
+
+namespace {
 
 /// Validates one job line against the plan; on success stores its rows and
 /// returns empty, otherwise returns the reason it was rejected.

@@ -61,6 +61,13 @@ struct ManifestData {
 /// The header line for `plan` (no trailing newline).
 [[nodiscard]] std::string manifest_header_line(const Plan& plan);
 
+/// True when a parsed header line (a manifest's first line, or an output's
+/// provenance sidecar) describes `plan`: same spec fingerprint, job count
+/// and job columns. The scenario name and the recording settings are not
+/// compared.
+[[nodiscard]] bool header_matches(const util::json::Value& value,
+                                  const Plan& plan);
+
 /// One completed-job line (no trailing newline). wall_ms is provenance
 /// (latency summaries), never identity: resume validation ignores it, and
 /// it feeds no fingerprint or merged cell.

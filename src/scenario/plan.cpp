@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "scenario/explore_kind.hpp"
+#include "swarming/pra_dataset.hpp"
 #include "util/fingerprint.hpp"
 
 namespace dsa::scenario {
@@ -62,13 +63,8 @@ std::vector<std::string> job_columns_for(Kind kind) {
 }
 
 std::vector<std::string> merged_columns_for(Kind kind) {
-  if (kind == Kind::kSweep) {
-    // The canonical PRA dataset schema of save_pra_dataset — the merge
-    // reproduces it byte-for-byte.
-    return {"protocol", "stranger_policy", "h", "window", "ranking", "k",
-            "allocation", "raw_performance", "performance", "robustness",
-            "aggressiveness"};
-  }
+  // A sweep merges into the canonical PRA dataset.
+  if (kind == Kind::kSweep) return swarming::pra_dataset_columns();
   return job_columns_for(kind);
 }
 
@@ -108,10 +104,7 @@ void expand_grid_jobs(const ScenarioSpec& spec, std::uint64_t spec_fp,
 
 void expand_sweep_jobs(const ScenarioSpec& spec, std::uint64_t spec_fp,
                        Plan& plan) {
-  ParamSet params;
-  for (const Axis& axis : spec.axes) {
-    params.set(axis.name, axis.values.front());
-  }
+  const ParamSet params = spec.scalar_params();
   const std::vector<std::uint32_t> selection =
       parse_protocol_selection(params.get_string("protocols"));
 
@@ -145,10 +138,7 @@ void expand_sweep_jobs(const ScenarioSpec& spec, std::uint64_t spec_fp,
 /// explore spec before any job runs.
 void expand_explore_jobs(const ScenarioSpec& spec, std::uint64_t spec_fp,
                          Plan& plan) {
-  ParamSet params;
-  for (const Axis& axis : spec.axes) {
-    params.set(axis.name, axis.values.front());
-  }
+  const ParamSet params = spec.scalar_params();
   const ExploreContext ctx = explore_context(params);
   const std::uint64_t space = explore::count_space(ctx.domain);
 

@@ -16,6 +16,8 @@
 #include "scenario/manifest.hpp"
 #include "stats/descriptive.hpp"
 #include "util/csv.hpp"
+#include "util/fs.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dsa::scenario {
@@ -25,6 +27,40 @@ std::filesystem::path manifest_path(const Plan& plan) {
   path += ".manifest-" + hex16(plan.spec_fingerprint) + ".jsonl";
   return path;
 }
+
+std::filesystem::path provenance_path(const Plan& plan) {
+  std::filesystem::path path = plan.spec.output;
+  path += ".provenance.json";
+  return path;
+}
+
+namespace {
+
+/// Why the existing output of `plan` may not be reused, or empty when its
+/// provenance sidecar describes this plan.
+std::string reuse_refusal(const Plan& plan) {
+  const std::filesystem::path sidecar = provenance_path(plan);
+  if (!std::filesystem::exists(sidecar)) {
+    return "has no provenance sidecar " + sidecar.string();
+  }
+  try {
+    const util::json::Value header = util::json::parse_file(sidecar);
+    if (header_matches(header, plan)) return {};
+    const util::json::Value* fp = header.find("spec_fp");
+    if (fp != nullptr && fp->type == util::json::Value::Type::kString &&
+        fp->text != hex16(plan.spec_fingerprint)) {
+      return "was computed by spec_fp " + fp->text + " (" + sidecar.string() +
+             ")";
+    }
+    return "has a sidecar " + sidecar.string() +
+           " that does not describe this plan";
+  } catch (const std::exception& error) {
+    return "has an unreadable provenance sidecar (" +
+           std::string(error.what()) + ")";
+  }
+}
+
+}  // namespace
 
 std::vector<std::size_t> completed_jobs_in_manifest(const Plan& plan) {
   const ManifestData data = load_manifest(plan, manifest_path(plan));
@@ -42,7 +78,18 @@ RunReport run_scenario(const Plan& plan, const RunOptions& options) {
   report.output = plan.spec.output;
   report.manifest = manifest_path(plan);
 
+  // An existing output is reused only when its provenance sidecar proves
+  // it came from this spec; anything else is refused, never loaded or
+  // overwritten.
   if (std::filesystem::exists(plan.spec.output)) {
+    const std::string refusal = reuse_refusal(plan);
+    if (!refusal.empty()) {
+      throw std::runtime_error(
+          "output " + plan.spec.output.string() + " " + refusal +
+          "; this spec is spec_fp " + hex16(plan.spec_fingerprint) +
+          ". Delete " + plan.spec.output.string() +
+          " to recompute it, or pass --force to `dsa_cli sweep`");
+    }
     report.reused_output = true;
     report.skipped = report.total;
     if (options.verbose) {
@@ -276,7 +323,11 @@ RunReport run_scenario(const Plan& plan, const RunOptions& options) {
   telemetry.set_phase("merge");
   {
     DSA_OBS_PHASE("scenario/merge");
-    merge_rows(plan, results).save(plan.spec.output);
+    const util::CsvTable table = merge_rows(plan, results);
+    // The sidecar lands first: an output without one would be refused.
+    util::atomic_write(provenance_path(plan),
+                       manifest_header_line(plan) + '\n');
+    table.save(plan.spec.output);
   }
   if (!options.keep_manifest) {
     out.close();

@@ -10,6 +10,11 @@
 // byte-identical to an uninterrupted single-thread run. The merge itself is
 // atomic (write-then-rename via CsvTable::save), and the manifest is
 // removed once the output exists.
+//
+// Next to the output the runner keeps `<output>.provenance.json`: the
+// manifest header line of the plan that produced it. An existing output is
+// reused only when that sidecar matches the current plan; a missing,
+// unreadable, or foreign sidecar fails the run without touching the file.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +51,8 @@ struct RunReport {
   std::size_t retried = 0;    // failed attempts that were retried
   std::filesystem::path output;
   std::filesystem::path manifest;
-  /// True when the output already existed and nothing ran.
+  /// True when the output already existed with a matching provenance
+  /// sidecar, and nothing ran.
   bool reused_output = false;
   /// Per-job wall-time summary over every job with a recorded latency
   /// (jobs executed here plus manifest-resumed jobs whose lines carried
@@ -68,15 +74,20 @@ struct RunAborted : std::runtime_error {
 /// Where the plan's manifest lives: `<output>.manifest-<16 hex>.jsonl`.
 [[nodiscard]] std::filesystem::path manifest_path(const Plan& plan);
 
+/// Where the output's provenance lives: `<output>.provenance.json`, the
+/// plan's manifest header line, written with every merged output.
+[[nodiscard]] std::filesystem::path provenance_path(const Plan& plan);
+
 /// Job indices a manifest already holds valid results for (ascending).
 /// Missing, foreign, or torn manifests yield the valid prefix (possibly
 /// empty) — the same data a resumed run would reuse.
 [[nodiscard]] std::vector<std::size_t> completed_jobs_in_manifest(
     const Plan& plan);
 
-/// Executes the plan (see file comment for resume semantics). Throws
-/// RunAborted on the max_jobs hook and std::runtime_error when a job
-/// exhausts its retries (completed jobs stay in the manifest either way).
+/// Executes the plan (see file comment for resume and reuse semantics).
+/// Throws RunAborted on the max_jobs hook, and std::runtime_error when a job
+/// exhausts its retries (completed jobs stay in the manifest either way) or
+/// when an existing output's provenance does not match the plan.
 RunReport run_scenario(const Plan& plan, const RunOptions& options = {});
 
 }  // namespace dsa::scenario

@@ -144,6 +144,7 @@ enum class ParamCheck : std::uint8_t {
   kUnitInterval,       // double in [0, 1]
   kNonNegative,        // number >= 0
   kPositive,           // number >= 1 (ints) / > 0 (doubles)
+  kPopulation,         // int >= 2: a PRA population needs two peers
   kWeight,             // double in [0, 1]
   kObjective,          // explore::parse_objective must accept it
 };
@@ -166,7 +167,7 @@ const std::vector<ParamDef>& params_for(Kind kind) {
   static const std::vector<ParamDef> sweep = {
       {"protocols", PT::kString, std::string("all"), PC::kProtocolSelection},
       {"rounds", PT::kInt, std::int64_t{120}, PC::kPositive},
-      {"population", PT::kInt, std::int64_t{50}, PC::kPositive},
+      {"population", PT::kInt, std::int64_t{50}, PC::kPopulation},
       {"performance_runs", PT::kInt, std::int64_t{3}, PC::kPositive},
       {"encounter_runs", PT::kInt, std::int64_t{1}, PC::kPositive},
       {"opponent_sample", PT::kInt, std::int64_t{24}, PC::kNonNegative},
@@ -315,6 +316,11 @@ void check_value(const ParamDef& def, const ParamValue& value,
           throw std::invalid_argument("value must be > 0");
         }
         break;
+      case ParamCheck::kPopulation:
+        if (!(number() >= 2.0)) {
+          throw std::invalid_argument("value must be >= 2");
+        }
+        break;
       case ParamCheck::kObjective:
         (void)explore::parse_objective(text());
         break;
@@ -456,6 +462,12 @@ std::uint64_t ScenarioSpec::fingerprint() const {
     }
   }
   return fp.value();
+}
+
+ParamSet ScenarioSpec::scalar_params() const {
+  ParamSet params;
+  for (const Axis& axis : axes) params.set(axis.name, axis.values.front());
+  return params;
 }
 
 ScenarioSpec parse_scenario_text(std::string_view text,

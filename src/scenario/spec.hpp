@@ -99,6 +99,10 @@ struct ScenarioSpec {
   /// axis (name, value types, values). Excludes name/output/threads/retries,
   /// so renaming or re-homing a spec keeps its manifest compatible.
   [[nodiscard]] std::uint64_t fingerprint() const;
+
+  /// Every axis pinned to its first value: the parameters of a kind that
+  /// takes scalars only (sweep, explore).
+  [[nodiscard]] ParamSet scalar_params() const;
 };
 
 /// Parses and validates a spec. Throws util::json::ParseError on malformed

@@ -82,8 +82,8 @@ std::string CsvTable::to_csv() const {
 
 void CsvTable::save(const std::filesystem::path& path) const {
   // Rendered in memory and handed to atomic_write (write `<path>.tmp`,
-  // rename) so readers and checkpoint resumers never observe a
-  // half-written table.
+  // rename) so readers and resumed runs never observe a half-written
+  // table.
   atomic_write(path, to_csv());
 }
 

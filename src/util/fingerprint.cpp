@@ -32,16 +32,6 @@ std::string Fingerprint::hex() const {
   return std::string(buffer, 16);
 }
 
-std::filesystem::path checkpoint_path(const std::filesystem::path& final_path,
-                                      std::uint64_t fingerprint) {
-  char suffix[32];
-  std::snprintf(suffix, sizeof(suffix), ".partial-%016llx",
-                static_cast<unsigned long long>(fingerprint));
-  std::filesystem::path path = final_path;
-  path += suffix;
-  return path;
-}
-
 std::string exact_number(double value) {
   char buffer[32];
   const auto result = std::to_chars(buffer, buffer + sizeof(buffer), value);

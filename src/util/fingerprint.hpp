@@ -1,25 +1,22 @@
-// Shared checkpoint-identity helpers used by every resume path (the PRA
-// sweep's DSA_CHECKPOINT files and the scenario runner's manifests).
+// Identity helpers for resumable and cached results (the scenario runner's
+// manifests and provenance sidecars, the serve daemon's cache).
 //
 // A Fingerprint chains hash64 over every option that affects a
-// computation's numbers; the result is baked into checkpoint/manifest
-// filenames so a resume can never continue from incompatible data.
+// computation's numbers; the result is baked into manifest filenames and
+// sidecars so a resume or a reuse can never pick up incompatible data.
 // exact_number() is the companion serializer: values that feed back into a
 // resumed computation must round-trip doubles exactly, which the 10-digit
 // display precision of format_number cannot do.
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <string>
 #include <string_view>
 
 namespace dsa::util {
 
 /// Order-sensitive hash accumulator: h = hash64(h ^ v) per ingredient,
-/// seeded with hash64(salt). The chain is the exact scheme the PRA
-/// checkpoint files have always used, so refactored callers keep their
-/// on-disk fingerprints.
+/// seeded with hash64(salt).
 class Fingerprint {
  public:
   explicit Fingerprint(std::uint64_t salt = 0);
@@ -37,11 +34,6 @@ class Fingerprint {
  private:
   std::uint64_t h_;
 };
-
-/// `<final_path>.partial-<16 hex digits>` — the sibling file a resumable
-/// computation writes until the real output exists.
-std::filesystem::path checkpoint_path(const std::filesystem::path& final_path,
-                                      std::uint64_t fingerprint);
 
 /// Shortest decimal string that round-trips `value` exactly
 /// (std::to_chars); use for any number that feeds back into a resumed

@@ -10,8 +10,8 @@ namespace dsa::util {
 /// then renames over the target, so readers never see a torn or partial
 /// file. Creates parent directories as needed. Throws std::runtime_error on
 /// any I/O failure (with the path in the message). This is the one
-/// write-then-rename implementation behind CSV caches, checkpoints, bench
-/// JSON, and the obs trace/metrics files.
+/// write-then-rename implementation behind result CSVs, provenance
+/// sidecars, bench JSON, and the obs trace/metrics files.
 void atomic_write(const std::filesystem::path& path, std::string_view contents);
 
 }  // namespace dsa::util

@@ -1,12 +1,9 @@
 // Crash-tolerant PRA sweep machinery: per-protocol engine methods must
-// reproduce the batch passes exactly (the property that makes resuming
-// sound), and the checkpoint helpers must fingerprint options, round-trip
-// partial results, and reject anything that is not a clean protocol prefix.
+// reproduce the batch passes exactly (the property that lets a sweep be
+// sharded into jobs and resumed), and a slice's exact raw metrics must not
+// depend on the thread count, workspace reuse, or the round-model engine.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -15,8 +12,7 @@
 #include "core/subspace.hpp"
 #include "oracle/dense_engine.hpp"
 #include "swarming/dsa_model.hpp"
-#include "swarming/pra_dataset.hpp"
-#include "util/csv.hpp"
+#include "util/fingerprint.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -78,51 +74,6 @@ TEST(PraPerProtocol, MatchesBatchPassesExactly) {
   }
 }
 
-TEST(PraCheckpoint, PathFingerprintsTheOptions) {
-  swarming::PraDatasetOptions a;
-  a.path = "results/pra_results.csv";
-  swarming::PraDatasetOptions b = a;
-  EXPECT_EQ(swarming::pra_checkpoint_path(a),
-            swarming::pra_checkpoint_path(b));
-  const std::string base = swarming::pra_checkpoint_path(a).string();
-  EXPECT_NE(base.find("results/pra_results.csv.partial-"), std::string::npos);
-
-  b.pra.seed = a.pra.seed + 1;
-  EXPECT_NE(swarming::pra_checkpoint_path(a), swarming::pra_checkpoint_path(b));
-  b = a;
-  b.rounds = a.rounds + 1;
-  EXPECT_NE(swarming::pra_checkpoint_path(a), swarming::pra_checkpoint_path(b));
-  b = a;
-  b.pra.encounter_runs = a.pra.encounter_runs + 1;
-  EXPECT_NE(swarming::pra_checkpoint_path(a), swarming::pra_checkpoint_path(b));
-  // The checkpoint interval is pacing, not physics: same fingerprint.
-  b = a;
-  b.checkpoint_interval = a.checkpoint_interval * 2;
-  EXPECT_EQ(swarming::pra_checkpoint_path(a), swarming::pra_checkpoint_path(b));
-}
-
-TEST(PraCheckpoint, SaveLoadRoundTripsAPrefix) {
-  std::vector<swarming::PraRecord> records(5);
-  for (std::uint32_t i = 0; i < records.size(); ++i) {
-    records[i].protocol = i;
-    records[i].raw_performance = 10.0 + i;
-    records[i].robustness = 0.1 * i;
-    records[i].aggressiveness = 0.05 * i;
-  }
-  const auto path = std::filesystem::temp_directory_path() /
-                    "dsa_checkpoint_test.partial-feed";
-  swarming::save_pra_checkpoint(records, 3, path);
-  const auto loaded = swarming::load_pra_checkpoint(path);
-  ASSERT_EQ(loaded.size(), 3u);
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(loaded[i].protocol, i);
-    EXPECT_DOUBLE_EQ(loaded[i].raw_performance, 10.0 + i);
-    EXPECT_DOUBLE_EQ(loaded[i].robustness, 0.1 * i);
-    EXPECT_DOUBLE_EQ(loaded[i].aggressiveness, 0.05 * i);
-  }
-  std::filesystem::remove(path);
-}
-
 TEST(PraQuantify, MatchesPerProtocolMethodsExactly) {
   SeededModel model(9);
   core::PraConfig config;
@@ -164,9 +115,9 @@ struct SliceScale {
 enum class SliceEngine { kSparse, kDenseOracle };
 
 /// Computes a small PRA slice over named protocols with the real simulator
-/// and returns the exact bytes save_pra_checkpoint would persist — the same
-/// fingerprint the crash-tolerant sweep trusts when resuming. `passes` lets
-/// a caller run the same batch repeatedly on one engine (so the second pass
+/// and returns its raw metrics as exact_number rows, the form a sweep job
+/// writes to its manifest and a resumed sweep trusts. `passes` lets a
+/// caller run the same batch repeatedly on one engine (so the second pass
 /// reuses the pool's thread-local simulation workspaces).
 std::string pra_slice_bytes(SliceEngine slice_engine, std::size_t threads,
                             const SliceScale& scale, std::size_t passes = 1) {
@@ -197,27 +148,20 @@ std::string pra_slice_bytes(SliceEngine slice_engine, std::size_t threads,
   for (std::size_t pass = 0; pass < passes; ++pass) {
     metrics = engine.quantify(0, subset.protocol_count());
   }
-  std::vector<swarming::PraRecord> records(metrics.size());
+  std::string bytes;
   for (std::uint32_t i = 0; i < metrics.size(); ++i) {
-    records[i].protocol = i;
-    records[i].raw_performance = metrics[i].raw_performance;
-    records[i].robustness = metrics[i].robustness;
-    records[i].aggressiveness = metrics[i].aggressiveness;
+    bytes += std::to_string(i) + ',' +
+             util::exact_number(metrics[i].raw_performance) + ',' +
+             util::exact_number(metrics[i].robustness) + ',' +
+             util::exact_number(metrics[i].aggressiveness) + '\n';
   }
-  const auto path = std::filesystem::temp_directory_path() /
-                    "dsa_slice_test.partial-bytes";
-  swarming::save_pra_checkpoint(records, records.size(), path);
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  std::filesystem::remove(path);
-  return bytes.str();
+  return bytes;
 }
 
 TEST(PraDeterminism, ThreadCountAndWorkspaceReuseDoNotChangeBytes) {
   // The same slice computed with 1 thread, 4 threads, and on an engine
   // whose pool (and thread-local workspaces) already ran the batch must
-  // produce byte-identical CSVs — scheduling and workspace reuse are
+  // produce byte-identical rows — scheduling and workspace reuse are
   // invisible in the numbers.
   const SliceScale scale;
   const std::string one_thread =
@@ -233,7 +177,7 @@ TEST(PraDeterminism, ThreadCountAndWorkspaceReuseDoNotChangeBytes) {
 
 TEST(PraGoldenFingerprint, SparseMatchesDenseAtDefaultScale) {
   // The dense oracle is the seed implementation's hot path, byte for byte;
-  // equality of the persisted CSVs is the golden-fingerprint guarantee that
+  // equality of the exact rows is the golden-fingerprint guarantee that
   // the optimized sweep changed nothing at the default DSA_* scale.
   const SliceScale scale;  // default-scale knobs: 120 rounds, 3+1 runs
   EXPECT_EQ(pra_slice_bytes(SliceEngine::kSparse, 2, scale),
@@ -249,22 +193,6 @@ TEST(PraGoldenFingerprint, SparseMatchesDenseAtFullSubsetScale) {
   scale.encounter_runs = 10;
   EXPECT_EQ(pra_slice_bytes(SliceEngine::kSparse, 2, scale),
             pra_slice_bytes(SliceEngine::kDenseOracle, 2, scale));
-}
-
-TEST(PraCheckpoint, MissingOrMalformedCheckpointYieldsEmpty) {
-  EXPECT_TRUE(
-      swarming::load_pra_checkpoint("/nonexistent/missing.partial").empty());
-
-  // Rows that are not a contiguous protocol prefix are treated as corrupt.
-  const auto path = std::filesystem::temp_directory_path() /
-                    "dsa_checkpoint_gap.partial-feed";
-  util::CsvTable table(
-      {"protocol", "raw_performance", "robustness", "aggressiveness"});
-  table.add_row({"0", "1.0", "0.5", "0.5"});
-  table.add_row({"2", "1.0", "0.5", "0.5"});  // gap: protocol 1 missing
-  table.save(path);
-  EXPECT_TRUE(swarming::load_pra_checkpoint(path).empty());
-  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Integration tests across core + swarming: the PRA quantification running
 // on the real round-based simulator (over a focused subspace to stay fast),
-// and the PRA dataset persistence layer.
+// the PRA dataset persistence layer, and the DSA_* knobs that scale the
+// sweep.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 
 #include "core/pra.hpp"
 #include "core/subspace.hpp"
+#include "scenario/knobs.hpp"
 #include "swarming/dsa_model.hpp"
 #include "swarming/pra_dataset.hpp"
 
@@ -133,43 +135,103 @@ TEST(PraDataset, SaveLoadRoundTrip) {
   std::filesystem::remove(path);
 }
 
+/// Unsets every scale knob, so each case starts from the quick defaults.
+void clear_knobs() {
+  for (const char* var :
+       {"DSA_ROUNDS", "DSA_POPULATION", "DSA_PERF_RUNS", "DSA_ENCOUNTER_RUNS",
+        "DSA_OPPONENTS", "DSA_SEED", "DSA_FULL", "DSA_RESULTS", "DSA_THREADS",
+        "DSA_CHECKPOINT"}) {
+    unsetenv(var);
+  }
+}
+
 TEST(PraDataset, OptionsReadEnvironment) {
+  clear_knobs();
   setenv("DSA_ROUNDS", "77", 1);
   setenv("DSA_PERF_RUNS", "9", 1);
   setenv("DSA_OPPONENTS", "5", 1);
   setenv("DSA_RESULTS", "/tmp/custom_pra.csv", 1);
-  const auto options = PraDatasetOptions::from_environment();
-  EXPECT_EQ(options.rounds, 77u);
-  EXPECT_EQ(options.pra.performance_runs, 9u);
-  EXPECT_EQ(options.pra.opponent_sample, 5u);
-  EXPECT_EQ(options.path, std::filesystem::path("/tmp/custom_pra.csv"));
-  unsetenv("DSA_ROUNDS");
-  unsetenv("DSA_PERF_RUNS");
-  unsetenv("DSA_OPPONENTS");
-  unsetenv("DSA_RESULTS");
+  setenv("DSA_THREADS", "3", 1);
+  const auto knobs = scenario::sweep_knobs_from_environment();
+  const scenario::ParamSet params = knobs.spec.scalar_params();
+  EXPECT_EQ(params.get_int("rounds"), 77);
+  EXPECT_EQ(params.get_int("performance_runs"), 9);
+  EXPECT_EQ(params.get_int("opponent_sample"), 5);
+  EXPECT_EQ(knobs.spec.output, std::filesystem::path("/tmp/custom_pra.csv"));
+  EXPECT_EQ(knobs.spec.name, "custom_pra");  // the output's stem
+  EXPECT_EQ(knobs.threads, 3u);
+  // An explicit output (dsa_cli sweep --out) replaces DSA_RESULTS.
+  EXPECT_EQ(scenario::sweep_knobs_from_environment("/tmp/x/other.csv")
+                .spec.output,
+            std::filesystem::path("/tmp/x/other.csv"));
+  clear_knobs();
 }
 
 TEST(PraDataset, FullFlagRestoresPaperFidelityDefaults) {
+  clear_knobs();
   setenv("DSA_FULL", "1", 1);
-  const auto options = PraDatasetOptions::from_environment();
-  EXPECT_EQ(options.rounds, 500u);
-  EXPECT_EQ(options.pra.performance_runs, 100u);
-  EXPECT_EQ(options.pra.encounter_runs, 10u);
-  EXPECT_EQ(options.pra.opponent_sample, 0u);  // exhaustive
-  unsetenv("DSA_FULL");
+  const scenario::ParamSet params =
+      scenario::sweep_knobs_from_environment().spec.scalar_params();
+  EXPECT_EQ(params.get_int("rounds"), 500);
+  EXPECT_EQ(params.get_int("performance_runs"), 100);
+  EXPECT_EQ(params.get_int("encounter_runs"), 10);
+  EXPECT_EQ(params.get_int("opponent_sample"), 0);  // exhaustive
+  // An explicit knob still wins over DSA_FULL.
+  setenv("DSA_ROUNDS", "300", 1);
+  EXPECT_EQ(scenario::sweep_knobs_from_environment()
+                .spec.scalar_params()
+                .get_int("rounds"),
+            300);
+  clear_knobs();
 }
 
 TEST(PraDataset, DefaultsAreTheQuickScale) {
-  for (const char* var : {"DSA_ROUNDS", "DSA_PERF_RUNS", "DSA_ENCOUNTER_RUNS",
-                          "DSA_OPPONENTS", "DSA_FULL", "DSA_RESULTS"}) {
-    unsetenv(var);
-  }
-  const auto options = PraDatasetOptions::from_environment();
-  EXPECT_EQ(options.rounds, 120u);
-  EXPECT_EQ(options.pra.performance_runs, 3u);
-  EXPECT_EQ(options.pra.encounter_runs, 1u);
-  EXPECT_EQ(options.pra.opponent_sample, 24u);
-  EXPECT_EQ(options.path, std::filesystem::path("results/pra_results.csv"));
+  clear_knobs();
+  const auto knobs = scenario::sweep_knobs_from_environment();
+  const scenario::ParamSet params = knobs.spec.scalar_params();
+  EXPECT_EQ(params.get_int("rounds"), 120);
+  EXPECT_EQ(params.get_int("population"), 50);
+  EXPECT_EQ(params.get_int("performance_runs"), 3);
+  EXPECT_EQ(params.get_int("encounter_runs"), 1);
+  EXPECT_EQ(params.get_int("opponent_sample"), 24);
+  EXPECT_EQ(params.get_int("seed"), 2011);
+  EXPECT_EQ(params.get_string("protocols"), "all");
+  EXPECT_EQ(knobs.spec.chunk, 256u);
+  EXPECT_EQ(knobs.spec.output,
+            std::filesystem::path("results/pra_results.csv"));
+  EXPECT_EQ(knobs.threads, 0u);
+  // The committed dataset's provenance is this very spec.
+  const scenario::ScenarioSpec committed =
+      scenario::parse_scenario_file(std::filesystem::path(DSA_SOURCE_DIR) /
+                                    "examples/scenarios/pra_sweep.json");
+  EXPECT_EQ(knobs.spec.fingerprint(), committed.fingerprint());
+  EXPECT_EQ(knobs.spec.name, committed.name);
+  EXPECT_EQ(knobs.spec.output, committed.output);
+}
+
+TEST(PraDataset, OutOfRangeKnobNamesTheVariable) {
+  clear_knobs();
+  const auto error_of = [] {
+    try {
+      (void)scenario::sweep_knobs_from_environment();
+    } catch (const scenario::KnobError& error) {
+      return std::string(error.what());
+    }
+    return std::string("no error");
+  };
+  setenv("DSA_POPULATION", "1", 1);
+  EXPECT_EQ(error_of(), "DSA_POPULATION=1 is invalid: value must be >= 2");
+  clear_knobs();
+  setenv("DSA_ROUNDS", "0", 1);
+  EXPECT_EQ(error_of(), "DSA_ROUNDS=0 is invalid: value must be > 0");
+  clear_knobs();
+  setenv("DSA_PERF_RUNS", "three", 1);
+  EXPECT_NE(error_of().find("DSA_PERF_RUNS='three' is invalid"),
+            std::string::npos);
+  clear_knobs();
+  setenv("DSA_CHECKPOINT", "256", 1);
+  EXPECT_EQ(error_of().rfind("DSA_CHECKPOINT is no longer read", 0), 0u);
+  clear_knobs();
 }
 
 TEST(PraDataset, LoadMissingFileThrows) {

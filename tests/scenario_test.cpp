@@ -14,13 +14,17 @@
 #include <vector>
 
 #include "core/pra.hpp"
+#include "scenario/exec.hpp"
+#include "scenario/manifest.hpp"
 #include "scenario/plan.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
 #include "swarming/dsa_model.hpp"
 #include "swarming/pra_dataset.hpp"
 #include "swarming/protocol.hpp"
+#include "util/csv.hpp"
 #include "util/json.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -409,7 +413,12 @@ TEST_F(ScenarioRunner, ExhaustedRetriesThrowButKeepCompletedJobs) {
 }
 
 TEST_F(ScenarioRunner, ExistingOutputShortCircuits) {
+  // A finished run leaves the plan's header line as the output's
+  // provenance sidecar; an output whose sidecar matches is reused as is.
   const scenario::Plan plan = evolution_plan("done.csv");
+  scenario::run_scenario(plan, quiet(1));
+  EXPECT_EQ(read_file(scenario::provenance_path(plan)),
+            scenario::manifest_header_line(plan) + "\n");
   {
     std::ofstream out(plan.spec.output, std::ios::binary);
     out << "sentinel";
@@ -418,6 +427,63 @@ TEST_F(ScenarioRunner, ExistingOutputShortCircuits) {
   EXPECT_TRUE(report.reused_output);
   EXPECT_EQ(report.executed, 0u);
   EXPECT_EQ(read_file(plan.spec.output), "sentinel");
+}
+
+TEST_F(ScenarioRunner, ExistingOutputWithoutSidecarIsRefused) {
+  // Nothing proves where a bare output came from: the run fails, naming the
+  // output, the missing sidecar and the fix, and leaves the file alone.
+  const scenario::Plan plan = evolution_plan("bare.csv");
+  {
+    std::ofstream out(plan.spec.output, std::ios::binary);
+    out << "sentinel";
+  }
+  try {
+    scenario::run_scenario(plan, quiet(1));
+    FAIL() << "expected the bare output to be refused";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(plan.spec.output.string()), std::string::npos) << what;
+    EXPECT_NE(what.find("no provenance sidecar"), std::string::npos) << what;
+    EXPECT_NE(what.find(scenario::hex16(plan.spec_fingerprint)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("--force"), std::string::npos) << what;
+  }
+  EXPECT_EQ(read_file(plan.spec.output), "sentinel");
+  EXPECT_FALSE(fs::exists(scenario::provenance_path(plan)));
+}
+
+TEST_F(ScenarioRunner, ExistingOutputFromAnotherSpecIsRefused) {
+  // The same output path asked for at another scale (here another seed)
+  // must not load the first spec's numbers: the error names both
+  // fingerprints, and neither the output nor its sidecar changes.
+  const scenario::Plan first = evolution_plan("shared.csv");
+  scenario::run_scenario(first, quiet(1));
+  const std::string bytes = read_file(first.spec.output);
+  const std::string sidecar = read_file(scenario::provenance_path(first));
+
+  const std::string json =
+      R"({"scenario": "grid", "kind": "evolution", "output": ")" +
+      first.spec.output.string() +
+      R"(", "params": {"menu": "bt,birds", "rounds": 40, "population": 20,
+          "generations": 4, "runs_per_generation": 1, "seed": 10}})";
+  const scenario::Plan second =
+      scenario::expand_plan(scenario::parse_scenario_text(json));
+  ASSERT_NE(first.spec_fingerprint, second.spec_fingerprint);
+  try {
+    scenario::run_scenario(second, quiet(1));
+    FAIL() << "expected the foreign output to be refused";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(scenario::hex16(first.spec_fingerprint)),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find(scenario::hex16(second.spec_fingerprint)),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(read_file(first.spec.output), bytes);
+  EXPECT_EQ(read_file(scenario::provenance_path(first)), sidecar);
 }
 
 TEST_F(ScenarioRunner, KeepManifestRetainsTheJsonl) {
@@ -512,6 +578,66 @@ TEST_F(ScenarioRunner, KilledSweepResumesToUninterruptedBytes) {
   EXPECT_EQ(report.skipped, 1u);
   EXPECT_EQ(report.executed, 2u);
   EXPECT_EQ(read_file(resumed.spec.output), expected);
+}
+
+// ---------------------------------------------------- committed dataset ----
+
+TEST(CommittedDataset, EveryHundredthProtocolRecomputesCellForCell) {
+  // results/pra_results.csv feeds every figure bench. Recompute every 100th
+  // protocol of it, plus the normalizing row (the best raw_performance),
+  // through the sweep job path of its provenance spec, and compare all four
+  // metric cells as strings. A change to the engine, the build flags or the
+  // dataset writer that moves a committed number fails here.
+  const fs::path source(DSA_SOURCE_DIR);
+  const scenario::ScenarioSpec spec = scenario::parse_scenario_file(
+      source / "examples/scenarios/pra_sweep.json");
+  const util::CsvTable committed =
+      util::CsvTable::load(source / "results/pra_results.csv");
+  ASSERT_EQ(committed.row_count(), swarming::kProtocolCount);
+
+  std::vector<std::uint32_t> ids;
+  for (std::uint32_t id = 0; id < swarming::kProtocolCount; id += 100) {
+    ids.push_back(id);
+  }
+  std::size_t best_row = 0;
+  for (std::size_t r = 0; r < committed.row_count(); ++r) {
+    if (committed.number_at(r, "raw_performance") >
+        committed.number_at(best_row, "raw_performance")) {
+      best_row = r;
+    }
+  }
+  ASSERT_EQ(committed.at(best_row, "performance"), "1");
+  ids.push_back(static_cast<std::uint32_t>(best_row));
+
+  // One single-protocol job each, spread over the pool.
+  const scenario::ParamSet params = spec.scalar_params();
+  std::vector<scenario::JobRows> computed(ids.size());
+  util::ThreadPool pool(util::ThreadPool::default_thread_count());
+  pool.parallel_for(ids.size(), [&](std::size_t i) {
+    scenario::Job job;
+    job.params = params;
+    job.protocols = {ids[i]};
+    computed[i] = scenario::execute_job(spec, job);
+  });
+
+  const double best = std::strtod(computed.back()[0][1].c_str(), nullptr);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_EQ(computed[i].size(), 1u);
+    const std::vector<std::string>& row = computed[i][0];
+    ASSERT_EQ(row[0], std::to_string(ids[i]));
+    const double raw = std::strtod(row[1].c_str(), nullptr);
+    const std::size_t r = ids[i];
+    EXPECT_EQ(committed.at(r, "raw_performance"), util::format_number(raw))
+        << "protocol " << ids[i];
+    EXPECT_EQ(committed.at(r, "performance"), util::format_number(raw / best))
+        << "protocol " << ids[i];
+    EXPECT_EQ(committed.at(r, "robustness"),
+              util::format_number(std::strtod(row[2].c_str(), nullptr)))
+        << "protocol " << ids[i];
+    EXPECT_EQ(committed.at(r, "aggressiveness"),
+              util::format_number(std::strtod(row[3].c_str(), nullptr)))
+        << "protocol " << ids[i];
+  }
 }
 
 }  // namespace

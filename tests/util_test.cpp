@@ -432,8 +432,8 @@ TEST(FixedFormat, ProducesRequestedDigits) {
 // -------------------------------------------------------- Fingerprint ----
 
 TEST(Fingerprint, MatchesManualHashChain) {
-  // The shared helper must reproduce the original checkpoint scheme
-  // exactly, or every pre-existing .partial file would be orphaned.
+  // The chain must stay exactly this, or every committed spec fingerprint
+  // (manifest names, provenance sidecars) would stop matching.
   const std::uint64_t salt = 2011 ^ 0x50a5c4ec8f21d3b7ULL;
   std::uint64_t expected = hash64(salt);
   for (const std::uint64_t v : {50ull, 3ull, 1ull, 24ull, 100000ull, 120ull}) {
@@ -470,11 +470,6 @@ TEST(Fingerprint, HexIsSixteenLowercaseDigits) {
   for (const char c : hex) {
     EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) << hex;
   }
-}
-
-TEST(Fingerprint, CheckpointPathAppendsSuffix) {
-  const auto path = checkpoint_path("results/data.csv", 0xabcdef0123456789ULL);
-  EXPECT_EQ(path.string(), "results/data.csv.partial-abcdef0123456789");
 }
 
 TEST(ExactNumber, RoundTripsBitwise) {

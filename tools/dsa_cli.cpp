@@ -55,6 +55,7 @@
 #include "obs/telemetry.hpp"
 #include "report/report.hpp"
 #include "scenario/explore_kind.hpp"
+#include "scenario/knobs.hpp"
 #include "scenario/runner.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
@@ -125,13 +126,20 @@ const util::HelpIndex& help_index() {
        "concurrency. Results are thread-count independent.\n"
        "defaults: --protocols bt,birds,loyal,sorts --runs 3\n"
        "          --population 50 --rounds 200 --seed 2011\n"},
-      {"sweep", "full design-space PRA sweep (resume + cached CSV)",
+      {"sweep", "full design-space PRA sweep (a scenario built from DSA_*)",
        "usage: dsa_cli sweep [--out FILE] [--threads N] [--force] [--quiet]\n\n"
-       "PRA quantification of all 3270 protocols with live progress,\n"
-       "checkpoint resume, and a cached CSV dataset (skipped when the\n"
-       "output already exists; --force recomputes).\n"
+       "PRA quantification of all 3270 protocols. The DSA_* scale knobs\n"
+       "become a `sweep` scenario spec, run like `dsa_cli run`: sharded\n"
+       "jobs, live progress, and a manifest a killed sweep resumes from.\n"
+       "An existing output is reused only when its provenance sidecar\n"
+       "(<out>.provenance.json) records the same spec; otherwise the\n"
+       "command fails naming both fingerprints. --force recomputes.\n\n"
        "Scale via DSA_FULL / DSA_ROUNDS / DSA_POPULATION / DSA_PERF_RUNS /\n"
-       "DSA_ENCOUNTER_RUNS / DSA_SEED; threads via --threads or DSA_THREADS.\n"},
+       "DSA_ENCOUNTER_RUNS / DSA_OPPONENTS / DSA_SEED; an out-of-range knob\n"
+       "exits 2 naming the variable. Output via --out or DSA_RESULTS\n"
+       "(default results/pra_results.csv); threads via --threads or\n"
+       "DSA_THREADS. With the defaults the spec is\n"
+       "examples/scenarios/pra_sweep.json's.\n"},
       {"swarm", "piece-level swarm head-to-head (Sec. 5)",
        "usage: dsa_cli swarm [--a C] [--b C] [--fraction X] [--runs N]\n"
        "                     [--seed N] [fault flags]\n"
@@ -778,31 +786,45 @@ int cmd_evolve(const util::CliArgs& args) {
 }
 
 int cmd_sweep(const util::CliArgs& args) {
-  PraDatasetOptions options = PraDatasetOptions::from_environment();
-  options.pra.threads = static_cast<std::size_t>(args.get_int(
-      "threads", static_cast<std::int64_t>(options.pra.threads)));
-  options.path = args.get("out", options.path.string());
+  const std::string out = args.get("out", "");
+  const bool threads_given = args.has("threads");
+  const auto threads = args.get_int("threads", 0);
   const bool force = args.has("force");
   const bool quiet = args.has("quiet");
   reject_unknown_flags(args);
 
-  if (force) {
-    std::error_code ignored;
-    std::filesystem::remove(options.path, ignored);
+  try {
+    scenario::SweepKnobs knobs = scenario::sweep_knobs_from_environment(out);
+    if (threads_given) knobs.threads = static_cast<std::size_t>(threads);
+    const scenario::Plan plan = scenario::expand_plan(knobs.spec);
+    if (force) {
+      std::error_code ignored;
+      std::filesystem::remove(plan.spec.output, ignored);
+    }
+    scenario::RunOptions options;
+    options.threads = knobs.threads;
+    options.verbose = !quiet;
+    (void)scenario::run_scenario(plan, options);
+
+    const std::vector<PraRecord> records = load_pra_dataset(plan.spec.output);
+    const PraRecord* best = nullptr;
+    for (const PraRecord& rec : records) {
+      if (best == nullptr || rec.performance > best->performance) best = &rec;
+    }
+    std::printf("%zu protocols -> %s\n", records.size(),
+                plan.spec.output.string().c_str());
+    if (best != nullptr) {
+      std::printf("best performance: #%u  %s\n", best->protocol,
+                  best->spec.describe().c_str());
+    }
+    return 0;
+  } catch (const scenario::KnobError& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 2;
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return 1;
   }
-  const std::vector<PraRecord> records =
-      load_or_compute_pra_dataset(options, /*verbose=*/!quiet);
-  const PraRecord* best = nullptr;
-  for (const PraRecord& rec : records) {
-    if (best == nullptr || rec.performance > best->performance) best = &rec;
-  }
-  std::printf("%zu protocols -> %s\n", records.size(),
-              options.path.string().c_str());
-  if (best != nullptr) {
-    std::printf("best performance: #%u  %s\n", best->protocol,
-                best->spec.describe().c_str());
-  }
-  return 0;
 }
 
 int cmd_help(const util::CliArgs& args) {
