@@ -148,9 +148,6 @@ std::vector<double> PraEngine::raw_performance() const {
   // Flattened (protocol, run) grid: every simulation is its own task, so a
   // protocol with slow runs cannot straggle a whole lane.
   std::vector<double> slots(total, 0.0);
-  std::vector<std::atomic<std::size_t>> remaining(count);
-  for (auto& r : remaining) r.store(runs, std::memory_order_relaxed);
-  std::atomic<std::size_t> done{0};
   run_grid(
       total,
       [&](std::size_t t) {
@@ -159,10 +156,6 @@ std::vector<double> PraEngine::raw_performance() const {
         slots[t] = model_.homogeneous_utility(
             p, config_.population,
             derive_seed(config_.seed, /*tag=*/0x9E4F, p, r));
-        if (remaining[p].fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-            config_.progress) {
-          config_.progress(++done, count);
-        }
       });
 
   // Reduce in run order — the same summation order as raw_performance_of,
@@ -221,9 +214,6 @@ std::vector<double> PraEngine::tournament(double pi_fraction) const {
   // Flattened (protocol, opponent, run) grid; each task records one win bit.
   const std::vector<std::uint32_t> table = opponent_table(0, count);
   std::vector<std::uint8_t> win(total, 0);
-  std::vector<std::atomic<std::size_t>> remaining(count);
-  for (auto& r : remaining) r.store(games, std::memory_order_relaxed);
-  std::atomic<std::size_t> done{0};
   run_grid(
       total,
       [&](std::size_t t) {
@@ -237,10 +227,6 @@ std::vector<double> PraEngine::tournament(double pi_fraction) const {
         const auto [pi_mean, other_mean] =
             model_.mixed_utilities(p, opponent, count_pi, count_other, seed);
         win[t] = pi_mean > other_mean ? 1 : 0;
-        if (remaining[p].fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-            config_.progress) {
-          config_.progress(++done, count);
-        }
       });
 
   // Integer win counts are order-free, so this matches win_rate_of exactly.
@@ -286,11 +272,6 @@ std::vector<ProtocolMetrics> PraEngine::quantify(std::uint32_t begin,
   const std::vector<std::uint32_t> table = opponent_table(begin, end);
   std::vector<double> perf_slots(batch * perf_runs, 0.0);
   std::vector<std::uint8_t> win(batch * 2 * games, 0);
-  std::vector<std::atomic<std::size_t>> remaining(batch);
-  for (auto& r : remaining) {
-    r.store(per_protocol, std::memory_order_relaxed);
-  }
-  std::atomic<std::size_t> done{0};
 
   // Instrumentation is hoisted once per chunk: the flag, the metric
   // handles, and the per-protocol accumulators. Inside the task the only
@@ -301,8 +282,11 @@ std::vector<ProtocolMetrics> PraEngine::quantify(std::uint32_t begin,
   obs::Distribution task_ms;
   obs::Distribution protocol_ms;
   std::vector<std::atomic<std::uint64_t>> protocol_ns(obs_on ? batch : 0);
+  // Tasks left per protocol; the last one observes the protocol's total.
+  std::vector<std::atomic<std::size_t>> remaining(obs_on ? batch : 0);
   std::chrono::steady_clock::time_point chunk_start;
   if (obs_on) {
+    for (auto& r : remaining) r.store(per_protocol, std::memory_order_relaxed);
     auto& registry = obs::Registry::global();
     task_ms = registry.distribution("pra.task_ms");
     protocol_ms = registry.distribution("pra.protocol_ms");
@@ -345,15 +329,12 @@ std::vector<ProtocolMetrics> PraEngine::quantify(std::uint32_t begin,
                   .count());
           task_ms.observe(static_cast<double>(task_ns) / 1e6);
           protocol_ns[slot].fetch_add(task_ns, std::memory_order_relaxed);
-        }
-        if (remaining[slot].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          if (obs_on) {
+          if (remaining[slot].fetch_sub(1, std::memory_order_acq_rel) == 1) {
             protocol_ms.observe(
                 static_cast<double>(
                     protocol_ns[slot].load(std::memory_order_relaxed)) /
                 1e6);
           }
-          if (config_.progress) config_.progress(++done, batch);
         }
       });
 

@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -43,9 +42,6 @@ struct PraConfig {
   double minority_fraction = 0.1;    // Aggressiveness split for protocol Pi
   std::uint64_t seed = 2011;
   std::size_t threads = 0;           // 0 = hardware concurrency
-  /// Optional progress observer: (protocols finished, protocols total).
-  /// May be invoked concurrently from worker threads.
-  std::function<void(std::size_t, std::size_t)> progress;
 };
 
 /// The full PRA characterization of a design space.
@@ -116,8 +112,7 @@ class PraEngine {
   /// simulations per protocol — the batch primitive behind the PRA dataset
   /// sweep's jobs. Entry i describes protocol begin + i, with
   /// values exactly equal to raw_performance_of / win_rate_of(·, 0.5) /
-  /// win_rate_of(·, minority_fraction). The progress callback, if set,
-  /// reports (protocols finished, protocols in batch).
+  /// win_rate_of(·, minority_fraction).
   [[nodiscard]] std::vector<ProtocolMetrics> quantify(std::uint32_t begin,
                                                       std::uint32_t end) const;
 

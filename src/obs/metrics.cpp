@@ -376,24 +376,16 @@ double MetricsSnapshot::gauge_value(std::string_view name) const {
   return 0.0;
 }
 
-std::string distribution_summary_json(
+std::vector<std::pair<const char*, double>> distribution_summary(
     const MetricsSnapshot::DistributionValue& distribution) {
-  std::string out = "{\"count\":" + std::to_string(distribution.count());
-  const auto field = [&out](const char* key, double value) {
-    out += ",\"";
-    out += key;
-    out += "\":";
-    out += util::exact_number(value);
-  };
-  field("p50", distribution.quantile(0.5));
-  field("p90", distribution.quantile(0.9));
-  field("p99", distribution.quantile(0.99));
-  field("min", distribution.min);
-  field("max", distribution.max);
-  field("mean", distribution.mean());
-  field("stddev", distribution.stddev());
-  out += '}';
-  return out;
+  return {{"count", static_cast<double>(distribution.count())},
+          {"p50", distribution.quantile(0.5)},
+          {"p90", distribution.quantile(0.9)},
+          {"p99", distribution.quantile(0.99)},
+          {"min", distribution.min},
+          {"max", distribution.max},
+          {"mean", distribution.mean()},
+          {"stddev", distribution.stddev()}};
 }
 
 std::string MetricsSnapshot::to_jsonl() const {
@@ -407,10 +399,18 @@ std::string MetricsSnapshot::to_jsonl() const {
         << "\",\"value\":" << util::format_number(g.value) << "}\n";
   }
   for (const auto& d : distributions) {
-    // The summary object minus its opening brace continues this line.
     out << "{\"type\":\"distribution\",\"name\":\""
-        << util::json::escape(d.name) << "\","
-        << distribution_summary_json(d).substr(1) << '\n';
+        << util::json::escape(d.name) << '"';
+    for (const auto& [key, value] : distribution_summary(d)) {
+      out << ",\"" << key << "\":";
+      // The count as an integer: exact_number would write 1e6 as "1e+06".
+      if (std::string_view(key) == "count") {
+        out << d.count();
+      } else {
+        out << util::exact_number(value);
+      }
+    }
+    out << "}\n";
   }
   return out.str();
 }

@@ -35,6 +35,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace dsa::obs {
@@ -146,18 +147,17 @@ struct MetricsSnapshot {
 
   /// One JSON object per line: {"type":"counter","name":...,"value":...},
   /// {"type":"gauge",...}, and {"type":"distribution","name":...} followed
-  /// by the distribution_summary_json fields.
+  /// by the distribution_summary fields.
   [[nodiscard]] std::string to_jsonl() const;
 
   /// to_jsonl() written via util::atomic_write (never a torn file).
   void save_jsonl(const std::filesystem::path& path) const;
 };
 
-/// The one rendering of a distribution summary, shared by the metrics JSONL
-/// and the telemetry `sketches` section:
-/// {"count":N,"p50":..,"p90":..,"p99":..,"min":..,"max":..,"mean":..,
-/// "stddev":..}, numbers in util::exact_number form.
-[[nodiscard]] std::string distribution_summary_json(
+/// The one list of distribution summary fields, shared by the metrics JSONL
+/// and the telemetry `sketches` section, in this order: count, p50, p90,
+/// p99, min, max, mean, stddev.
+[[nodiscard]] std::vector<std::pair<const char*, double>> distribution_summary(
     const MetricsSnapshot::DistributionValue& distribution);
 
 /// The registry. Most code uses the process-wide `global()` instance;

@@ -1,5 +1,6 @@
-// Master switch of the observability layer (src/obs): metrics registry,
-// phase profiler, and trace sink all key off the one runtime flag here.
+// Master switch of the observability layer (src/obs): the metrics registry,
+// the live phase stacks (obs/profiler.hpp) and the trace sink all key off
+// the one runtime flag here; starting telemetry or a trace capture sets it.
 //
 // Two layers of "off" keep the hot paths honest:
 //

@@ -7,7 +7,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "obs/trace.hpp"
@@ -15,23 +14,20 @@
 namespace dsa::obs {
 
 namespace {
-struct Accum {
-  std::uint64_t count = 0;
-  double total_ns = 0.0;
-};
 
 // Interned phase names: stable const char* per distinct name, never freed,
 // so a sampler thread can dereference a frame pointer it read from another
 // thread's live stack at any time. Phase names are a small fixed set of
 // mostly string literals; the thread-local cache makes the steady-state
-// intern one hash lookup with no lock.
+// intern one hash lookup with no lock and no allocation (its keys view the
+// interned storage).
 const char* intern_phase_name(std::string_view name) {
   static std::mutex mutex;
   static std::deque<std::string> storage;  // stable addresses
   static std::unordered_map<std::string_view, const char*> table;
-  thread_local std::unordered_map<std::string, const char*> cache;
+  thread_local std::unordered_map<std::string_view, const char*> cache;
 
-  if (const auto it = cache.find(std::string(name)); it != cache.end()) {
+  if (const auto it = cache.find(name); it != cache.end()) {
     return it->second;
   }
   const char* interned = nullptr;
@@ -45,26 +41,15 @@ const char* intern_phase_name(std::string_view name) {
       table.emplace(storage.back(), interned);
     }
   }
-  cache.emplace(std::string(name), interned);
+  cache.emplace(std::string_view(interned, name.size()), interned);
   return interned;
 }
 }  // namespace
 
-// One thread's open-span path plus its aggregation map. The path/stack
-// fields are owner-only; `totals` is guarded by `mutex` because report()
-// reads it from another thread (the owner locks it once per completed span,
-// and spans are coarse, so the lock never contends in steady state).
-//
-// live_frames/live_depth are the lock-free sampling view: the owner stores
-// an interned frame then publishes the new depth with release order; a
-// sampler acquires the depth and reads at most that many frames. The owner
-// never blocks on a sampler.
+// One thread's live phase stack. The owner stores an interned frame, then
+// publishes the new depth with release order; a sampler acquires the depth
+// and reads at most that many frames. The owner never blocks on a sampler.
 struct Profiler::ThreadState {
-  std::mutex mutex;
-  std::unordered_map<std::string, Accum> totals;
-
-  std::string path;  // owner-only: "a/b/c" of currently open spans
-
   std::atomic<std::uint32_t> live_depth{0};
   std::atomic<const char*> live_frames[Profiler::kMaxLiveDepth] = {};
 };
@@ -111,46 +96,10 @@ std::vector<std::string> Profiler::sample_live_stacks() const {
   return stacks;
 }
 
-PhaseReport Profiler::report() const {
-  std::unordered_map<std::string, Accum> merged;
-  {
-    std::lock_guard<std::mutex> lock(impl_->mutex);
-    for (const auto& state : impl_->states) {
-      std::lock_guard<std::mutex> state_lock(state->mutex);
-      for (const auto& [path, accum] : state->totals) {
-        Accum& into = merged[path];
-        into.count += accum.count;
-        into.total_ns += accum.total_ns;
-      }
-    }
-  }
-  PhaseReport result;
-  result.reserve(merged.size());
-  for (auto& [path, accum] : merged) {
-    result.push_back({path, accum.count, accum.total_ns / 1e6});
-  }
-  std::sort(result.begin(), result.end(),
-            [](const PhaseStat& a, const PhaseStat& b) {
-              return a.path < b.path;
-            });
-  return result;
-}
-
-void Profiler::reset() {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  for (const auto& state : impl_->states) {
-    std::lock_guard<std::mutex> state_lock(state->mutex);
-    state->totals.clear();
-  }
-}
-
 ScopedPhase::ScopedPhase(std::string_view name) {
   if (!enabled()) return;
   Profiler::ThreadState& state = Profiler::global().local_state();
   state_ = &state;
-  prev_len_ = state.path.size();
-  if (!state.path.empty()) state.path += '/';
-  state.path += name;
   // Publish the frame for wall-clock samplers: store the interned name,
   // then the grown depth with release order so an acquiring reader never
   // sees the depth before the frame.
@@ -161,26 +110,29 @@ ScopedPhase::ScopedPhase(std::string_view name) {
                                    std::memory_order_relaxed);
   }
   state.live_depth.store(depth + 1, std::memory_order_release);
-  start_ = std::chrono::steady_clock::now();
+  if (TraceSink::global().active()) {
+    traced_ = true;
+    start_ = std::chrono::steady_clock::now();
+  }
 }
 
 ScopedPhase::~ScopedPhase() {
   if (state_ == nullptr) return;
-  const auto end = std::chrono::steady_clock::now();
-  const double ns =
-      std::chrono::duration<double, std::nano>(end - start_).count();
-  {
-    std::lock_guard<std::mutex> lock(state_->mutex);
-    Accum& accum = state_->totals[state_->path];
-    accum.count += 1;
-    accum.total_ns += ns;
+  const std::uint32_t depth =
+      state_->live_depth.load(std::memory_order_relaxed);
+  if (traced_ && TraceSink::global().active()) {
+    const auto end = std::chrono::steady_clock::now();
+    // The slice is named by the open stack, outermost first: "a/b/c".
+    std::string path;
+    const std::uint32_t frames =
+        std::min<std::uint32_t>(depth, Profiler::kMaxLiveDepth);
+    for (std::uint32_t i = 0; i < frames; ++i) {
+      if (i != 0) path += '/';
+      path += state_->live_frames[i].load(std::memory_order_relaxed);
+    }
+    TraceSink::global().complete(path, start_, end);
   }
-  TraceSink& sink = TraceSink::global();
-  if (sink.active()) sink.complete(state_->path, start_, end);
-  state_->path.resize(prev_len_);
-  state_->live_depth.store(
-      state_->live_depth.load(std::memory_order_relaxed) - 1,
-      std::memory_order_release);
+  state_->live_depth.store(depth - 1, std::memory_order_release);
 }
 
 }  // namespace dsa::obs

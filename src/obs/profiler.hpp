@@ -1,15 +1,16 @@
-// RAII scoped-timer phase profiler.
+// Live phase stacks for the wall-clock flame sampler.
 //
-// `DSA_OBS_PHASE("sweep/quantify")` (or a ScopedPhase on the stack) times
-// the enclosing scope. Nested phases build hierarchical paths — a
-// "rank" phase inside a "run" phase aggregates under "run/rank" — and each
-// thread accumulates {count, total wall time} per path locally, so the hot
-// path costs two steady_clock reads plus one short lock of the thread's own
-// aggregation map per span (spans are coarse: per run / per task, never per
-// round). `Profiler::global().report()` merges every thread's totals.
+// `DSA_OBS_PHASE("sweep/quantify")` (or a ScopedPhase on the stack) marks
+// the enclosing scope. Each thread publishes its currently-open phases as a
+// small array of interned name pointers; `Profiler::sample_live_stacks()`
+// reads every thread's array without blocking it, and the flame sampler
+// (obs/flame) folds those reads into `outer;inner;leaf` counts. Entering
+// and leaving a phase is a relaxed store plus a release store of the depth:
+// no clock read, no lock, no allocation after a name's first use.
 //
-// When a TraceSink capture is active, each completed span is also emitted
-// as a Chrome trace-event slice, giving the same hierarchy on a timeline.
+// While a TraceSink capture is active, a phase also reads the steady clock
+// and, when it closes, emits a Chrome trace-event slice named by its
+// `outer/inner` path, giving the same hierarchy on a timeline.
 //
 // Everything is inert while `obs::enabled()` is false: constructing a
 // ScopedPhase is then a single predictable branch.
@@ -17,7 +18,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <filesystem>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,25 +26,14 @@
 
 namespace dsa::obs {
 
-/// Aggregated wall time of one phase path across all threads.
-struct PhaseStat {
-  std::string path;  // "parent/child" span hierarchy
-  std::uint64_t count = 0;
-  double total_ms = 0.0;
-};
-
-using PhaseReport = std::vector<PhaseStat>;
-
 class Profiler {
  public:
   /// Deepest phase nesting the live-stack view tracks. Deeper spans still
-  /// time correctly; they just stop contributing frames to samples.
+  /// nest correctly; they just stop contributing frames to samples and
+  /// trace slice names.
   static constexpr std::size_t kMaxLiveDepth = 32;
 
   static Profiler& global();
-
-  /// Merged per-path totals across every thread, sorted by path.
-  [[nodiscard]] PhaseReport report() const;
 
   /// Wall-clock sampling view: every thread's currently-open phase stack,
   /// folded as "outer;inner;leaf", threads with no open phase skipped.
@@ -54,9 +43,6 @@ class Profiler {
   /// may be off by its leaf frame; that is ordinary sampling skew, never
   /// a torn pointer.
   [[nodiscard]] std::vector<std::string> sample_live_stacks() const;
-
-  /// Drops all accumulated totals. Only call with no spans in flight.
-  void reset();
 
  private:
   friend class ScopedPhase;
@@ -69,8 +55,8 @@ class Profiler {
   Impl* impl_;
 };
 
-/// Times the enclosing scope under `name`, nested inside any phases already
-/// open on this thread. No-op when observability is disabled.
+/// Marks the enclosing scope as phase `name`, nested inside any phases
+/// already open on this thread. No-op when observability is disabled.
 class ScopedPhase {
  public:
   explicit ScopedPhase(std::string_view name);
@@ -80,7 +66,7 @@ class ScopedPhase {
 
  private:
   Profiler::ThreadState* state_ = nullptr;  // null when inactive
-  std::size_t prev_len_ = 0;
+  bool traced_ = false;  // a trace capture was active at entry
   std::chrono::steady_clock::time_point start_;
 };
 

@@ -15,7 +15,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
-#include "obs/profiler.hpp"
 #include "util/fingerprint.hpp"
 #include "util/fs.hpp"
 #include "util/json.hpp"
@@ -31,11 +30,6 @@ namespace dsa::obs {
 
 namespace {
 
-constexpr std::size_t kMaxShardList = 64;    // full id->state entries
-constexpr std::size_t kMaxShardStrip = 512;  // one-char-per-shard strip
-constexpr std::size_t kMaxPhasePaths = 8;    // top profiler paths per sample
-constexpr std::size_t kMaxSketchNames = 16;  // sketch summaries per sample
-
 std::int64_t unix_now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::system_clock::now().time_since_epoch())
@@ -50,50 +44,38 @@ std::int64_t current_pid() noexcept {
 #endif
 }
 
-char shard_char(ShardState state) noexcept {
-  switch (state) {
-    case ShardState::kTodo: return '.';
-    case ShardState::kRunning: return '>';
-    case ShardState::kDone: return '#';
-    case ShardState::kFailed: return 'x';
-    case ShardState::kResumed: return '=';
-  }
-  return '?';
-}
-
 // Tiny JSON-object builder: callers append `"key":value` pairs; commas and
-// braces are handled here. Output is one line, schema-v1 style like the
-// bench JSONs.
+// braces are handled here. Output is one line.
 struct JsonObject {
   std::string out = "{";
   bool first = true;
 
-  void sep(const char* key) {
+  void sep(std::string_view key) {
     if (!first) out += ',';
     first = false;
     out += '"';
-    out += key;
+    out += util::json::escape(key);
     out += "\":";
   }
-  void str(const char* key, std::string_view value) {
+  void str(std::string_view key, std::string_view value) {
     sep(key);
     out += '"';
     out += util::json::escape(value);
     out += '"';
   }
-  void num(const char* key, std::uint64_t value) {
+  void num(std::string_view key, std::uint64_t value) {
     sep(key);
     out += std::to_string(value);
   }
-  void num(const char* key, std::int64_t value) {
+  void num(std::string_view key, std::int64_t value) {
     sep(key);
     out += std::to_string(value);
   }
-  void num(const char* key, double value) {
+  void num(std::string_view key, double value) {
     sep(key);
     out += util::exact_number(value);
   }
-  void raw(const char* key, std::string_view json) {
+  void raw(std::string_view key, std::string_view json) {
     sep(key);
     out += json;
   }
@@ -103,18 +85,14 @@ struct JsonObject {
   }
 };
 
-}  // namespace
-
-const char* to_string(ShardState state) noexcept {
-  switch (state) {
-    case ShardState::kTodo: return "todo";
-    case ShardState::kRunning: return "running";
-    case ShardState::kDone: return "done";
-    case ShardState::kFailed: return "failed";
-    case ShardState::kResumed: return "resumed";
-  }
-  return "unknown";
+template <typename Map>
+std::string render_numbers(const Map& values) {
+  JsonObject object;
+  for (const auto& [key, value] : values) object.num(key, value);
+  return object.finish();
 }
+
+}  // namespace
 
 const char* to_string(RunHealth health) noexcept {
   switch (health) {
@@ -139,6 +117,44 @@ std::string sanitize_run_name(std::string_view name) {
   return out;
 }
 
+std::string render_sample(const StatusSample& s, std::string_view type) {
+  JsonObject out;
+  out.str("type", type);
+  out.num("schema", std::int64_t{kStatusSchema});
+  out.str("name", s.name);
+  out.str("kind", s.kind);
+  out.num("pid", s.pid);
+  out.str("state", s.state);
+  out.num("seq", s.seq);
+  out.str("spec_fp", s.spec_fp);
+  out.str("output", s.output);
+  out.str("phase", s.phase);
+  out.num("interval_ms", std::uint64_t{s.interval_ms});
+  out.num("started_unix_ms", s.started_unix_ms);
+  out.num("timestamp_unix_ms", s.timestamp_unix_ms);
+  out.num("uptime_sec", s.uptime_sec);
+  JsonObject jobs;
+  jobs.num("done", s.done);
+  jobs.num("total", s.total);
+  jobs.num("failed", s.failed);
+  out.raw("jobs", jobs.finish());
+  out.num("rate_per_sec", s.rate_per_sec);
+  out.num("eta_sec", s.eta_sec);
+  out.num("rss_kb", s.rss_kb);
+  out.num("peak_rss_kb", s.peak_rss_kb);
+  out.num("queue_depth", s.queue_depth);
+  out.str("last_error", s.last_error);
+  out.str("shards", s.shards);
+  out.raw("counters", render_numbers(s.counters));
+  out.raw("gauges", render_numbers(s.gauges));
+  JsonObject sketches;
+  for (const auto& [name, fields] : s.sketches) {
+    sketches.raw(name, render_numbers(fields));
+  }
+  out.raw("sketches", sketches.finish());
+  return out.finish();
+}
+
 // ---------------------------------------------------------------------------
 // Run state + sampler core.
 
@@ -157,7 +173,8 @@ struct TelemetryRun::State {
   std::uint32_t interval_ms = 1000;
   std::shared_ptr<struct SamplerCore> core;
 
-  // Hot, worker-facing: relaxed atomics only.
+  // Hot, worker-facing: relaxed atomics only (the pool pointer, set twice
+  // per run, is published with release/acquire).
   std::atomic<std::uint64_t> done{0};
   std::atomic<std::uint64_t> total{0};
   std::atomic<std::uint64_t> failed{0};
@@ -169,14 +186,12 @@ struct TelemetryRun::State {
   std::mutex mutex;
   std::string phase;
   std::string last_error;
-  std::vector<std::string> shard_labels;
-  std::vector<std::uint8_t> shard_states;
+  std::string shards;  // one ShardState character per shard
 
   // Sampler-private (guarded by SamplerCore::mutex).
   std::uint64_t seq = 0;
   std::uint64_t last_done = 0;
   std::int64_t last_sample_ms = 0;
-  std::map<std::string, std::uint64_t> last_counters;
 };
 
 namespace {
@@ -208,19 +223,32 @@ struct SamplerCore {
   }
 
   /// Samples either every live run (target == nullptr) or just `target`.
-  /// Shares one registry/profiler/proc-stat read across runs.
+  /// Shares one registry/proc-stat read across runs.
   void sample_all_locked(bool final, bool ok, RunState* target) {
-    const std::int64_t now_ms = unix_now_ms();
-    const auto steady_now = std::chrono::steady_clock::now();
-    const MetricsSnapshot snap = Registry::global().snapshot();
+    StatusSample shared;
+    shared.timestamp_unix_ms = unix_now_ms();
     const util::ProcStat mem = util::read_proc_stat();
-    const PhaseReport phases = Profiler::global().report();
+    shared.rss_kb = mem.rss_kb;
+    shared.peak_rss_kb = mem.peak_rss_kb;
+    const MetricsSnapshot snap = Registry::global().snapshot();
+    for (const auto& c : snap.counters) {
+      if (c.value != 0) shared.counters.emplace(c.name, c.value);
+    }
+    for (const auto& g : snap.gauges) shared.gauges.emplace(g.name, g.value);
+    for (const auto& distribution : snap.distributions) {
+      if (distribution.count() == 0) continue;
+      auto& fields = shared.sketches[distribution.name];
+      for (const auto& [key, value] : distribution_summary(distribution)) {
+        fields.emplace(key, value);
+      }
+    }
+    const auto steady_now = std::chrono::steady_clock::now();
     for (const auto& run : runs) {
       if (target != nullptr && run.get() != target) continue;
       if (target == nullptr && run->finished.load(std::memory_order_relaxed))
         continue;
       try {
-        write_sample(*run, final, ok, now_ms, steady_now, snap, mem, phases);
+        write_sample(*run, final, ok, steady_now, shared);
       } catch (...) {
         // Telemetry must never take the experiment down: a full disk or
         // unwritable status dir silently loses samples, nothing else.
@@ -233,240 +261,62 @@ struct SamplerCore {
     // done/failed heartbeat.
   }
 
-  void write_sample(RunState& run, bool final, bool ok, std::int64_t now_ms,
+  void write_sample(RunState& run, bool final, bool ok,
                     std::chrono::steady_clock::time_point steady_now,
-                    const MetricsSnapshot& snap, const util::ProcStat& mem,
-                    const PhaseReport& phases) {
-    const double uptime_sec =
+                    const StatusSample& shared) {
+    StatusSample s = shared;
+    s.name = run.name;
+    s.kind = run.kind;
+    s.pid = run.pid;
+    s.state = final ? (ok ? "done" : "failed") : "running";
+    s.seq = run.seq;
+    s.spec_fp = run.spec_fp_hex;
+    s.output = run.output;
+    s.interval_ms = run.interval_ms;
+    s.started_unix_ms = run.started_unix_ms;
+    s.uptime_sec =
         std::chrono::duration<double>(steady_now - run.started_steady).count();
-    const std::uint64_t done = run.done.load(std::memory_order_relaxed);
-    const std::uint64_t total = run.total.load(std::memory_order_relaxed);
-    const std::uint64_t failed = run.failed.load(std::memory_order_relaxed);
-    const auto* pool = run.pool.load(std::memory_order_relaxed);
-    const std::uint64_t queue_depth = pool != nullptr ? pool->pending_jobs() : 0;
+    s.done = run.done.load(std::memory_order_relaxed);
+    s.total = run.total.load(std::memory_order_relaxed);
+    s.failed = run.failed.load(std::memory_order_relaxed);
+    // Acquire pairs with watch_pool's release: the pool's construction
+    // happens-before the sampler reads its queue depth.
+    const auto* pool = run.pool.load(std::memory_order_acquire);
+    s.queue_depth = pool != nullptr ? pool->pending_jobs() : 0;
+    {
+      std::lock_guard run_lock(run.mutex);
+      s.phase = run.phase;
+      s.last_error = run.last_error;
+      s.shards = run.shards;
+    }
 
     // Windowed rate for display, cumulative average for the ETA (smoother
     // over bursty job completion).
-    const double avg_rate = uptime_sec > 0.0 ? done / uptime_sec : 0.0;
-    double rate = avg_rate;
+    const std::int64_t now_ms = s.timestamp_unix_ms;
+    const double avg_rate = s.uptime_sec > 0.0 ? s.done / s.uptime_sec : 0.0;
+    s.rate_per_sec = avg_rate;
     if (run.last_sample_ms > 0 && now_ms > run.last_sample_ms &&
-        done >= run.last_done) {
-      rate = (done - run.last_done) /
-             ((now_ms - run.last_sample_ms) / 1000.0);
+        s.done >= run.last_done) {
+      s.rate_per_sec = (s.done - run.last_done) /
+                       ((now_ms - run.last_sample_ms) / 1000.0);
     }
-    double eta_sec = -1.0;
-    if (!final && total > done && avg_rate > 0.0) {
-      eta_sec = (total - done) / avg_rate;
-    }
-    if (final) eta_sec = 0.0;
-
-    // Counter deltas since this run's previous sample.
-    std::map<std::string, std::uint64_t> counters;
-    for (const auto& c : snap.counters) {
-      if (c.value != 0) counters.emplace(c.name, c.value);
-    }
-    std::string counters_json = "{";
-    std::string deltas_json = "{";
-    {
-      bool first_c = true;
-      bool first_d = true;
-      for (const auto& [cname, value] : counters) {
-        if (!first_c) counters_json += ',';
-        first_c = false;
-        counters_json += '"';
-        counters_json += util::json::escape(cname);
-        counters_json += "\":";
-        counters_json += std::to_string(value);
-        const auto prev = run.last_counters.find(cname);
-        const std::uint64_t before =
-            prev == run.last_counters.end() ? 0 : prev->second;
-        if (value > before) {
-          if (!first_d) deltas_json += ',';
-          first_d = false;
-          deltas_json += '"';
-          deltas_json += util::json::escape(cname);
-          deltas_json += "\":";
-          deltas_json += std::to_string(value - before);
-        }
-      }
-    }
-    counters_json += '}';
-    deltas_json += '}';
-
-    std::string gauges_json = "{";
-    {
-      bool first_g = true;
-      for (const auto& g : snap.gauges) {
-        if (!first_g) gauges_json += ',';
-        first_g = false;
-        gauges_json += '"';
-        gauges_json += util::json::escape(g.name);
-        gauges_json += "\":";
-        gauges_json += util::exact_number(g.value);
-      }
-    }
-    gauges_json += '}';
-
-    // Swarm-health sketch summaries: constant-size per sample regardless of
-    // population. One distribution_summary_json object per non-empty
-    // registry distribution, in name order. Empty distributions and the
-    // section itself are omitted so runs without distribution feeds keep
-    // their historical schema bytes.
-    std::string sketches_json;
-    {
-      std::map<std::string_view, const MetricsSnapshot::DistributionValue*>
-          by_name;
-      for (const auto& distribution : snap.distributions) {
-        if (distribution.count() > 0) {
-          by_name[distribution.name] = &distribution;
-        }
-      }
-      std::size_t emitted = 0;
-      std::string body = "{";
-      for (const auto& [sname, distribution] : by_name) {
-        if (emitted >= kMaxSketchNames) break;
-        if (emitted++ > 0) body += ',';
-        body += '"';
-        body += util::json::escape(sname);
-        body += "\":";
-        body += distribution_summary_json(*distribution);
-      }
-      body += '}';
-      if (emitted > 0) sketches_json = std::move(body);
+    if (final) {
+      s.eta_sec = 0.0;
+    } else if (s.total > s.done && avg_rate > 0.0) {
+      s.eta_sec = (s.total - s.done) / avg_rate;
     }
 
-    // Copy the rarely-written strings/shards under the run's own lock.
-    std::string phase;
-    std::string last_error;
-    std::vector<std::string> shard_labels;
-    std::vector<std::uint8_t> shard_states;
-    {
-      std::lock_guard run_lock(run.mutex);
-      phase = run.phase;
-      last_error = run.last_error;
-      if (run.shard_states.size() <= kMaxShardList) {
-        shard_labels = run.shard_labels;
-      }
-      shard_states = run.shard_states;
-    }
-
-    std::uint64_t shard_counts[5] = {0, 0, 0, 0, 0};
-    std::string strip;
-    strip.reserve(std::min(shard_states.size(), kMaxShardStrip));
-    for (std::size_t i = 0; i < shard_states.size(); ++i) {
-      const auto s = shard_states[i] <= 4 ? shard_states[i] : 0;
-      ++shard_counts[s];
-      if (i < kMaxShardStrip)
-        strip += shard_char(static_cast<ShardState>(s));
-    }
-
-    const char* state_str = "running";
-    if (final) state_str = ok ? "done" : "failed";
-
-    // (a) Heartbeat: one atomically replaced JSON object.
-    JsonObject heartbeat;
-    heartbeat.str("type", "status");
-    heartbeat.num("schema", std::uint64_t{1});
-    heartbeat.str("name", run.name);
-    heartbeat.str("kind", run.kind);
-    heartbeat.num("pid", run.pid);
-    heartbeat.str("state", state_str);
-    heartbeat.num("seq", run.seq);
-    heartbeat.str("spec_fp", run.spec_fp_hex);
-    heartbeat.str("output", run.output);
-    heartbeat.str("phase", phase);
-    heartbeat.num("interval_ms", std::uint64_t{run.interval_ms});
-    heartbeat.num("started_unix_ms", run.started_unix_ms);
-    heartbeat.num("timestamp_unix_ms", now_ms);
-    heartbeat.num("uptime_sec", uptime_sec);
-    {
-      JsonObject jobs;
-      jobs.num("done", done);
-      jobs.num("total", total);
-      jobs.num("failed", failed);
-      heartbeat.raw("jobs", jobs.finish());
-    }
-    heartbeat.num("rate_per_sec", rate);
-    heartbeat.num("eta_sec", eta_sec);
-    heartbeat.num("rss_kb", mem.rss_kb);
-    heartbeat.num("peak_rss_kb", mem.peak_rss_kb);
-    heartbeat.num("queue_depth", queue_depth);
-    heartbeat.str("last_error", last_error);
-    if (!shard_states.empty()) {
-      JsonObject counts;
-      for (int s = 0; s < 5; ++s) {
-        counts.num(to_string(static_cast<ShardState>(s)), shard_counts[s]);
-      }
-      heartbeat.raw("shard_counts", counts.finish());
-      heartbeat.str("shard_strip", strip);
-      if (!shard_labels.empty()) {
-        std::string shards = "[";
-        for (std::size_t i = 0; i < shard_labels.size(); ++i) {
-          if (i > 0) shards += ',';
-          JsonObject shard;
-          shard.str("id", shard_labels[i]);
-          shard.str("state",
-                    to_string(static_cast<ShardState>(
-                        shard_states[i] <= 4 ? shard_states[i] : 0)));
-          shards += shard.finish();
-        }
-        shards += ']';
-        heartbeat.raw("shards", shards);
-      }
-    }
-    heartbeat.raw("counters", counters_json);
-    heartbeat.raw("gauges", gauges_json);
-    if (!sketches_json.empty()) heartbeat.raw("sketches", sketches_json);
-    util::atomic_write(run.status_path, heartbeat.finish() + "\n");
-
-    // (b) Time-series: append-only, so the series survives (and spans)
-    // crash/resume cycles. Skip the begin_run bootstrap sample (seq 0 is
-    // the baseline that zeroes the counter deltas).
+    util::atomic_write(run.status_path, render_sample(s, "status") + "\n");
+    // The series is append-only, so it survives (and spans) crash/resume
+    // cycles. The begin_run bootstrap sample (seq 0) only seeds the
+    // heartbeat.
     if (run.seq > 0 || final) {
-      JsonObject line;
-      line.str("type", "telemetry");
-      line.num("schema", std::uint64_t{1});
-      line.str("name", run.name);
-      line.num("pid", run.pid);
-      line.num("seq", run.seq);
-      line.num("timestamp_unix_ms", now_ms);
-      line.num("uptime_sec", uptime_sec);
-      line.str("phase", phase);
-      line.num("jobs_done", done);
-      line.num("jobs_total", total);
-      line.num("jobs_failed", failed);
-      line.num("rate_per_sec", rate);
-      line.num("rss_kb", mem.rss_kb);
-      line.num("peak_rss_kb", mem.peak_rss_kb);
-      line.num("queue_depth", queue_depth);
-      line.raw("counters_delta", deltas_json);
-      line.raw("gauges", gauges_json);
-      {
-        // Top phases by accumulated wall time; enough for a live flame
-        // summary without unbounded line growth.
-        PhaseReport top(phases);
-        std::stable_sort(top.begin(), top.end(),
-                         [](const PhaseStat& a, const PhaseStat& b) {
-                           return a.total_ms > b.total_ms;
-                         });
-        if (top.size() > kMaxPhasePaths) top.resize(kMaxPhasePaths);
-        JsonObject phase_obj;
-        for (const auto& p : top) {
-          phase_obj.num(p.path.c_str(), p.total_ms);
-        }
-        line.raw("phases_ms", phase_obj.finish());
-      }
-      if (!sketches_json.empty()) line.raw("sketches", sketches_json);
       std::ofstream series(run.timeseries_path,
                            std::ios::app | std::ios::binary);
-      if (series) {
-        series << line.finish() << '\n';
-        series.flush();
-      }
+      if (series) series << render_sample(s, "telemetry") << '\n';
     }
 
-    run.last_counters = std::move(counters);
-    run.last_done = done;
+    run.last_done = s.done;
     run.last_sample_ms = now_ms;
     ++run.seq;
   }
@@ -532,22 +382,20 @@ void TelemetryRun::set_last_error(std::string_view message) {
 
 void TelemetryRun::watch_pool(const util::ThreadPool* pool) {
   if (!state_) return;
-  state_->pool.store(pool, std::memory_order_relaxed);
+  state_->pool.store(pool, std::memory_order_release);
 }
 
-void TelemetryRun::init_shards(std::vector<std::string> labels) {
+void TelemetryRun::init_shards(std::size_t count) {
   if (!state_) return;
   std::lock_guard lock(state_->mutex);
-  state_->shard_states.assign(labels.size(),
-                              static_cast<std::uint8_t>(ShardState::kTodo));
-  state_->shard_labels = std::move(labels);
+  state_->shards.assign(count, static_cast<char>(ShardState::kTodo));
 }
 
 void TelemetryRun::set_shard_state(std::size_t index, ShardState state) {
   if (!state_) return;
   std::lock_guard lock(state_->mutex);
-  if (index < state_->shard_states.size()) {
-    state_->shard_states[index] = static_cast<std::uint8_t>(state);
+  if (index < state_->shards.size()) {
+    state_->shards[index] = static_cast<char>(state);
   }
 }
 
@@ -624,9 +472,9 @@ void Telemetry::configure(const TelemetryOptions& options) {
   }
   impl_->enabled.store(options.enabled, std::memory_order_relaxed);
   if (!options.enabled) return;
-  // Telemetry feeds off the metrics registry and profiler; make sure they
-  // are recording (no-op when compiled out — heartbeats still carry
-  // progress/RSS, just with empty counter sections).
+  // Telemetry feeds off the metrics registry; make sure it is recording
+  // (no-op when compiled out — heartbeats still carry progress/RSS, just
+  // with empty counter sections).
   set_enabled(true);
   {
     std::lock_guard lock(impl_->wake_mutex);
@@ -687,7 +535,7 @@ TelemetryRun Telemetry::begin_run(RunInfo info) {
              runs.end());
   runs.push_back(state);
   // Bootstrap sample: the heartbeat exists immediately (fast runs may
-  // finish inside one interval) and counter deltas get their baseline.
+  // finish inside one interval).
   impl_->core->sample_all_locked(/*final=*/false, /*ok=*/true, state.get());
   return TelemetryRun(state);
 }
@@ -699,179 +547,117 @@ void Telemetry::sample_now() { impl_->core->sample_all(); }
 
 namespace {
 
-const util::json::Value* find_field(const util::json::Value& root,
-                                    const char* key) {
-  return root.find(key);
+using util::json::Cursor;
+
+std::uint64_t as_u64(const Cursor& field) {
+  const std::int64_t value = field.as_int();
+  if (value < 0) field.fail("expected a count, got " + std::to_string(value));
+  return static_cast<std::uint64_t>(value);
 }
 
-std::string read_string(const util::json::Value& root, const char* key) {
-  const auto* v = find_field(root, key);
-  return v != nullptr && v->type == util::json::Value::Type::kString ? v->text
-                                                                     : "";
+// Member names of `object`, in file order; fails unless it is an object.
+std::vector<std::string> keys_of(const Cursor& object) {
+  if (!object.is_object()) {
+    object.fail(std::string("expected object, got ") +
+                object.value().type_name());
+  }
+  std::vector<std::string> keys;
+  for (const auto& member : object.value().members) {
+    keys.push_back(member.first);
+  }
+  return keys;
 }
 
-double read_double(const util::json::Value& root, const char* key,
-                   double fallback = 0.0) {
-  const auto* v = find_field(root, key);
-  return v != nullptr && v->type == util::json::Value::Type::kNumber
-             ? v->number
-             : fallback;
+// Reads `object[key]` through `read` into `into` when the key is present.
+template <typename T, typename Read>
+void read_field(const Cursor& object, const char* key, T& into, Read read) {
+  if (const auto field = object.try_key(key)) {
+    into = static_cast<T>(read(*field));
+  }
 }
 
-std::uint64_t read_u64(const util::json::Value& root, const char* key) {
-  const double d = read_double(root, key);
-  return d > 0.0 ? static_cast<std::uint64_t>(d) : 0;
-}
-
-std::int64_t read_i64(const util::json::Value& root, const char* key) {
-  return static_cast<std::int64_t>(read_double(root, key));
-}
+const auto as_string = [](const Cursor& c) { return c.as_string(); };
+const auto as_int = [](const Cursor& c) { return c.as_int(); };
+const auto as_double = [](const Cursor& c) { return c.as_double(); };
 
 }  // namespace
 
-StatusFile load_status_file(const std::filesystem::path& path) {
-  const util::json::Value root = util::json::parse_file(path);
-  if (root.type != util::json::Value::Type::kObject ||
-      read_string(root, "type") != "status") {
-    throw std::runtime_error(path.string() +
-                             ": not a telemetry status file (expected "
-                             "{\"type\":\"status\",...})");
+StatusSample parse_sample(const util::json::Value& root,
+                          std::string_view type, const std::string& origin) {
+  const Cursor c(root, origin);
+  const Cursor type_field = c.key("type");
+  if (type_field.as_string() != type) {
+    type_field.fail("expected \"" + std::string(type) + "\", got \"" +
+                    type_field.as_string() + "\"");
   }
-  StatusFile status;
-  status.path = path;
-  status.schema = static_cast<int>(read_i64(root, "schema"));
-  status.name = read_string(root, "name");
-  status.kind = read_string(root, "kind");
-  status.state = read_string(root, "state");
-  status.phase = read_string(root, "phase");
-  status.last_error = read_string(root, "last_error");
-  status.output = read_string(root, "output");
-  status.spec_fp = read_string(root, "spec_fp");
-  status.pid = read_i64(root, "pid");
-  status.seq = read_u64(root, "seq");
-  status.started_unix_ms = read_i64(root, "started_unix_ms");
-  status.timestamp_unix_ms = read_i64(root, "timestamp_unix_ms");
-  status.interval_ms = static_cast<std::uint32_t>(read_u64(root, "interval_ms"));
-  status.uptime_sec = read_double(root, "uptime_sec");
-  if (const auto* jobs = find_field(root, "jobs");
-      jobs != nullptr && jobs->type == util::json::Value::Type::kObject) {
-    status.done = read_u64(*jobs, "done");
-    status.total = read_u64(*jobs, "total");
-    status.failed = read_u64(*jobs, "failed");
+  const Cursor schema = c.key("schema");
+  if (schema.as_int() != kStatusSchema) {
+    schema.fail("unsupported schema " + std::to_string(schema.as_int()) +
+                " (this reader reads schema " +
+                std::to_string(kStatusSchema) + ")");
   }
-  status.rate_per_sec = read_double(root, "rate_per_sec");
-  status.eta_sec = read_double(root, "eta_sec", -1.0);
-  status.rss_kb = read_u64(root, "rss_kb");
-  status.peak_rss_kb = read_u64(root, "peak_rss_kb");
-  status.queue_depth = read_u64(root, "queue_depth");
-  if (const auto* shards = find_field(root, "shards");
-      shards != nullptr && shards->type == util::json::Value::Type::kArray) {
-    for (const auto& item : shards->items) {
-      if (item.type != util::json::Value::Type::kObject) continue;
-      status.shards.emplace_back(read_string(item, "id"),
-                                 read_string(item, "state"));
+  StatusSample s;
+  read_field(c, "name", s.name, as_string);
+  read_field(c, "kind", s.kind, as_string);
+  read_field(c, "pid", s.pid, as_int);
+  read_field(c, "state", s.state, as_string);
+  read_field(c, "seq", s.seq, as_u64);
+  read_field(c, "spec_fp", s.spec_fp, as_string);
+  read_field(c, "output", s.output, as_string);
+  read_field(c, "phase", s.phase, as_string);
+  read_field(c, "interval_ms", s.interval_ms, as_u64);
+  read_field(c, "started_unix_ms", s.started_unix_ms, as_int);
+  read_field(c, "timestamp_unix_ms", s.timestamp_unix_ms, as_int);
+  read_field(c, "uptime_sec", s.uptime_sec, as_double);
+  if (const auto jobs = c.try_key("jobs")) {
+    read_field(*jobs, "done", s.done, as_u64);
+    read_field(*jobs, "total", s.total, as_u64);
+    read_field(*jobs, "failed", s.failed, as_u64);
+  }
+  read_field(c, "rate_per_sec", s.rate_per_sec, as_double);
+  read_field(c, "eta_sec", s.eta_sec, as_double);
+  read_field(c, "rss_kb", s.rss_kb, as_u64);
+  read_field(c, "peak_rss_kb", s.peak_rss_kb, as_u64);
+  read_field(c, "queue_depth", s.queue_depth, as_u64);
+  read_field(c, "last_error", s.last_error, as_string);
+  read_field(c, "shards", s.shards, as_string);
+  if (const auto counters = c.try_key("counters")) {
+    for (const std::string& key : keys_of(*counters)) {
+      s.counters[key] = as_u64(counters->key(key));
     }
   }
-  if (const auto* counts = find_field(root, "shard_counts");
-      counts != nullptr && counts->type == util::json::Value::Type::kObject) {
-    for (const auto& [key, value] : counts->members) {
-      if (value.type == util::json::Value::Type::kNumber) {
-        status.shard_counts[key] =
-            static_cast<std::uint64_t>(value.number);
+  if (const auto gauges = c.try_key("gauges")) {
+    for (const std::string& key : keys_of(*gauges)) {
+      s.gauges[key] = gauges->key(key).as_double();
+    }
+  }
+  if (const auto sketches = c.try_key("sketches")) {
+    for (const std::string& name : keys_of(*sketches)) {
+      const Cursor fields = sketches->key(name);
+      for (const std::string& key : keys_of(fields)) {
+        s.sketches[name][key] = fields.key(key).as_double();
       }
     }
   }
-  if (const auto* counters = find_field(root, "counters");
-      counters != nullptr &&
-      counters->type == util::json::Value::Type::kObject) {
-    for (const auto& [key, value] : counters->members) {
-      if (value.type == util::json::Value::Type::kNumber) {
-        status.counters[key] = static_cast<std::uint64_t>(value.number);
-      }
-    }
-  }
-  if (const auto* gauges = find_field(root, "gauges");
-      gauges != nullptr && gauges->type == util::json::Value::Type::kObject) {
-    for (const auto& [key, value] : gauges->members) {
-      if (value.type == util::json::Value::Type::kNumber) {
-        status.gauges[key] = value.number;
-      }
-    }
-  }
-  if (const auto* sketches = find_field(root, "sketches");
-      sketches != nullptr &&
-      sketches->type == util::json::Value::Type::kObject) {
-    for (const auto& [sketch_name, fields] : sketches->members) {
-      if (fields.type != util::json::Value::Type::kObject) continue;
-      auto& into = status.sketches[sketch_name];
-      for (const auto& [key, value] : fields.members) {
-        if (value.type == util::json::Value::Type::kNumber) {
-          into[key] = value.number;
-        }
-      }
-    }
-  }
-  return status;
+  return s;
 }
 
-std::vector<TimeseriesSample> load_timeseries(
-    const std::filesystem::path& path) {
+StatusSample load_status_file(const std::filesystem::path& path) {
+  return parse_sample(util::json::parse_file(path), "status", path.string());
+}
+
+std::vector<StatusSample> load_timeseries(const std::filesystem::path& path) {
   std::ifstream in(path);
   if (!in) {
     throw std::runtime_error(path.string() + ": cannot open time-series file");
   }
-  std::vector<TimeseriesSample> samples;
+  std::vector<StatusSample> samples;
   std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
+  for (int line_no = 1; std::getline(in, line); ++line_no) {
     if (line.empty()) continue;
-    util::json::Value root;
-    try {
-      root = util::json::parse(line);
-    } catch (const std::exception& error) {
-      throw std::runtime_error(path.string() + ":" + std::to_string(line_no) +
-                               ": " + error.what());
-    }
-    if (root.type != util::json::Value::Type::kObject ||
-        read_string(root, "type") != "telemetry") {
-      continue;
-    }
-    TimeseriesSample sample;
-    sample.seq = read_u64(root, "seq");
-    sample.uptime_sec = read_double(root, "uptime_sec");
-    sample.jobs_done = read_u64(root, "jobs_done");
-    if (const auto* deltas = find_field(root, "counters_delta");
-        deltas != nullptr && deltas->type == util::json::Value::Type::kObject) {
-      for (const auto& [key, value] : deltas->members) {
-        if (value.type == util::json::Value::Type::kNumber) {
-          sample.counters_delta[key] =
-              static_cast<std::uint64_t>(value.number);
-        }
-      }
-    }
-    if (const auto* gauges = find_field(root, "gauges");
-        gauges != nullptr && gauges->type == util::json::Value::Type::kObject) {
-      for (const auto& [key, value] : gauges->members) {
-        if (value.type == util::json::Value::Type::kNumber) {
-          sample.gauges[key] = value.number;
-        }
-      }
-    }
-    if (const auto* sketches = find_field(root, "sketches");
-        sketches != nullptr &&
-        sketches->type == util::json::Value::Type::kObject) {
-      for (const auto& [sketch_name, fields] : sketches->members) {
-        if (fields.type != util::json::Value::Type::kObject) continue;
-        auto& into = sample.sketches[sketch_name];
-        for (const auto& [key, value] : fields.members) {
-          if (value.type == util::json::Value::Type::kNumber) {
-            into[key] = value.number;
-          }
-        }
-      }
-    }
-    samples.push_back(std::move(sample));
+    samples.push_back(parse_sample(
+        util::json::parse(line, path.string(), line_no), "telemetry",
+        path.string()));
   }
   return samples;
 }
@@ -886,7 +672,7 @@ bool pid_alive(std::int64_t pid) noexcept {
 #endif
 }
 
-RunHealth classify_status(const StatusFile& status, std::int64_t now_unix_ms,
+RunHealth classify_status(const StatusSample& status, std::int64_t now_unix_ms,
                           bool process_alive) noexcept {
   if (status.state == "done") return RunHealth::kDone;
   if (status.state == "failed") return RunHealth::kFailed;
@@ -899,7 +685,7 @@ RunHealth classify_status(const StatusFile& status, std::int64_t now_unix_ms,
   return RunHealth::kRunning;
 }
 
-RunHealth classify_status(const StatusFile& status) {
+RunHealth classify_status(const StatusSample& status) {
   return classify_status(status, unix_now_ms(), pid_alive(status.pid));
 }
 

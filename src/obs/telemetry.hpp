@@ -1,23 +1,28 @@
 // Live telemetry: a background sampler that makes running experiments
 // inspectable from the outside while they execute.
 //
-// Everything observability has produced so far (metrics JSONL, phase
-// reports, the flight recorder) is post-hoc: the artifacts appear when the
-// process exits. Long sweeps and swarm runs need the opposite — a cheap,
-// continuously refreshed view another process can attach to. This module
-// provides it with two artifacts per registered run:
+// Metrics JSONL, phase folds and the flight recorder appear when the
+// process exits. Long sweeps and swarm runs also need a cheap, continuously
+// refreshed view another process can attach to. One value type carries it,
+// StatusSample: run identity, phase, jobs done/total/failed, throughput,
+// ETA, RSS/peak-RSS, pool queue depth, one state character per shard, the
+// last error, and the metrics registry's cumulative counters, gauges and
+// sketch summaries. Each registered run keeps two artifacts of it, both
+// schema 2:
 //
-//  * `<dir>/<name>.status.json` — a heartbeat, atomically rewritten every
-//    sampling interval via util::atomic_write: pid, spec fingerprint,
-//    phase, jobs done/total/failed, throughput, ETA, RSS/peak-RSS, pool
-//    queue depth, per-shard progress, last error. `dsa_cli top` and
-//    `dsa_cli status` poll this file; staleness (pid gone, or heartbeat
-//    older than 3 intervals) is how a reader distinguishes a live run from
-//    a stalled or SIGKILLed one.
-//  * `<dir>/STATUS_<name>.timeseries.jsonl` — an append-only schema-v1
-//    time-series: one JSON line per sample with metric-counter deltas,
-//    gauges, and the top profiler phases. Resumed runs keep appending to
+//  * `<dir>/<name>.status.json` — the heartbeat: the latest sample written
+//    with "type":"status", atomically replaced every sampling interval via
+//    util::atomic_write. `dsa_cli status` polls it; staleness (pid gone, or
+//    heartbeat older than 3 intervals) is how a reader tells a live run
+//    from a stalled or SIGKILLed one.
+//  * `<dir>/STATUS_<name>.timeseries.jsonl` — the series: every sample
+//    appended as one line with "type":"telemetry". Counters are cumulative;
+//    a reader differences consecutive lines. Resumed runs keep appending to
 //    the same file, so the series spans crashes.
+//
+// One renderer (render_sample) writes both, and one parser (parse_sample)
+// reads both through util::json::Cursor: a wrong-typed field or a schema
+// other than 2 fails naming the file, line and `$.key` path.
 //
 // Determinism contract (same as the rest of src/obs, enforced by the
 // telemetry test suite): the sampler runs on its own thread, consumes no
@@ -42,6 +47,9 @@
 
 namespace dsa::util {
 class ThreadPool;
+namespace json {
+class Value;
+}  // namespace json
 }  // namespace dsa::util
 
 namespace dsa::obs {
@@ -53,16 +61,15 @@ struct TelemetryOptions {
   std::filesystem::path dir = "results";  // where status files land
 };
 
-/// Progress state of one shard (a scenario job).
-enum class ShardState : std::uint8_t {
-  kTodo = 0,
-  kRunning = 1,
-  kDone = 2,
-  kFailed = 3,
-  kResumed = 4,  // completed by a previous process, skipped on resume
+/// Progress state of one shard (a scenario job); the value is the
+/// character the shard string shows for it.
+enum class ShardState : char {
+  kTodo = '.',
+  kRunning = '>',
+  kDone = '#',
+  kFailed = 'x',
+  kResumed = '=',  // completed by a previous process, skipped on resume
 };
-
-[[nodiscard]] const char* to_string(ShardState state) noexcept;
 
 /// Identity of a run registered with the telemetry sampler.
 struct RunInfo {
@@ -98,7 +105,7 @@ class TelemetryRun {
   void add_failed(std::uint64_t n = 1);
   /// (Re)declares the total; 0 means unknown (no ETA).
   void set_total(std::uint64_t total);
-  /// Records the most recent error message (shown in heartbeat + top).
+  /// Records the most recent error message (shown in the heartbeat).
   void set_last_error(std::string_view message);
 
   /// Points the sampler at a pool whose queue depth to report. The pool
@@ -106,9 +113,9 @@ class TelemetryRun {
   /// destroyed (or finish the run first).
   void watch_pool(const util::ThreadPool* pool);
 
-  /// Declares the run's shards (chunk/job labels, in stable order) and
-  /// updates one shard's state. init_shards resets all states to kTodo.
-  void init_shards(std::vector<std::string> labels);
+  /// Declares `count` shards (jobs, in plan order), all kTodo, and updates
+  /// one shard's state.
+  void init_shards(std::size_t count);
   void set_shard_state(std::size_t index, ShardState state);
 
   /// Writes the final heartbeat (state "done"/"failed") and detaches from
@@ -163,27 +170,28 @@ class Telemetry {
 [[nodiscard]] std::string sanitize_run_name(std::string_view name);
 
 // ---------------------------------------------------------------------------
-// Reader side: parsing heartbeats back (dsa_cli top / status, tests).
+// The sample: written by the sampler, read back by `dsa_cli status`,
+// `dsa_cli report --health` and tests.
 
-/// One parsed heartbeat file. Absent fields keep their zero/empty
-/// defaults; unknown extra fields are ignored (schema may grow).
-struct StatusFile {
-  std::filesystem::path path;
-  int schema = 0;
+/// The schema both files carry.
+inline constexpr int kStatusSchema = 2;
+
+/// One telemetry sample of one run. Fields absent from a parsed file keep
+/// these defaults; unknown extra fields are ignored (the schema may grow).
+struct StatusSample {
   std::string name;
   std::string kind;
-  std::string state;  // "running" | "done" | "failed"
-  std::string phase;
-  std::string last_error;
-  std::string output;
-  std::string spec_fp;  // 16 hex digits (or empty)
   std::int64_t pid = 0;
+  std::string state;  // "running" | "done" | "failed"
   std::uint64_t seq = 0;
+  std::string spec_fp;  // 16 hex digits (or empty)
+  std::string output;
+  std::string phase;
+  std::uint32_t interval_ms = 0;
   std::int64_t started_unix_ms = 0;
   std::int64_t timestamp_unix_ms = 0;
-  std::uint32_t interval_ms = 0;
   double uptime_sec = 0.0;
-  std::uint64_t done = 0;
+  std::uint64_t done = 0;  // rendered as "jobs": {"done","total","failed"}
   std::uint64_t total = 0;
   std::uint64_t failed = 0;
   double rate_per_sec = 0.0;
@@ -191,13 +199,36 @@ struct StatusFile {
   std::uint64_t rss_kb = 0;
   std::uint64_t peak_rss_kb = 0;
   std::uint64_t queue_depth = 0;
-  std::vector<std::pair<std::string, std::string>> shards;  // id -> state
-  std::map<std::string, std::uint64_t> shard_counts;  // state -> count
-  std::map<std::string, std::uint64_t> counters;      // cumulative values
+  std::string last_error;
+  std::string shards;  // one ShardState character per shard, in job order
+  std::map<std::string, std::uint64_t> counters;  // cumulative values
   std::map<std::string, double> gauges;
   // Sketch summaries: name -> {"count","p50",...,"mean",...} field map.
   std::map<std::string, std::map<std::string, double>> sketches;
+
+  bool operator==(const StatusSample&) const = default;
 };
+
+/// Renders `sample` as one line of JSON (no newline) tagged with `type`:
+/// "status" for the heartbeat, "telemetry" for a series line.
+[[nodiscard]] std::string render_sample(const StatusSample& sample,
+                                        std::string_view type);
+
+/// Reads a rendered sample back. Throws util::json::SchemaError naming
+/// `origin`, the line and the `$.key` path when "type" is not `type`, the
+/// schema is not kStatusSchema, or a known field has the wrong type.
+[[nodiscard]] StatusSample parse_sample(const util::json::Value& root,
+                                        std::string_view type,
+                                        const std::string& origin);
+
+/// Parses a heartbeat file. Throws on unreadable, malformed or
+/// wrong-schema files, naming the path.
+[[nodiscard]] StatusSample load_status_file(const std::filesystem::path& path);
+
+/// Parses a time-series file in line order (blank lines skipped). Throws
+/// on the first malformed or wrong-schema line, naming path:line.
+[[nodiscard]] std::vector<StatusSample> load_timeseries(
+    const std::filesystem::path& path);
 
 /// Health classification of a run as seen through its heartbeat.
 enum class RunHealth : std::uint8_t {
@@ -210,42 +241,18 @@ enum class RunHealth : std::uint8_t {
 
 [[nodiscard]] const char* to_string(RunHealth health) noexcept;
 
-/// Parses a heartbeat file. Throws util::json::ParseError /
-/// std::runtime_error on unreadable or malformed files; schema mismatches
-/// (wrong "type") throw std::runtime_error naming the path.
-[[nodiscard]] StatusFile load_status_file(const std::filesystem::path& path);
-
-/// One parsed line of a STATUS_<name>.timeseries.jsonl file — the fields
-/// the health-timeline report consumes. Absent fields keep their zero
-/// defaults; unknown fields are ignored (schema may grow).
-struct TimeseriesSample {
-  std::uint64_t seq = 0;
-  double uptime_sec = 0.0;
-  std::uint64_t jobs_done = 0;
-  std::map<std::string, std::uint64_t> counters_delta;
-  std::map<std::string, double> gauges;
-  // Sketch summaries at this sample: name -> {"count","p50",...} field map.
-  std::map<std::string, std::map<std::string, double>> sketches;
-};
-
-/// Parses a telemetry time-series JSONL file in line order. Lines whose
-/// "type" is not "telemetry" are skipped; malformed JSON throws
-/// util::json::ParseError naming the offending line number via the path.
-[[nodiscard]] std::vector<TimeseriesSample> load_timeseries(
-    const std::filesystem::path& path);
-
 /// True when `pid` names a live process (signal-0 probe; EPERM counts as
 /// alive). Always false for pid <= 0.
 [[nodiscard]] bool pid_alive(std::int64_t pid) noexcept;
 
 /// Classifies a heartbeat given the reader's clock and a pid-liveness
 /// answer (injectable for tests).
-[[nodiscard]] RunHealth classify_status(const StatusFile& status,
+[[nodiscard]] RunHealth classify_status(const StatusSample& status,
                                         std::int64_t now_unix_ms,
                                         bool process_alive) noexcept;
 
 /// Convenience: classify with the real clock and a real pid probe.
-[[nodiscard]] RunHealth classify_status(const StatusFile& status);
+[[nodiscard]] RunHealth classify_status(const StatusSample& status);
 
 /// Expands a target into heartbeat paths: a regular file is returned
 /// as-is; a directory is scanned (non-recursively) for `*.status.json`,

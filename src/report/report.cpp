@@ -583,11 +583,11 @@ std::string render_fault_impact(std::span<const obs::Event> worst,
 }
 
 std::string render_health_timeline(
-    std::span<const obs::TimeseriesSample> samples) {
+    std::span<const obs::StatusSample> samples) {
   // Union of metric names and of each metric's field keys across all
   // samples, so a metric that appears mid-run still gets full columns.
   std::map<std::string, std::set<std::string>> fields_by_metric;
-  for (const obs::TimeseriesSample& sample : samples) {
+  for (const obs::StatusSample& sample : samples) {
     for (const auto& [metric, fields] : sample.sketches) {
       for (const auto& [key, value] : fields) {
         fields_by_metric[metric].insert(key);
@@ -624,7 +624,7 @@ std::string render_health_timeline(
     std::vector<std::string> header = {"sample", "uptime (s)"};
     header.insert(header.end(), columns.begin(), columns.end());
     util::TablePrinter table(header);
-    for (const obs::TimeseriesSample& sample : samples) {
+    for (const obs::StatusSample& sample : samples) {
       const auto entry = sample.sketches.find(metric);
       if (entry == sample.sketches.end()) continue;
       std::vector<std::string> row = {std::to_string(sample.seq),

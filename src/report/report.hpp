@@ -152,6 +152,6 @@ std::string render_fault_impact(std::span<const obs::Event> worst,
 /// columns — the `dsa_cli report --health` view. Pure function of the
 /// samples; renders a placeholder note when no sample carries sketches.
 std::string render_health_timeline(
-    std::span<const obs::TimeseriesSample> samples);
+    std::span<const obs::StatusSample> samples);
 
 }  // namespace dsa::report

@@ -100,7 +100,7 @@ RunReport run_scenario(const Plan& plan, const RunOptions& options) {
     return report;
   }
 
-  // Heartbeat + time-series for `dsa_cli top`/`status`: one shard per job.
+  // Heartbeat + time-series for `dsa_cli status`: one shard per job.
   // A pure observer — no RNG, no locks shared with job execution — so the
   // merged CSV stays byte-identical with telemetry on or off.
   obs::TelemetryRun telemetry = obs::Telemetry::global().begin_run(
@@ -110,12 +110,7 @@ RunReport run_scenario(const Plan& plan, const RunOptions& options) {
        .jobs_total = plan.jobs.size(),
        .output = plan.spec.output.string()});
   telemetry.set_phase("resume-check");
-  {
-    std::vector<std::string> labels;
-    labels.reserve(plan.jobs.size());
-    for (const Job& job : plan.jobs) labels.push_back(job.label);
-    telemetry.init_shards(std::move(labels));
-  }
+  telemetry.init_shards(plan.jobs.size());
 
   // Resume state: trusted manifest lines become pre-completed jobs; the
   // first untrusted byte onward is truncated away so appends never chase a

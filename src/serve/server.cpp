@@ -28,9 +28,10 @@ Server::Server(ServerOptions options)
       pool_(options_.threads != 0 ? options_.threads
                                   : util::ThreadPool::default_thread_count()),
       listener_(options_.socket_path) {
-  // The daemon's heartbeat: `dsa_cli top <status-dir>` watches the resident
-  // service exactly like a batch run — done counts queries answered, and
-  // the registry's serve.* counters ride along in the counters map.
+  // The daemon's heartbeat: `dsa_cli status <status-dir>` watches the
+  // resident service exactly like a batch run — done counts queries
+  // answered, and the registry's serve.* counters ride along in the
+  // counters map.
   telemetry_ = obs::Telemetry::global().begin_run(
       {.name = obs::sanitize_run_name("serve-" +
                                       options_.socket_path.stem().string()),

@@ -58,8 +58,8 @@ constexpr int kMaxDepth = 64;
 
 class Parser {
  public:
-  Parser(std::string_view text, std::string_view origin)
-      : text_(text), origin_(origin) {}
+  Parser(std::string_view text, std::string_view origin, int first_line)
+      : text_(text), origin_(origin), line_(first_line) {}
 
   Value parse_document() {
     skip_whitespace();
@@ -284,13 +284,13 @@ class Parser {
   std::string_view text_;
   std::string_view origin_;
   std::size_t pos_ = 0;
-  int line_ = 1;
+  int line_;
 };
 
 }  // namespace
 
-Value parse(std::string_view text, std::string_view origin) {
-  return Parser(text, origin).parse_document();
+Value parse(std::string_view text, std::string_view origin, int first_line) {
+  return Parser(text, origin, first_line).parse_document();
 }
 
 Value parse_file(const std::filesystem::path& path) {

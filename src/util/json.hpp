@@ -68,9 +68,11 @@ class Value {
 };
 
 /// Parses one JSON document; `origin` names the source in error messages
-/// (typically the file path). Throws ParseError on malformed input,
-/// duplicate object keys, or trailing content.
-Value parse(std::string_view text, std::string_view origin = "<json>");
+/// (typically the file path) and `first_line` is the source line `text`
+/// starts on (a JSONL reader passes each line's number). Throws ParseError
+/// on malformed input, duplicate object keys, or trailing content.
+Value parse(std::string_view text, std::string_view origin = "<json>",
+            int first_line = 1);
 
 /// Reads and parses a file; the path becomes the error origin. Throws
 /// std::runtime_error when the file cannot be read, ParseError on bad JSON.

@@ -7,7 +7,6 @@
 #include <atomic>
 #include <filesystem>
 #include <iterator>
-#include <mutex>
 #include <numeric>
 #include <vector>
 
@@ -187,25 +186,6 @@ TEST(PraEngine, OpponentSamplingPreservesExtremes) {
   const auto robustness = PraEngine(model, config).tournament(0.5);
   EXPECT_DOUBLE_EQ(robustness.back(), 1.0);   // strongest beats any sample
   EXPECT_DOUBLE_EQ(robustness.front(), 0.0);  // weakest loses to any sample
-}
-
-TEST(PraEngine, ProgressCallbackCoversAllProtocols) {
-  ToyModel model({1.0, 2.0, 3.0});
-  PraConfig config;
-  config.performance_runs = 1;
-  config.encounter_runs = 1;
-  // Workers may deliver their calls out of order; each count must still
-  // arrive exactly once.
-  std::mutex mutex;
-  std::vector<std::size_t> reported;
-  config.progress = [&](std::size_t done, std::size_t total) {
-    EXPECT_EQ(total, 3u);
-    std::lock_guard lock(mutex);
-    reported.push_back(done);
-  };
-  (void)PraEngine(model, config).raw_performance();
-  std::sort(reported.begin(), reported.end());
-  EXPECT_EQ(reported, (std::vector<std::size_t>{1, 2, 3}));
 }
 
 TEST(PraEngine, RejectsDegenerateConfigs) {

@@ -139,14 +139,8 @@ TEST(FlameOptions, EnvironmentParsingIsStrict) {
 
 /// Restores the global obs state so test order never matters.
 struct ObsStateGuard {
-  ObsStateGuard() {
-    obs::Profiler::global().reset();
-    obs::set_enabled(true);
-  }
-  ~ObsStateGuard() {
-    obs::set_enabled(false);
-    obs::Profiler::global().reset();
-  }
+  ObsStateGuard() { obs::set_enabled(true); }
+  ~ObsStateGuard() { obs::set_enabled(false); }
 };
 
 TEST(LiveStacks, NestAndUnwindOnTheCallingThread) {
@@ -169,6 +163,16 @@ TEST(LiveStacks, NestAndUnwindOnTheCallingThread) {
     }
     // inner closed: back to the one-frame stack.
     EXPECT_EQ(obs::Profiler::global().sample_live_stacks().at(0), "outer");
+  }
+  EXPECT_TRUE(obs::Profiler::global().sample_live_stacks().empty());
+}
+
+TEST(LiveStacks, DisabledPhasePublishesNoFrame) {
+  ObsStateGuard guard;
+  obs::set_enabled(false);
+  {
+    DSA_OBS_PHASE("ghost");
+    EXPECT_TRUE(obs::Profiler::global().sample_live_stacks().empty());
   }
   EXPECT_TRUE(obs::Profiler::global().sample_live_stacks().empty());
 }

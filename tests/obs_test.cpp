@@ -1,5 +1,5 @@
 // Tests for the observability layer: registry concurrency, snapshot merge
-// semantics, JSONL/trace output schemas, profiler hierarchy, and the
+// semantics, JSONL/trace output schemas, trace slice nesting, and the
 // determinism contract (instrumentation must never change a result bit).
 #include <gtest/gtest.h>
 
@@ -315,42 +315,15 @@ TEST(ObsConfig, SessionWritesOneArtifactPerLayerAndChangesNoResult) {
 
 #if DSA_OBS_COMPILED_IN
 
-// --- Profiler + trace (these toggle the process-global enabled flag) ------
+// --- Trace (toggles the process-global enabled flag) ---------------------
 
 /// Restores the global obs state so test order never matters.
 struct ObsStateGuard {
   ~ObsStateGuard() {
     obs::TraceSink::global().stop_and_write();
     obs::set_enabled(false);
-    obs::Profiler::global().reset();
   }
 };
-
-TEST(ObsProfiler, NestedPhasesAggregateUnderHierarchicalPaths) {
-  ObsStateGuard guard;
-  obs::Profiler::global().reset();
-  obs::set_enabled(true);
-  {
-    DSA_OBS_PHASE("outer");
-    { DSA_OBS_PHASE("inner"); }
-    { DSA_OBS_PHASE("inner"); }
-  }
-  const obs::PhaseReport report = obs::Profiler::global().report();
-  ASSERT_EQ(report.size(), 2u);
-  EXPECT_EQ(report[0].path, "outer");
-  EXPECT_EQ(report[0].count, 1u);
-  EXPECT_EQ(report[1].path, "outer/inner");
-  EXPECT_EQ(report[1].count, 2u);
-  EXPECT_GE(report[0].total_ms, report[1].total_ms);
-}
-
-TEST(ObsProfiler, DisabledPhasesRecordNothing) {
-  ObsStateGuard guard;
-  obs::Profiler::global().reset();
-  obs::set_enabled(false);
-  { DSA_OBS_PHASE("ghost"); }
-  EXPECT_TRUE(obs::Profiler::global().report().empty());
-}
 
 TEST(ObsTrace, CaptureWritesWellFormedChromeTraceJson) {
   ObsStateGuard guard;

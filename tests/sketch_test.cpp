@@ -352,7 +352,7 @@ TEST(DistributionExport, JsonlAndTelemetryAgreeWithinTheErrorBound) {
     for (double v : latencies) distribution.observe(v);
   }
   telemetry.sample_now();
-  const obs::StatusFile status =
+  const obs::StatusSample status =
       obs::load_status_file(dir / "export.status.json");
   const std::string jsonl = obs::Registry::global().snapshot().to_jsonl();
   run.finish(true);

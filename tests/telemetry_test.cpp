@@ -1,6 +1,7 @@
-// Tests for src/obs/telemetry: heartbeat + time-series schemas, the
-// sampler lifecycle (configure/begin_run/finish races), staleness
-// classification as `dsa_cli top`/`status` see it, and the determinism
+// Tests for src/obs/telemetry: the one sample schema (render/parse round
+// trip, rejection by name), the sampler lifecycle (configure/begin_run/
+// finish races), staleness classification as `dsa_cli status` sees it,
+// and the determinism
 // contract — telemetry on vs off, at any thread count, must never change
 // a result bit.
 #include <gtest/gtest.h>
@@ -134,7 +135,105 @@ TEST(TelemetryNames, SanitizeRunName) {
   EXPECT_EQ(obs::sanitize_run_name("A-Z_0.9"), "A-Z_0.9");
 }
 
-// --- heartbeat / time-series schemas ---------------------------------------
+// --- the sample schema ------------------------------------------------------
+
+obs::StatusSample every_field_set() {
+  obs::StatusSample s;
+  s.name = "demo";
+  s.kind = "sweep";
+  s.pid = 4242;
+  s.state = "running";
+  s.seq = 17;
+  s.spec_fp = "abcdef0123456789";
+  s.output = "results/demo \"quoted\".csv";
+  s.phase = "crunch";
+  s.interval_ms = 250;
+  s.started_unix_ms = 1'700'000'000'000;
+  s.timestamp_unix_ms = 1'700'000'004'321;
+  s.uptime_sec = 4.321;
+  s.done = 3;
+  s.total = 10;
+  s.failed = 1;
+  s.rate_per_sec = 0.1 + 0.2;  // not exactly representable in decimal
+  s.eta_sec = 12.5;
+  s.rss_kb = 51'200;
+  s.peak_rss_kb = 65'536;
+  s.queue_depth = 6;
+  s.last_error = "shard s1 wobbled\nline two";
+  s.shards = "#>.x=";
+  s.counters = {{"pra.tasks_completed", 1234}, {"serve.cache_hits", 2}};
+  s.gauges = {{"pra.tasks_per_sec", 1e-3 / 3.0}, {"negative", -2.5}};
+  s.sketches = {{"sim.score", {{"count", 1001.0}, {"p50", 0.5}, {"p99", 7.25},
+                               {"stddev", 1.0 / 7.0}}},
+                {"swarm.download_s", {{"count", 3.0}, {"max", 99.0}}}};
+  return s;
+}
+
+obs::StatusSample round_trip(const obs::StatusSample& sample,
+                             std::string_view type) {
+  return obs::parse_sample(
+      util::json::parse(obs::render_sample(sample, type), "<sample>"), type,
+      "<sample>");
+}
+
+TEST(TelemetrySample, ParseOfRenderIsIdentityForEveryField) {
+  const obs::StatusSample sample = every_field_set();
+  EXPECT_EQ(round_trip(sample, "status"), sample);
+  EXPECT_EQ(round_trip(sample, "telemetry"), sample);
+  // A default sample (no shards, no registry feeds, unknown ETA) too.
+  EXPECT_EQ(round_trip(obs::StatusSample{}, "status"), obs::StatusSample{});
+  // The type tag is checked: a series line is not a heartbeat.
+  EXPECT_THROW(
+      (void)obs::parse_sample(
+          util::json::parse(obs::render_sample(sample, "telemetry")),
+          "status", "<sample>"),
+      util::json::SchemaError);
+}
+
+// Expects `load` to throw naming `where` ("path:line") and `key` ($.path).
+template <typename Load>
+void expect_rejected(Load load, const std::string& where,
+                     const std::string& key) {
+  try {
+    load();
+    FAIL() << "expected a rejection naming " << key;
+  } catch (const util::json::SchemaError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(where + ": " + key + ":"), std::string::npos) << what;
+  }
+}
+
+TEST_F(TelemetryTest, MalformedFilesAreRejectedByName) {
+  std::string heartbeat = obs::render_sample(every_field_set(), "status");
+  const auto replace = [](std::string text, const std::string& from,
+                          const std::string& to) {
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+  };
+
+  // A wrong-typed jobs.done (it used to read silently as 0).
+  const fs::path bad_jobs = dir_ / "jobs.status.json";
+  std::ofstream(bad_jobs) << replace(heartbeat, "\"done\":3", "\"done\":\"3\"");
+  expect_rejected([&] { (void)obs::load_status_file(bad_jobs); },
+                  bad_jobs.string() + ":1", "$.jobs.done");
+
+  // A string in counters.
+  const fs::path bad_counter = dir_ / "counter.status.json";
+  std::ofstream(bad_counter) << replace(heartbeat, "\"serve.cache_hits\":2",
+                                        "\"serve.cache_hits\":\"two\"");
+  expect_rejected([&] { (void)obs::load_status_file(bad_counter); },
+                  bad_counter.string() + ":1", "$.counters.serve.cache_hits");
+
+  // A schema-1 line in a series names its line number.
+  const std::string line = obs::render_sample(every_field_set(), "telemetry");
+  const fs::path series = dir_ / "STATUS_old.timeseries.jsonl";
+  std::ofstream(series) << line << "\n"
+                        << replace(line, "\"schema\":2", "\"schema\":1")
+                        << "\n";
+  expect_rejected([&] { (void)obs::load_timeseries(series); },
+                  series.string() + ":2", "$.schema");
+}
 
 TEST_F(TelemetryTest, HeartbeatSchemaRoundTrips) {
   obs::Telemetry telemetry;
@@ -151,43 +250,39 @@ TEST_F(TelemetryTest, HeartbeatSchemaRoundTrips) {
 
   // begin_run writes the bootstrap heartbeat immediately (seq 0).
   const fs::path heartbeat = dir_ / "demo.status.json";
-  ASSERT_TRUE(fs::exists(heartbeat));
-  obs::StatusFile status = obs::load_status_file(heartbeat);
-  EXPECT_EQ(status.schema, 1);
-  EXPECT_EQ(status.name, "demo");
-  EXPECT_EQ(status.kind, "sweep");
-  EXPECT_EQ(status.state, "running");
+  obs::StatusSample status = obs::load_status_file(heartbeat);
+  EXPECT_EQ(status.seq, 0u);
   EXPECT_EQ(status.spec_fp, "abcdef0123456789");
   EXPECT_EQ(status.pid, static_cast<std::int64_t>(::getpid()));
-  EXPECT_EQ(status.total, 10u);
-  EXPECT_EQ(status.output, "results/demo.csv");
   EXPECT_EQ(status.interval_ms, kNeverFires);
 
   run.set_phase("crunch");
   run.add_done(3);
   run.add_failed(1);
-  run.init_shards({"s0", "s1", "s2"});
+  run.init_shards(3);
   run.set_shard_state(0, obs::ShardState::kDone);
   run.set_shard_state(1, obs::ShardState::kRunning);
+  run.set_shard_state(7, obs::ShardState::kFailed);  // out of range: ignored
   run.set_last_error("shard s1 wobbled");
   telemetry.sample_now();
 
+  // The heartbeat holds exactly what the run reported; the clock-, RSS-
+  // and registry-derived fields are the sampler's own.
   status = obs::load_status_file(heartbeat);
-  EXPECT_EQ(status.state, "running");
-  EXPECT_EQ(status.phase, "crunch");
-  EXPECT_EQ(status.done, 3u);
-  EXPECT_EQ(status.failed, 1u);
-  EXPECT_EQ(status.last_error, "shard s1 wobbled");
-  EXPECT_GE(status.seq, 1u);
+  obs::StatusSample expected = status;
+  expected.name = "demo";
+  expected.kind = "sweep";
+  expected.state = "running";
+  expected.seq = 1;
+  expected.output = "results/demo.csv";
+  expected.phase = "crunch";
+  expected.done = 3;
+  expected.total = 10;
+  expected.failed = 1;
+  expected.last_error = "shard s1 wobbled";
+  expected.shards = "#>.";
+  EXPECT_EQ(status, expected);
   EXPECT_GT(status.timestamp_unix_ms, 0);
-  ASSERT_EQ(status.shards.size(), 3u);
-  EXPECT_EQ(status.shards[0].first, "s0");
-  EXPECT_EQ(status.shards[0].second, "done");
-  EXPECT_EQ(status.shards[1].second, "running");
-  EXPECT_EQ(status.shards[2].second, "todo");
-  EXPECT_EQ(status.shard_counts.at("done"), 1u);
-  EXPECT_EQ(status.shard_counts.at("running"), 1u);
-  EXPECT_EQ(status.shard_counts.at("todo"), 1u);
 #if defined(__linux__)
   EXPECT_GT(status.rss_kb, 0u);  // /proc/self/status is available
 #endif
@@ -218,18 +313,17 @@ TEST_F(TelemetryTest, TimeseriesAppendsWithMonotoneSeq) {
   ASSERT_TRUE(fs::exists(series));
   const std::vector<util::json::Value> lines = read_jsonl(series);
   ASSERT_GE(lines.size(), 3u);  // two explicit samples + the final one
-  std::uint64_t last_seq = 0;
   for (const util::json::Value& line : lines) {
     ASSERT_EQ(line.find("type")->text, "telemetry");
-    EXPECT_EQ(line.find("schema")->number, 1.0);
-    EXPECT_EQ(line.find("name")->text, "series");
-    const auto seq =
-        static_cast<std::uint64_t>(line.find("seq")->number);
-    EXPECT_GT(seq, last_seq);  // strictly increasing, never repeats
-    last_seq = seq;
-    ASSERT_NE(line.find("jobs_done"), nullptr);
-    ASSERT_NE(line.find("timestamp_unix_ms"), nullptr);
-    ASSERT_NE(line.find("counters_delta"), nullptr);
+    EXPECT_EQ(line.find("schema")->number, 2.0);
+    ASSERT_NE(line.find("counters"), nullptr);
+    ASSERT_NE(line.find("rss_kb"), nullptr);
+  }
+  std::uint64_t last_seq = 0;
+  for (const obs::StatusSample& sample : obs::load_timeseries(series)) {
+    EXPECT_EQ(sample.name, "series");
+    EXPECT_GT(sample.seq, last_seq);  // strictly increasing, never repeats
+    last_seq = sample.seq;
   }
 
   // A later run with the same name appends — the series spans restarts.
@@ -240,33 +334,38 @@ TEST_F(TelemetryTest, TimeseriesAppendsWithMonotoneSeq) {
 }
 
 #if DSA_OBS_COMPILED_IN
-TEST_F(TelemetryTest, TimeseriesCountersAreDeltasNotTotals) {
+TEST_F(TelemetryTest, TimeseriesCountersAreCumulativeAndNeverDecrease) {
   obs::Telemetry telemetry;
   telemetry.configure(enabled_options());
   const obs::Counter ticks =
       obs::Registry::global().counter("telemetry_test.ticks");
+  const std::uint64_t before =
+      obs::Registry::global().snapshot().counter_value("telemetry_test.ticks");
 
-  // Pollute the counter BEFORE the run starts: the bootstrap sample must
-  // absorb it so the first emitted delta covers only the run itself.
+  // Counts from before the run stay in the cumulative value: a reader
+  // differences lines, and the first line's base is the process's own.
   ticks.add(1000);
   obs::TelemetryRun run =
-      telemetry.begin_run({.name = "deltas", .kind = "test"});
+      telemetry.begin_run({.name = "cumulative", .kind = "test"});
   ticks.add(7);
   telemetry.sample_now();
+  telemetry.sample_now();  // nothing counted in between: equal, not lower
   ticks.add(5);
   run.finish(true);
 
-  const std::vector<util::json::Value> lines =
-      read_jsonl(dir_ / "STATUS_deltas.timeseries.jsonl");
-  ASSERT_GE(lines.size(), 2u);
-  const util::json::Value* first =
-      lines[0].find("counters_delta")->find("telemetry_test.ticks");
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(first->number, 7.0);
-  const util::json::Value* final_delta =
-      lines.back().find("counters_delta")->find("telemetry_test.ticks");
-  ASSERT_NE(final_delta, nullptr);
-  EXPECT_EQ(final_delta->number, 5.0);
+  const std::vector<obs::StatusSample> samples =
+      obs::load_timeseries(dir_ / "STATUS_cumulative.timeseries.jsonl");
+  ASSERT_EQ(samples.size(), 3u);
+  EXPECT_EQ(samples.front().counters.at("telemetry_test.ticks"),
+            before + 1007);
+  EXPECT_EQ(samples.back().counters.at("telemetry_test.ticks"),
+            before + 1012);
+  for (std::size_t i = 1; i < samples.size(); ++i) {
+    for (const auto& [name, value] : samples[i - 1].counters) {
+      ASSERT_TRUE(samples[i].counters.count(name)) << name;
+      EXPECT_GE(samples[i].counters.at(name), value) << name;
+    }
+  }
 }
 #endif  // DSA_OBS_COMPILED_IN
 
@@ -280,7 +379,7 @@ TEST_F(TelemetryTest, FailedRunsAndErrorsReachTheHeartbeat) {
   run.set_last_error("job 1 exploded");
   run.finish(false);
 
-  const obs::StatusFile status =
+  const obs::StatusSample status =
       obs::load_status_file(dir_ / "boom.status.json");
   EXPECT_EQ(status.state, "failed");
   EXPECT_EQ(status.failed, 1u);
@@ -295,7 +394,7 @@ TEST_F(TelemetryTest, DisabledTelemetryIsInertAndWritesNothing) {
   EXPECT_FALSE(run.active());
   run.set_phase("x");
   run.add_done(5);
-  run.init_shards({"a"});
+  run.init_shards(1);
   run.set_shard_state(0, obs::ShardState::kDone);
   run.finish(true);
   telemetry.sample_now();
@@ -306,7 +405,7 @@ TEST_F(TelemetryTest, DisabledTelemetryIsInertAndWritesNothing) {
 // --- staleness classification ----------------------------------------------
 
 TEST(TelemetryHealth, ClassifiesRunningStalledDeadDoneFailed) {
-  obs::StatusFile status;
+  obs::StatusSample status;
   status.state = "running";
   status.interval_ms = 100;
   status.timestamp_unix_ms = 1'000'000;
@@ -406,7 +505,7 @@ TEST_F(TelemetryTest, ConfigureAndRunRegistrationRaceIsSafe) {
   // `finished` flipping and finish_run taking the core mutex, which
   // swallowed the final done/failed heartbeat.
   for (const fs::path& path : obs::find_status_files(dir_)) {
-    const obs::StatusFile status = obs::load_status_file(path);
+    const obs::StatusSample status = obs::load_status_file(path);
     EXPECT_TRUE(status.state == "done" || status.state == "failed")
         << path << " state=" << status.state;
   }
@@ -533,14 +632,13 @@ TEST_F(TelemetryTest, ScenarioRunEmitsHeartbeatLatencyAndIdenticalOutput) {
   EXPECT_EQ(read_file(dir_ / "off.csv"), read_file(dir_ / "on.csv"));
 
   // The telemetry-on run left a terminal heartbeat with full progress.
-  const obs::StatusFile status =
+  const obs::StatusSample status =
       obs::load_status_file(dir_ / "tele-grid.status.json");
   EXPECT_EQ(status.state, "done");
   EXPECT_EQ(status.kind, "evolution");
   EXPECT_EQ(status.done, 4u);
   EXPECT_EQ(status.total, 4u);
-  ASSERT_EQ(status.shards.size(), 4u);
-  for (const auto& [id, state] : status.shards) EXPECT_EQ(state, "done");
+  EXPECT_EQ(status.shards, "####");
 
   // Per-job wall times landed in the manifest ("ms", provenance-only) and
   // in the report's latency summary.

@@ -15,7 +15,7 @@
 //   DSA_OBS=record dsa_cli swarm --runs 3
 //   dsa_cli report results/RECORD_swarm.jsonl --table fig9
 //   DSA_OBS=status dsa_cli run examples/scenarios/pra_sweep.json
-//   dsa_cli top results            (attach a live monitor, ctrl-c to detach)
+//   dsa_cli status results --watch (attach a live monitor, ctrl-c to detach)
 //   dsa_cli status results --json  (one-shot health report for scripts/CI)
 //   dsa_cli serve --socket results/serve.sock   (resident query daemon)
 //   dsa_cli query examples/scenarios/pra_sweep.json --table
@@ -275,7 +275,7 @@ const util::HelpIndex& help_index() {
        "client. Completed jobs append to an on-disk JSONL store that\n"
        "pre-warms the cache on restart, so even a SIGKILLed daemon keeps\n"
        "its answers. The daemon heartbeats through the live-telemetry\n"
-       "sampler, so `dsa_cli top` and `dsa_cli status` can watch it.\n"
+       "sampler, so `dsa_cli status --watch` can watch it.\n"
        "Stop it with ctrl-c / SIGTERM or `dsa_cli query --shutdown`.\n\n"
        "flags:\n"
        "  --socket PATH  listening socket (default results/serve.sock);\n"
@@ -305,30 +305,32 @@ const util::HelpIndex& help_index() {
        "  --status       print the daemon's query/cache counters\n"
        "                 (--json for one machine-readable object)\n"
        "  --shutdown     ask the daemon to exit after in-flight queries\n"},
-      {"status", "one-shot health report over heartbeat files",
-       "usage: dsa_cli status [<status-file|results-dir>] [--json]\n\n"
+      {"status", "health of live runs, once or as a live monitor",
+       "usage: dsa_cli status [<status-file|results-dir>] [--json]\n"
+       "                      [--watch [--interval-ms N] [--frames N]]\n\n"
        "Read the heartbeat files live runs maintain under DSA_OBS=status\n"
-       "(default target: results/) and report each run's health:\n"
+       "(default target: results/) and show each run as a block: health,\n"
+       "phase, pid, uptime, heartbeat age, progress bar, throughput, ETA,\n"
+       "RSS, pool queue depth, shard string, sketch summaries and the last\n"
+       "error. Health is one of\n"
        "  RUNNING  pid alive, heartbeat fresh\n"
        "  STALLED  pid alive but no heartbeat for > 3 sampling intervals\n"
        "  DEAD     heartbeat says running but the pid is gone (SIGKILL)\n"
-       "  DONE     finished cleanly          FAILED  finished with errors\n\n"
-       "--json emits one machine-readable status_report object (schema 1)\n"
-       "for scripts and CI. Exit status: 0 when every run is RUNNING or\n"
+       "  DONE     finished cleanly          FAILED  finished with errors\n"
+       "Shard string: . todo  > running  # done  x failed  = resumed.\n"
+       "Purely an observer: it only reads the heartbeat files.\n\n"
+       "flags:\n"
+       "  --json           one machine-readable status_report object\n"
+       "                   (schema 1): each run is its heartbeat plus\n"
+       "                   \"health\" and \"path\"\n"
+       "  --watch          redraw every --interval-ms (default 1000) until\n"
+       "                   every run is DONE/FAILED/DEAD or --frames N\n"
+       "                   frames were drawn; a heartbeat that does not\n"
+       "                   parse is skipped for that frame\n\n"
+       "Exit status (of the last frame): 0 when every run is RUNNING or\n"
        "DONE, 1 when any run is STALLED, DEAD, or FAILED (or no heartbeat\n"
-       "files were found), 2 on unreadable/malformed heartbeats.\n"},
-      {"top", "attachable live monitor for running experiments",
-       "usage: dsa_cli top [<status-file|results-dir>] [--interval-ms N]\n"
-       "                   [--frames N] [--once]\n\n"
-       "Attach a read-only terminal monitor to the heartbeat files of runs\n"
-       "started with DSA_OBS=status (default target: results/). Each frame\n"
-       "shows per-run health, phase, progress bar, throughput, ETA, RSS,\n"
-       "pool queue depth, shard strip, and the last error, then redraws\n"
-       "every --interval-ms (default 1000). Purely an observer: it only\n"
-       "reads the heartbeat files and never touches the experiment.\n\n"
-       "Exits when every run reaches a terminal state (DONE/FAILED/DEAD),\n"
-       "after --frames N redraws, or immediately after one plain-text\n"
-       "frame with --once (no screen clearing; for logs and CI).\n"},
+       "files were found), 2 on an unreadable or malformed heartbeat\n"
+       "(named on stderr) outside --watch.\n"},
       {"help", "show per-command usage",
        "usage: dsa_cli help [command]\n\n"
        "Show the command list, or the detailed usage of one command.\n"},
@@ -348,7 +350,7 @@ std::string overview() {
          "\nrun `dsa_cli help <command>` for per-command flags and defaults."
          "\n\nobservability (every command): DSA_OBS=<comma list>\n"
          "  metrics               METRICS_<command>.jsonl registry snapshot\n"
-         "  status                live heartbeats for `dsa_cli top`/`status`\n"
+         "  status                live heartbeats for `dsa_cli status`\n"
          "  prof                  PROF_<command>.folded for `dsa_cli flame`\n"
          "  trace                 TRACE_<command>.json (ui.perfetto.dev)\n"
          "  record[=rounds|full]  RECORD_<command>.jsonl for `dsa_cli report`\n"
@@ -605,9 +607,9 @@ int cmd_swarm(const util::CliArgs& args) {
       std::clamp<std::size_t>(static_cast<std::size_t>(std::lround(
                                   fraction * 50.0)),
                               1, 49);
-  // Heartbeat for `dsa_cli top`: one shard-less run, one job per swarm run.
-  // The sampler never touches the simulation, so results are identical
-  // with telemetry on or off.
+  // Heartbeat for `dsa_cli status`: one shard-less run, one job per swarm
+  // run. The sampler never touches the simulation, so results are
+  // identical with telemetry on or off.
   obs::TelemetryRun telemetry = obs::Telemetry::global().begin_run(
       {.name = obs::sanitize_run_name("swarm_" + to_string(a) + "_vs_" +
                                       to_string(b)),
@@ -1095,7 +1097,7 @@ int cmd_report(const util::CliArgs& args) {
   }
   if (health) {
     try {
-      const std::vector<obs::TimeseriesSample> samples =
+      const std::vector<obs::StatusSample> samples =
           obs::load_timeseries(path);
       std::cout << report::render_health_timeline(samples);
       return 0;
@@ -1373,10 +1375,10 @@ int cmd_query(const util::CliArgs& args) {
 }
 
 // ---------------------------------------------------------------------------
-// `status` / `top`: read-only monitors over the heartbeat files live runs
-// maintain under DSA_OBS=status (src/obs/telemetry.hpp). Both only read
-// those files — they never signal or otherwise touch the monitored
-// processes, so attaching a monitor cannot change any result.
+// `status`: a read-only monitor over the heartbeat files live runs maintain
+// under DSA_OBS=status (src/obs/telemetry.hpp). It only reads those files —
+// it never signals or otherwise touches the monitored processes, so
+// attaching it cannot change any result.
 
 std::int64_t unix_now_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -1411,143 +1413,14 @@ std::string progress_bar(std::uint64_t done, std::uint64_t total,
   return bar;
 }
 
-char shard_strip_char(const std::string& state) {
-  if (state == "todo") return '.';
-  if (state == "running") return '>';
-  if (state == "done") return '#';
-  if (state == "failed") return 'x';
-  if (state == "resumed") return '=';
-  return '?';
-}
-
 bool terminal_health(obs::RunHealth health) {
   return health == obs::RunHealth::kDone ||
          health == obs::RunHealth::kFailed || health == obs::RunHealth::kDead;
 }
 
-int cmd_status(const util::CliArgs& args) {
-  std::string target = args.positional(0);
-  const bool json = args.has("json");
-  reject_unknown_flags(args);
-  if (target.empty()) target = "results";
-
-  const std::vector<std::filesystem::path> files =
-      obs::find_status_files(target);
-  const std::int64_t now = unix_now_ms();
-  bool parse_error = false;
-  std::vector<obs::StatusFile> statuses;
-  std::vector<obs::RunHealth> healths;
-  for (const std::filesystem::path& path : files) {
-    try {
-      obs::StatusFile status = obs::load_status_file(path);
-      healths.push_back(
-          obs::classify_status(status, now, obs::pid_alive(status.pid)));
-      statuses.push_back(std::move(status));
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "error: %s\n", error.what());
-      parse_error = true;
-    }
-  }
-
-  if (json) {
-    std::string out = "{\"type\":\"status_report\",\"schema\":1";
-    out += ",\"target\":\"" + util::json::escape(target) + "\"";
-    out += ",\"generated_unix_ms\":" + std::to_string(now);
-    out += ",\"runs\":[";
-    for (std::size_t i = 0; i < statuses.size(); ++i) {
-      const obs::StatusFile& s = statuses[i];
-      if (i != 0) out += ',';
-      out += "{\"name\":\"" + util::json::escape(s.name) + "\"";
-      out += ",\"kind\":\"" + util::json::escape(s.kind) + "\"";
-      out += ",\"health\":\"";
-      out += obs::to_string(healths[i]);
-      out += "\",\"state\":\"" + util::json::escape(s.state) + "\"";
-      out += ",\"phase\":\"" + util::json::escape(s.phase) + "\"";
-      out += ",\"pid\":" + std::to_string(s.pid);
-      out += ",\"seq\":" + std::to_string(s.seq);
-      out += ",\"jobs\":{\"done\":" + std::to_string(s.done);
-      out += ",\"total\":" + std::to_string(s.total);
-      out += ",\"failed\":" + std::to_string(s.failed) + "}";
-      out += ",\"rate_per_sec\":" + util::exact_number(s.rate_per_sec);
-      out += ",\"eta_sec\":" + util::exact_number(s.eta_sec);
-      out += ",\"rss_kb\":" + std::to_string(s.rss_kb);
-      out += ",\"peak_rss_kb\":" + std::to_string(s.peak_rss_kb);
-      out += ",\"queue_depth\":" + std::to_string(s.queue_depth);
-      out += ",\"uptime_sec\":" + util::exact_number(s.uptime_sec);
-      out += ",\"timestamp_unix_ms\":" + std::to_string(s.timestamp_unix_ms);
-      out += ",\"interval_ms\":" + std::to_string(s.interval_ms);
-      // Cumulative metric counters and gauges from the heartbeat, so CI
-      // can assert on feeds like serve.cache_hits without a daemon client.
-      out += ",\"counters\":{";
-      for (auto it = s.counters.begin(); it != s.counters.end(); ++it) {
-        if (it != s.counters.begin()) out += ',';
-        out += '"';
-        out += util::json::escape(it->first);
-        out += "\":";
-        out += std::to_string(it->second);
-      }
-      out += "},\"gauges\":{";
-      for (auto it = s.gauges.begin(); it != s.gauges.end(); ++it) {
-        if (it != s.gauges.begin()) out += ',';
-        out += '"';
-        out += util::json::escape(it->first);
-        out += "\":";
-        out += util::exact_number(it->second);
-      }
-      out += "}";
-      if (!s.spec_fp.empty()) {
-        out += ",\"spec_fp\":\"" + util::json::escape(s.spec_fp) + "\"";
-      }
-      if (!s.output.empty()) {
-        out += ",\"output\":\"" + util::json::escape(s.output) + "\"";
-      }
-      if (!s.last_error.empty()) {
-        out += ",\"last_error\":\"" + util::json::escape(s.last_error) + "\"";
-      }
-      out += ",\"path\":\"" + util::json::escape(s.path.string()) + "\"}";
-    }
-    out += "]}";
-    std::printf("%s\n", out.c_str());
-  } else if (statuses.empty()) {
-    std::fprintf(stderr,
-                 "no *.status.json under %s (start a run with "
-                 "DSA_OBS=status)\n",
-                 target.c_str());
-  } else {
-    util::TablePrinter table({"run", "kind", "health", "phase", "done",
-                              "total", "fail", "rate/s", "eta", "rss KB",
-                              "pid"});
-    for (std::size_t i = 0; i < statuses.size(); ++i) {
-      const obs::StatusFile& s = statuses[i];
-      table.add_row({s.name, s.kind, obs::to_string(healths[i]), s.phase,
-                     std::to_string(s.done), std::to_string(s.total),
-                     std::to_string(s.failed), util::fixed(s.rate_per_sec, 2),
-                     format_duration(s.eta_sec), std::to_string(s.rss_kb),
-                     std::to_string(s.pid)});
-    }
-    table.print(std::cout);
-    for (std::size_t i = 0; i < statuses.size(); ++i) {
-      if (!statuses[i].last_error.empty()) {
-        std::printf("%s last error: %s\n", statuses[i].name.c_str(),
-                    statuses[i].last_error.c_str());
-      }
-    }
-  }
-
-  if (parse_error) return 2;
-  if (statuses.empty()) return 1;
-  for (const obs::RunHealth health : healths) {
-    if (health != obs::RunHealth::kRunning &&
-        health != obs::RunHealth::kDone) {
-      return 1;
-    }
-  }
-  return 0;
-}
-
 // Renders one run as a small block of lines into `out`.
-void render_top_run(const obs::StatusFile& s, obs::RunHealth health,
-                    std::int64_t now, std::string* out) {
+void render_run(const obs::StatusSample& s, obs::RunHealth health,
+                std::int64_t now, std::string* out) {
   char line[512];
   const double beat_age =
       static_cast<double>(now - s.timestamp_unix_ms) / 1000.0;
@@ -1577,23 +1450,7 @@ void render_top_run(const obs::StatusFile& s, obs::RunHealth health,
                 static_cast<unsigned long long>(s.peak_rss_kb),
                 static_cast<unsigned long long>(s.queue_depth));
   *out += line;
-  if (!s.shards.empty()) {
-    std::string strip;
-    strip.reserve(s.shards.size());
-    for (const auto& [id, state] : s.shards) {
-      (void)id;
-      strip.push_back(shard_strip_char(state));
-    }
-    *out += "  shards: " + strip + "\n";
-  } else if (!s.shard_counts.empty()) {
-    *out += "  shards:";
-    for (const auto& [state, count] : s.shard_counts) {
-      std::snprintf(line, sizeof(line), " %llu %s",
-                    static_cast<unsigned long long>(count), state.c_str());
-      *out += line;
-    }
-    *out += "\n";
-  }
+  if (!s.shards.empty()) *out += "  shards: " + s.shards + "\n";
   // Sketch-backed health summaries (count first, then the quantile and
   // moment fields in map order).
   for (const auto& [metric, fields] : s.sketches) {
@@ -1614,62 +1471,97 @@ void render_top_run(const obs::StatusFile& s, obs::RunHealth health,
   }
 }
 
-int cmd_top(const util::CliArgs& args) {
+int cmd_status(const util::CliArgs& args) {
   std::string target = args.positional(0);
+  const bool json = args.has("json");
+  const bool watch = args.has("watch");
+  const bool timing = args.has("interval-ms") || args.has("frames");
   const auto interval_ms =
       static_cast<std::int64_t>(args.get_int("interval-ms", 1000));
   const auto frame_limit =
       static_cast<std::int64_t>(args.get_int("frames", 0));
-  const bool once = args.has("once");
   reject_unknown_flags(args);
   if (target.empty()) target = "results";
+  if (json && watch) usage("--json and --watch are mutually exclusive");
+  if (timing && !watch) usage("--interval-ms and --frames need --watch");
   if (interval_ms < 50) usage("--interval-ms must be >= 50");
   if (frame_limit < 0) usage("--frames must be >= 0");
 
-  bool rendered_any = false;
-  for (std::int64_t frame = 0;; ++frame) {
-    const std::vector<std::filesystem::path> files =
-        obs::find_status_files(target);
+  for (std::int64_t frame = 1;; ++frame) {
     const std::int64_t now = unix_now_ms();
-    std::string screen;
-    bool all_terminal = !files.empty();
-    std::size_t shown = 0;
-    for (const std::filesystem::path& path : files) {
-      obs::StatusFile status;
+    std::vector<obs::StatusSample> runs;
+    std::vector<obs::RunHealth> healths;
+    std::vector<std::filesystem::path> paths;
+    bool parse_error = false;
+    for (const std::filesystem::path& path : obs::find_status_files(target)) {
       try {
-        status = obs::load_status_file(path);
-      } catch (const std::exception&) {
-        // A heartbeat can be torn mid-write by a dying process; skip it
-        // this frame and try again on the next one.
-        all_terminal = false;
+        runs.push_back(obs::load_status_file(path));
+      } catch (const std::exception& error) {
+        // --watch skips a heartbeat torn mid-write by a dying process and
+        // tries again on the next frame; a one-shot report names it.
+        if (!watch) std::fprintf(stderr, "error: %s\n", error.what());
+        parse_error = true;
         continue;
       }
-      const obs::RunHealth health =
-          obs::classify_status(status, now, obs::pid_alive(status.pid));
-      if (!terminal_health(health)) all_terminal = false;
-      if (shown != 0) screen += "\n";
-      render_top_run(status, health, now, &screen);
-      ++shown;
+      healths.push_back(obs::classify_status(
+          runs.back(), now, obs::pid_alive(runs.back().pid)));
+      paths.push_back(path);
     }
-    if (shown == 0) {
+    int code = runs.empty() ? 1 : 0;
+    bool all_terminal = !runs.empty() && !parse_error;
+    for (const obs::RunHealth health : healths) {
+      if (health != obs::RunHealth::kRunning &&
+          health != obs::RunHealth::kDone) {
+        code = 1;
+      }
+      if (!terminal_health(health)) all_terminal = false;
+    }
+    if (parse_error && !watch) code = 2;
+
+    if (json) {
+      std::string out = "{\"type\":\"status_report\",\"schema\":1";
+      out += ",\"target\":\"" + util::json::escape(target) + "\"";
+      out += ",\"generated_unix_ms\":" + std::to_string(now);
+      out += ",\"runs\":[";
+      for (std::size_t i = 0; i < runs.size(); ++i) {
+        if (i != 0) out += ',';
+        std::string run = obs::render_sample(runs[i], "status");
+        run.pop_back();  // reopen the object for the reader's two fields
+        out += run + ",\"health\":\"" + obs::to_string(healths[i]) +
+               "\",\"path\":\"" + util::json::escape(paths[i].string()) +
+               "\"}";
+      }
+      out += "]}";
+      std::printf("%s\n", out.c_str());
+      return code;
+    }
+    std::string screen;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      if (i != 0) screen += "\n";
+      render_run(runs[i], healths[i], now, &screen);
+    }
+    if (!watch) {
+      if (runs.empty() && !parse_error) {
+        std::fprintf(stderr,
+                     "no *.status.json under %s (start a run with "
+                     "DSA_OBS=status)\n",
+                     target.c_str());
+      }
+      std::fputs(screen.c_str(), stdout);
+      return code;
+    }
+    if (runs.empty()) {
       screen = "waiting for *.status.json under " + target +
                " (start a run with DSA_OBS=status)\n";
-    } else {
-      rendered_any = true;
-    }
-    if (once) {
-      std::fputs(screen.c_str(), stdout);
-      return rendered_any ? 0 : 1;
     }
     // Home + clear-to-end redraw keeps the frame flicker-free on any TTY.
-    std::printf("\x1b[H\x1b[J%s\n(dsa_cli top: %s, every %lldms; ctrl-c to "
-                "detach)\n",
+    std::printf("\x1b[H\x1b[J%s\n(dsa_cli status --watch: %s, every %lldms; "
+                "ctrl-c to detach)\n",
                 screen.c_str(), target.c_str(),
                 static_cast<long long>(interval_ms));
     std::fflush(stdout);
-    if (all_terminal && shown != 0) return 0;
-    if (frame_limit > 0 && frame + 1 >= frame_limit) {
-      return rendered_any ? 0 : 1;
+    if (all_terminal || (frame_limit > 0 && frame >= frame_limit)) {
+      return code;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
   }
@@ -1734,7 +1626,6 @@ int dispatch(const std::string& command, const util::CliArgs& args) {
   if (command == "serve") return cmd_serve(args);
   if (command == "query") return cmd_query(args);
   if (command == "status") return cmd_status(args);
-  if (command == "top") return cmd_top(args);
   if (command == "help") return cmd_help(args);
   if (command == "version") return cmd_version(args);
   usage(command.empty() ? "missing command"
