@@ -1,24 +1,16 @@
-// Throughput harness for the fault-schedule explorer (src/explore): how fast
-// the bounded worst-case search covers its schedule space, split into the two
-// costs that matter — pure enumeration (walking ordinals with partial-order
-// pruning, no simulation) and full exploration (every canonical schedule
-// simulated through the pinned swarm run, the scenario runner's hot path).
+// Coverage experiment for the fault-schedule explorer (src/explore): the
+// bounded worst-case search covers its schedule space exactly, in two
+// passes — pure enumeration (walking ordinals with partial-order pruning,
+// no simulation) and full exploration (every canonical schedule simulated
+// through the pinned swarm run, the scenario runner's hot path). Both
+// passes print their throughput; perfbench's swarm-faults workload is the
+// timed benchmark of the simulation they share.
 //
 // The enumeration pass walks a deliberately larger domain than any committed
 // spec (8 templates x 12 ticks, <= 3 simultaneous faults: 100k+ schedules) so
 // the pruning ratio is measured where pruning actually pays. The simulation
 // pass runs the committed example spec's space (127 schedules, 20 leechers)
 // end to end, which is what `dsa_cli explore` spends its time on.
-//
-// BENCH_fault_explore.json (schema v1, via MetricsScope) records the wall
-// time per simulation repetition plus knobs:
-//   templates / grid / max_faults   enumeration-domain shape
-//   enum_total / enum_visited       closed-form space and canonical count
-//   pruning_ratio                   pruned / total over the enumeration pass
-//   enum_schedules_per_sec          ordinal walk throughput (no simulation)
-//   sim_schedules / sim_schedules_per_sec   explored-spec throughput
-//
-// Knobs: DSA_BENCH_EXPLORE_REPS  simulation repetitions (default 3)
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -28,7 +20,6 @@
 #include "scenario/explore_kind.hpp"
 #include "scenario/plan.hpp"
 #include "scenario/spec.hpp"
-#include "util/env.hpp"
 
 namespace {
 
@@ -81,9 +72,6 @@ int main() {
                 "== closed form) at throughput that keeps full exploration "
                 "an interactive-scale job");
 
-  const auto reps =
-      static_cast<std::size_t>(util::env_int("DSA_BENCH_EXPLORE_REPS", 3));
-
   // --- enumeration pass (no simulation) ---------------------------------
   const explore::Domain domain = enumeration_domain();
   const std::uint64_t space = explore::count_space(domain);
@@ -116,41 +104,21 @@ int main() {
   const std::uint64_t sim_space = explore::count_space(ctx.domain);
   std::uint64_t simulated = 0;
   double worst = 0.0;
-  double sim_seconds_total = 0.0;
-  for (std::size_t rep = 0; rep < reps; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    explore::for_each_schedule(
-        ctx.domain,
-        [&](std::uint64_t, const explore::Schedule& schedule) {
-          const double value = scenario::explore_value(
-              ctx, scenario::run_explore_schedule(ctx, schedule));
-          if (value > worst) worst = value;
-          ++simulated;
-        });
-    const double seconds = seconds_since(start);
-    sim_seconds_total += seconds;
-    metrics_scope.add_wall_ms(seconds * 1000.0);
-  }
-  const double sim_rate = sim_seconds_total > 0.0
-                              ? static_cast<double>(simulated) /
-                                    sim_seconds_total
-                              : 0.0;
-  std::printf("simulation:  %llu-schedule space, %zu rep(s), worst %s = "
-              "%.2f  %.3f s  %.1f schedules/sec\n",
-              static_cast<unsigned long long>(sim_space), reps,
-              explore::to_string(ctx.objective), worst, sim_seconds_total,
-              sim_rate);
-
-  metrics_scope.knob("templates", domain.templates.size());
-  metrics_scope.knob("grid", domain.ticks.size());
-  metrics_scope.knob("max_faults", domain.max_faults);
-  metrics_scope.knob("enum_total", static_cast<std::int64_t>(counts.total));
-  metrics_scope.knob("enum_visited",
-                     static_cast<std::int64_t>(counts.visited));
-  metrics_scope.knob("pruning_ratio", pruning_ratio);
-  metrics_scope.knob("enum_schedules_per_sec", enum_rate);
-  metrics_scope.knob("sim_schedules", static_cast<std::int64_t>(sim_space));
-  metrics_scope.knob("sim_schedules_per_sec", sim_rate);
+  const auto sim_start = std::chrono::steady_clock::now();
+  explore::for_each_schedule(
+      ctx.domain, [&](std::uint64_t, const explore::Schedule& schedule) {
+        const double value = scenario::explore_value(
+            ctx, scenario::run_explore_schedule(ctx, schedule));
+        if (value > worst) worst = value;
+        ++simulated;
+      });
+  const double sim_seconds = seconds_since(sim_start);
+  const double sim_rate =
+      sim_seconds > 0.0 ? static_cast<double>(simulated) / sim_seconds : 0.0;
+  std::printf("simulation:  %llu-schedule space, worst %s = %.2f  %.3f s  "
+              "%.1f schedules/sec\n",
+              static_cast<unsigned long long>(sim_space),
+              explore::to_string(ctx.objective), worst, sim_seconds, sim_rate);
 
   bench::verdict(counts_ok && pruning_ratio > 0.0 && worst > 0.0,
                  "exact space coverage (visited + pruned == closed form), "

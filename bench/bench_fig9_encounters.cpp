@@ -120,7 +120,6 @@ int main() {
 
   const auto runs = static_cast<std::size_t>(
       util::env_int("DSA_SWARM_RUNS", 10));
-  metrics_scope.knob("swarm_runs", runs);
 
   // The panels are extracted from the recording: arm the recorder unless
   // DSA_OBS=record already did.

@@ -1,7 +1,6 @@
 // Shared helpers for the figure/table bench binaries: PRA dataset access
 // (the DSA_* sweep scenario, whose output results/pra_results.csv is reused
-// when its provenance matches), the DSA_OBS session with its
-// standardized perf output (BENCH_<name>.json), and small formatting
+// when its provenance matches), the DSA_OBS session, and small formatting
 // utilities.
 //
 // Every bench prints (a) a short header with the experiment id and the
@@ -9,123 +8,40 @@
 // states whether the claim's *shape* reproduced at the current scale.
 #pragma once
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/config.hpp"
 #include "obs/metrics.hpp"
 #include "scenario/knobs.hpp"
 #include "scenario/runner.hpp"
-#include "stats/descriptive.hpp"
 #include "swarming/pra_dataset.hpp"
 #include "util/env.hpp"
-#include "util/fingerprint.hpp"
-#include "util/fs.hpp"
-#include "util/json.hpp"
 #include "util/proc_stat.hpp"
 #include "util/table_printer.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dsa::bench {
 
-/// Renders the shared BENCH_<name>.json schema: bench id, the env scale
-/// knobs plus any bench-specific ones, threads, and the wall-time
-/// distribution over the sample list (median / p10 / p90, milliseconds).
-/// tools/bench_compare diffs two of these files (or directories of them).
-inline std::string bench_json(
-    const std::string& name, const std::vector<double>& wall_ms,
-    const std::vector<std::pair<std::string, std::string>>& knobs) {
-  const std::size_t configured =
-      scenario::sweep_knobs_from_environment().threads;
-  // End-of-run memory footprint (zeros off-Linux). bench_compare reads only
-  // the fields it is asked about, so the extra object never breaks committed
-  // baselines.
-  const util::ProcStat mem = util::read_proc_stat();
-  const std::size_t threads =
-      configured == 0 ? util::ThreadPool::default_thread_count() : configured;
-  std::ostringstream out;
-  out << "{\"type\":\"bench\",\"schema\":1,\"bench\":\""
-      << util::json::escape(name) << "\",\"threads\":" << threads
-      << ",\"repetitions\":" << wall_ms.size() << ",\"wall_time_ms\":{"
-      << "\"median\":" << util::exact_number(stats::percentile(wall_ms, 0.5))
-      << ",\"p10\":" << util::exact_number(stats::percentile(wall_ms, 0.1))
-      << ",\"p90\":" << util::exact_number(stats::percentile(wall_ms, 0.9))
-      << "},\"mem_kb\":{\"rss\":" << mem.rss_kb
-      << ",\"peak\":" << mem.peak_rss_kb << "},\"knobs\":{";
-  bool first = true;
-  for (const auto& [key, json_value] : knobs) {
-    if (!first) out << ',';
-    first = false;
-    out << '"' << util::json::escape(key) << "\":" << json_value;
-  }
-  out << "}}\n";
-  return std::move(out).str();
-}
-
 /// RAII guard for bench mains: opens the DSA_OBS session (obs/config.hpp)
-/// named after the bench and, on every exit path, finishes it. With the
-/// `metrics` token it also writes the BENCH_<name>.json perf summary next
-/// to METRICS_<name>.jsonl. Benches with a real repetition loop feed
-/// per-repetition wall times through add_wall_ms(); otherwise the scope's
-/// own lifetime becomes the single sample.
+/// named after the bench and finishes it on every exit path. Under
+/// `metrics`, METRICS_<name>.jsonl also carries the process's end-of-run
+/// resident and peak resident set sizes.
 struct MetricsScope {
   explicit MetricsScope(const std::string& name)
-      : name_(name),
-        session_(environment_config(), name),
-        start_(std::chrono::steady_clock::now()) {}
-
-  /// One timed repetition, in milliseconds (steady-clock measured).
-  void add_wall_ms(double ms) { wall_ms_.push_back(ms); }
-
-  /// Bench-specific config knob for the BENCH json. The typed overloads
-  /// render the JSON value; keys appear in insertion order.
-  void knob(const std::string& key, std::int64_t value) {
-    knobs_.emplace_back(key, std::to_string(value));
-  }
-  void knob(const std::string& key, std::size_t value) {
-    knobs_.emplace_back(key, std::to_string(value));
-  }
-  void knob(const std::string& key, double value) {
-    knobs_.emplace_back(key, util::exact_number(value));
-  }
-  void knob(const std::string& key, const std::string& value) {
-    knobs_.emplace_back(key, '"' + util::json::escape(value) + '"');
-  }
+      : session_(environment_config(), name) {}
 
   ~MetricsScope() {
-    // A bench's perf summary must never turn a successful run into a crash:
-    // swallow I/O errors (e.g. a missing results/ dir on a read-only mount).
-    try {
-      if (session_.config().metrics) {
-        const util::ProcStat mem = util::read_proc_stat();
-        obs::Registry::global().gauge("proc.rss_kb").set(
-            static_cast<double>(mem.rss_kb));
-        obs::Registry::global().gauge("proc.peak_rss_kb").set(
-            static_cast<double>(mem.peak_rss_kb));
-      }
-      session_.finish();
-      if (session_.config().metrics) {
-        if (wall_ms_.empty()) {
-          const auto elapsed =
-              std::chrono::steady_clock::now() - start_;
-          wall_ms_.push_back(
-              std::chrono::duration<double, std::milli>(elapsed).count());
-        }
-        const std::filesystem::path path =
-            session_.artifact("BENCH_", ".json");
-        util::atomic_write(path, bench_json(name_, wall_ms_, knobs_));
-        std::fprintf(stderr, "[bench] wrote %s\n", path.string().c_str());
-      }
-    } catch (const std::exception& error) {
-      std::fprintf(stderr, "[bench] perf summary failed: %s\n", error.what());
+    if (session_.config().metrics) {
+      const util::ProcStat mem = util::read_proc_stat();
+      obs::Registry::global().gauge("proc.rss_kb").set(
+          static_cast<double>(mem.rss_kb));
+      obs::Registry::global().gauge("proc.peak_rss_kb").set(
+          static_cast<double>(mem.peak_rss_kb));
     }
+    session_.finish();
   }
   MetricsScope(const MetricsScope&) = delete;
   MetricsScope& operator=(const MetricsScope&) = delete;
@@ -142,11 +58,7 @@ struct MetricsScope {
     }
   }
 
-  std::string name_;
   obs::Session session_;
-  std::chrono::steady_clock::time_point start_;
-  std::vector<double> wall_ms_;
-  std::vector<std::pair<std::string, std::string>> knobs_;
 };
 
 /// The DSA_* scale knobs as a sweep spec (scenario/knobs.hpp). A bad knob

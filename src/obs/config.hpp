@@ -3,7 +3,7 @@
 // enabled layer writes one artifact under dir, named after the dsa_cli
 // command or bench (<name>):
 //
-//   metrics               METRICS_<name>.jsonl (benches: BENCH_<name>.json)
+//   metrics               METRICS_<name>.jsonl
 //   status                <run>.status.json + STATUS_<run>.timeseries.jsonl
 //   prof                  PROF_<name>.folded
 //   trace                 TRACE_<name>.json
@@ -56,11 +56,12 @@ class Session {
   /// Idempotent; also run by the destructor.
   void finish();
   [[nodiscard]] const Config& config() const noexcept { return config_; }
-  /// `<dir>/<prefix><name><extension>`, e.g. artifact("BENCH_", ".json").
+
+ private:
+  /// `<dir>/<prefix><name><extension>`, e.g. artifact("PROF_", ".folded").
   [[nodiscard]] std::filesystem::path artifact(
       std::string_view prefix, std::string_view extension) const;
 
- private:
   Config config_;
   std::string name_;
   bool finished_ = false;

@@ -8,8 +8,10 @@
 //    Instrumented code checks it once per coarse unit of work (per
 //    simulation run, per sweep task) and aggregates locally in between, so
 //    a disabled binary pays a branch per run, not per round. Measured on
-//    bench_sweep_throughput: < 2% (see EXPERIMENTS.md, "Observability
-//    overhead").
+//    `dsa_cli sweep`, 7 alternating runs per configuration: the disabled
+//    path's median was no slower than the compiled-out build's, within a
+//    run-to-run spread (4-17%) too wide to resolve 2% (EXPERIMENTS.md,
+//    "Observability overhead").
 //  * Compile time: building with -DDSA_TRACE=OFF defines
 //    DSA_OBS_COMPILED_IN=0, which turns `enabled()` into `constexpr false`
 //    and the DSA_OBS_PHASE macro into nothing — the instrumentation

@@ -54,6 +54,22 @@ swarming::SwarmingModel model_from_params(const ParamSet& params,
                                  swarming::BandwidthDistribution::piatek());
 }
 
+/// The PRA engine configuration a sweep's parameters describe. `threads`
+/// keeps the PraConfig default; the caller picks the pool.
+core::PraConfig sweep_pra_config(const ParamSet& params) {
+  core::PraConfig pra;
+  pra.population = static_cast<std::size_t>(params.get_int("population"));
+  pra.performance_runs =
+      static_cast<std::size_t>(params.get_int("performance_runs"));
+  pra.encounter_runs =
+      static_cast<std::size_t>(params.get_int("encounter_runs"));
+  pra.opponent_sample =
+      static_cast<std::size_t>(params.get_int("opponent_sample"));
+  pra.minority_fraction = params.get_double("minority_fraction");
+  pra.seed = static_cast<std::uint64_t>(params.get_int("seed"));
+  return pra;
+}
+
 JobRows execute_sweep(const Job& job) {
   const ParamSet& p = job.params;
   const swarming::SwarmingModel model =
@@ -327,20 +343,6 @@ JobRows execute_explore(const Job& job) {
 }
 
 }  // namespace
-
-core::PraConfig sweep_pra_config(const ParamSet& params) {
-  core::PraConfig pra;
-  pra.population = static_cast<std::size_t>(params.get_int("population"));
-  pra.performance_runs =
-      static_cast<std::size_t>(params.get_int("performance_runs"));
-  pra.encounter_runs =
-      static_cast<std::size_t>(params.get_int("encounter_runs"));
-  pra.opponent_sample =
-      static_cast<std::size_t>(params.get_int("opponent_sample"));
-  pra.minority_fraction = params.get_double("minority_fraction");
-  pra.seed = static_cast<std::uint64_t>(params.get_int("seed"));
-  return pra;
-}
 
 JobRows execute_job(const ScenarioSpec& spec, const Job& job) {
   DSA_OBS_PHASE("scenario/job");

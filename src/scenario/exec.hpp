@@ -8,7 +8,6 @@
 // worker count, of resume points, and of whether rows came from a cache.
 #pragma once
 
-#include "core/pra.hpp"
 #include "scenario/manifest.hpp"
 #include "scenario/plan.hpp"
 #include "util/csv.hpp"
@@ -20,10 +19,6 @@ namespace dsa::scenario {
 /// execution is single-threaded inside (a nested pool would deadlock the
 /// runner's). Throws on simulation errors.
 [[nodiscard]] JobRows execute_job(const ScenarioSpec& spec, const Job& job);
-
-/// The PRA engine configuration a sweep's parameters describe. `threads`
-/// keeps the PraConfig default; the caller picks the pool.
-[[nodiscard]] core::PraConfig sweep_pra_config(const ParamSet& params);
 
 /// Merges per-job rows (plan order, one entry per plan job) into the final
 /// output table. The sweep kind post-processes rows into the canonical

@@ -1,6 +1,5 @@
 // The DSA_* scale knobs as a `sweep` scenario: the one reader of these
-// variables, shared by `dsa_cli sweep`, the figure benches and
-// bench_sweep_throughput.
+// variables, shared by `dsa_cli sweep` and the figure benches.
 //
 //   DSA_ROUNDS          rounds per simulation       (default 120; paper 500)
 //   DSA_POPULATION      peers per simulation        (default 50;  paper 50)

@@ -1,6 +1,7 @@
 // Client side of the serve protocol: one connection, blocking
-// request/response helpers. Shared by `dsa_cli query` and bench_serve so
-// the CLI and the load test speak exactly the same bytes.
+// request/response helpers. Shared by `dsa_cli query`, the serve tests and
+// perfbench's serve-mix workload, so all of them speak exactly the same
+// bytes.
 #pragma once
 
 #include <cstdint>

@@ -20,6 +20,7 @@ CliArgs CliArgs::parse(int argc, const char* const* argv) {
       // path of `run spec.json`). Commands that take none reject it later
       // via unconsumed_positionals().
       args.positionals_.push_back(token);
+      args.positional_at_.push_back(i);
       ++i;
       continue;
     }
@@ -31,6 +32,7 @@ CliArgs CliArgs::parse(int argc, const char* const* argv) {
     if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       value = argv[i + 1];
       ++i;
+      args.bound_at_[name] = i;
     }
     args.flags_[name] = value;
     ++i;
@@ -43,6 +45,22 @@ bool CliArgs::has(const std::string& flag) const {
   const auto it = flags_.find(flag);
   if (it == flags_.end()) return false;
   consumed_[flag] = true;
+  const auto bound = bound_at_.find(flag);
+  if (bound != bound_at_.end()) {
+    const auto place = static_cast<std::size_t>(
+        std::upper_bound(positional_at_.begin(), positional_at_.end(),
+                         bound->second) -
+        positional_at_.begin());
+    if (place < positionals_asked_) {
+      throw std::logic_error("switch --" + flag +
+                             " read after the positional it shifts");
+    }
+    positionals_.insert(positionals_.begin() + place, it->second);
+    positional_at_.insert(positional_at_.begin() + place, bound->second);
+    positional_consumed_.insert(positional_consumed_.begin() + place, false);
+    it->second.clear();
+    bound_at_.erase(bound);
+  }
   return true;
 }
 
@@ -93,6 +111,7 @@ double CliArgs::get_double(const std::string& flag, double fallback) const {
 
 std::string CliArgs::positional(std::size_t i,
                                 const std::string& fallback) const {
+  positionals_asked_ = std::max(positionals_asked_, i + 1);
   if (i >= positionals_.size()) return fallback;
   positional_consumed_[i] = true;
   return positionals_[i];

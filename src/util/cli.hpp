@@ -19,7 +19,8 @@ class CliArgs {
   /// Parses argv (excluding argv[0]). Flags start with "--"; a flag is
   /// boolean when followed by another flag or the end, valued otherwise.
   /// Bare tokens after the subcommand become positionals, except a token
-  /// immediately following a flag, which binds as that flag's value.
+  /// immediately following a flag, which binds as that flag's value until
+  /// has() reads the flag as a switch (see there).
   /// Throws std::invalid_argument on malformed input (e.g. a duplicated
   /// flag).
   static CliArgs parse(int argc, const char* const* argv);
@@ -29,6 +30,11 @@ class CliArgs {
     return subcommand_;
   }
 
+  /// Reads `flag` as a boolean switch: whether it was given. A token the
+  /// parser bound after it becomes a positional again, at its original
+  /// place, so `plan --jobs spec.json` reads like `plan spec.json --jobs`.
+  /// Read switches before positionals: a switch that would shift a
+  /// positional already asked for throws std::logic_error.
   [[nodiscard]] bool has(const std::string& flag) const;
 
   /// Value of a flag; std::nullopt when absent, throws std::invalid_argument
@@ -65,10 +71,14 @@ class CliArgs {
  private:
   std::string subcommand_;
   // flag name (without "--") -> value ("" for boolean flags)
-  std::map<std::string, std::string> flags_;
-  std::vector<std::string> positionals_;
+  mutable std::map<std::string, std::string> flags_;
+  // flag name -> argv index of the bare token bound as its value
+  mutable std::map<std::string, int> bound_at_;
+  mutable std::vector<std::string> positionals_;
+  mutable std::vector<int> positional_at_;  // argv index of each positional
   mutable std::map<std::string, bool> consumed_;
   mutable std::vector<bool> positional_consumed_;
+  mutable std::size_t positionals_asked_ = 0;  // 1 + highest positional(i)
 };
 
 /// Help text for one subcommand: the one-line summary shown in the command

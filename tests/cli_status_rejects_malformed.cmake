@@ -27,6 +27,9 @@ endfunction()
 
 expect_run(2 "torn.status.json:1: $.jobs.done: expected number"
            status "${DIR}")
+# A switch before the directory leaves it the operand.
+expect_run(2 "torn.status.json:1: $.jobs.done: expected number"
+           status --json "${DIR}")
 expect_run(1 "" status "${DIR}" --watch --frames 1 --interval-ms 50)
 expect_run(2 "STATUS_torn.timeseries.jsonl:1: $.schema: unsupported schema 1"
            report --health "${DIR}/STATUS_torn.timeseries.jsonl")

@@ -91,6 +91,41 @@ TEST(CliArgs, ValueAfterBooleanFlagBindsToNextFlag) {
   EXPECT_EQ(args.get("b", ""), "value");
 }
 
+// `dsa_cli plan --jobs <spec>`: the spec bound after the switch returns to
+// the positionals once `plan` reads --jobs as a switch.
+TEST(CliArgs, PlanJobsSwitchBeforeSpecKeepsTheSpec) {
+  const CliArgs args = parse({"plan", "--jobs", "spec.json"});
+  EXPECT_TRUE(args.has("jobs"));
+  EXPECT_EQ(args.positional(0), "spec.json");
+  EXPECT_TRUE(args.unconsumed().empty());
+  EXPECT_TRUE(args.unconsumed_positionals().empty());
+}
+
+// `dsa_cli status --json DIR` reads DIR, not the default results/.
+TEST(CliArgs, StatusJsonSwitchBeforeDirKeepsTheDir) {
+  const CliArgs args = parse({"status", "--json", "runs/dir"});
+  EXPECT_TRUE(args.has("json"));
+  EXPECT_FALSE(args.has("watch"));
+  EXPECT_EQ(args.positional(0, "results"), "runs/dir");
+}
+
+TEST(CliArgs, ReleasedTokenTakesItsOriginalPlace) {
+  const CliArgs args =
+      parse({"cmd", "first", "--quiet", "second", "--out", "o", "third"});
+  EXPECT_TRUE(args.has("quiet"));
+  EXPECT_EQ(args.get("out", ""), "o");
+  ASSERT_EQ(args.positionals().size(), 3u);
+  EXPECT_EQ(args.positional(0), "first");
+  EXPECT_EQ(args.positional(1), "second");
+  EXPECT_EQ(args.positional(2), "third");
+}
+
+TEST(CliArgs, SwitchReadAfterThePositionalItShiftsThrows) {
+  const CliArgs args = parse({"plan", "--jobs", "spec.json"});
+  EXPECT_EQ(args.positional(0), "");
+  EXPECT_THROW((void)args.has("jobs"), std::logic_error);
+}
+
 TEST(HelpIndex, FindsCommandsAndAlignsList) {
   const dsa::util::HelpIndex index({
       {"run", "execute a scenario", "usage: run <spec.json>"},

@@ -406,6 +406,47 @@ TEST_F(ServeTest, ServedAnswerMatchesRunScenarioAndWarmHitIsIdentical) {
   EXPECT_EQ(counters.at("jobs_executed"), 2u);
 }
 
+TEST_F(ServeTest, ConcurrentWarmClientsGetByteIdenticalAnswers) {
+  // A mix of distinct specs (distinct seeds, so distinct job keys) answered
+  // cold over one connection, then replayed warm by concurrent clients,
+  // each on its own connection: every warm body must be the cold one.
+  constexpr int kSpecs = 3;
+  constexpr int kClients = 4;
+  constexpr int kRepeats = 3;
+  Daemon daemon(daemon_options(dir_, 2));
+  std::vector<std::string> cold(kSpecs);
+  {
+    serve::Client client(daemon.server().socket_path());
+    for (int i = 0; i < kSpecs; ++i) {
+      cold[i] = client.query(sweep_spec_text("q.csv", 100 + i)).body;
+      ASSERT_FALSE(cold[i].empty());
+    }
+  }
+  std::atomic<int> mismatches{0};
+  std::atomic<int> answered{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      serve::Client client(daemon.server().socket_path());
+      for (int rep = 0; rep < kRepeats; ++rep) {
+        for (int i = 0; i < kSpecs; ++i) {
+          const serve::Response warm =
+              client.query(sweep_spec_text("q.csv", 100 + i));
+          if (warm.body != cold[i] || warm.executed_jobs != 0) ++mismatches;
+          ++answered;
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  EXPECT_EQ(answered.load(), kClients * kRepeats * kSpecs);
+  EXPECT_EQ(mismatches.load(), 0);
+  const std::map<std::string, std::uint64_t> counters =
+      daemon.server().counters();
+  EXPECT_EQ(counters.at("jobs_executed"), 2u * kSpecs);
+  EXPECT_EQ(counters.at("cache_hits"), 2u * kClients * kRepeats * kSpecs);
+}
+
 TEST_F(ServeTest, CacheKeyIsThreadCountIndependent) {
   // Warm the cache with a single-threaded daemon.
   std::string warm_body;

@@ -40,17 +40,6 @@ struct Lcg {
   std::uint64_t state;
 };
 
-/// The exact-rank answer the distribution's cumulative walk targets:
-/// element of rank ceil(q*n) (1-indexed), i.e. the value whose cumulative
-/// count first reaches q*n.
-double exact_quantile(const std::vector<double>& sorted, double q) {
-  const double target = q * static_cast<double>(sorted.size());
-  std::size_t rank =
-      target <= 1.0 ? 1 : static_cast<std::size_t>(std::ceil(target));
-  rank = std::min(rank, sorted.size());
-  return sorted[rank - 1];
-}
-
 // --- shared bucket walk ---------------------------------------------------
 
 TEST(QuantileBucket, CumulativeWalkSkipsEmptyBuckets) {
@@ -111,6 +100,17 @@ TEST(MomentsSnapshot, DerivedStatisticsAndMerge) {
 #if DSA_OBS_COMPILED_IN
 
 // --- observe path (needs the runtime switch) ------------------------------
+
+/// The exact-rank answer the distribution's cumulative walk targets:
+/// element of rank ceil(q*n) (1-indexed), i.e. the value whose cumulative
+/// count first reaches q*n.
+double exact_quantile(const std::vector<double>& sorted, double q) {
+  const double target = q * static_cast<double>(sorted.size());
+  std::size_t rank =
+      target <= 1.0 ? 1 : static_cast<std::size_t>(std::ceil(target));
+  rank = std::min(rank, sorted.size());
+  return sorted[rank - 1];
+}
 
 /// Restores the global obs switch so test order never matters.
 struct ObsStateGuard {

@@ -425,6 +425,17 @@ TEST(EngineEquivalence, HomogeneousPopulation) {
                        quick(101, 200));
 }
 
+TEST(EngineEquivalence, HomogeneousPopulationScaling) {
+  // The sweep's population of 50 and the larger ones where the dense
+  // engine's O(n^2) terms dominate.
+  for (const std::size_t n : {std::size_t{50}, std::size_t{100},
+                              std::size_t{200}, std::size_t{400}}) {
+    SCOPED_TRACE("population " + std::to_string(n));
+    expect_engines_agree(std::vector<ProtocolSpec>(n, bittorrent_protocol()),
+                         quick(42, 120));
+  }
+}
+
 TEST(EngineEquivalence, MixedPopulationWithChurnAndRoundSeries) {
   ProtocolSpec freerider = bittorrent_protocol();
   freerider.allocation = AllocationPolicy::kFreeride;

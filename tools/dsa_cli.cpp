@@ -789,7 +789,7 @@ int cmd_evolve(const util::CliArgs& args) {
 
 int cmd_sweep(const util::CliArgs& args) {
   const std::string out = args.get("out", "");
-  const bool threads_given = args.has("threads");
+  const bool threads_given = args.value("threads").has_value();
   const auto threads = args.get_int("threads", 0);
   const bool force = args.has("force");
   const bool quiet = args.has("quiet");
@@ -843,8 +843,8 @@ int cmd_help(const util::CliArgs& args) {
 }
 
 int cmd_plan(const util::CliArgs& args) {
-  const std::string path = args.positional(0);
   const bool list_jobs = args.has("jobs");
+  const std::string path = args.positional(0);
   reject_unknown_flags(args);
   if (path.empty()) usage("plan needs a spec file: dsa_cli plan <spec.json>");
   try {
@@ -881,12 +881,12 @@ int cmd_plan(const util::CliArgs& args) {
 }
 
 int cmd_run(const util::CliArgs& args) {
-  const std::string path = args.positional(0);
   scenario::RunOptions options;
   options.threads = static_cast<std::size_t>(
       args.get_int("threads", util::env_int("DSA_THREADS", 0)));
   options.keep_manifest = args.has("keep-manifest");
   options.verbose = !args.has("quiet");
+  const std::string path = args.positional(0);
   reject_unknown_flags(args);
   if (path.empty()) usage("run needs a spec file: dsa_cli run <spec.json>");
   try {
@@ -1037,12 +1037,12 @@ int explore_postprocess(const scenario::Plan& plan,
 }
 
 int cmd_explore(const util::CliArgs& args) {
-  const std::string path = args.positional(0);
   scenario::RunOptions options;
   options.threads = static_cast<std::size_t>(
       args.get_int("threads", util::env_int("DSA_THREADS", 0)));
   options.keep_manifest = args.has("keep-manifest");
   options.verbose = !args.has("quiet");
+  const std::string path = args.positional(0);
   const std::string worst_out = args.get("worst-out", "");
   reject_unknown_flags(args);
   if (path.empty()) {
@@ -1078,16 +1078,7 @@ int cmd_explore(const util::CliArgs& args) {
 int cmd_report(const util::CliArgs& args) {
   const std::string table = args.get("table", "all");
   const bool health = args.has("health");
-  // `report --health <file>` binds the path as the flag's value while
-  // `report <file> --health` leaves it positional; accept both spellings.
-  std::string path = args.positional(0);
-  if (health && path.empty()) {
-    try {
-      path = args.get("health", "");
-    } catch (const std::invalid_argument&) {
-      // bare --health with no operand: fall through to the usage error
-    }
-  }
+  const std::string path = args.positional(0);
   reject_unknown_flags(args);
   if (path.empty()) {
     usage(health ? "report --health needs a time-series: dsa_cli report "
@@ -1276,7 +1267,6 @@ int cmd_serve(const util::CliArgs& args) {
 }
 
 int cmd_query(const util::CliArgs& args) {
-  const std::string spec_path = args.positional(0);
   const std::filesystem::path socket = args.get("socket", "results/serve.sock");
   const bool want_table = args.has("table");
   const std::string out = args.get("out", "");
@@ -1285,6 +1275,7 @@ int cmd_query(const util::CliArgs& args) {
   const bool status = args.has("status");
   const bool shutdown = args.has("shutdown");
   const bool json = args.has("json");
+  const std::string spec_path = args.positional(0);
   reject_unknown_flags(args);
   if (static_cast<int>(ping) + static_cast<int>(status) +
           static_cast<int>(shutdown) >
@@ -1472,10 +1463,11 @@ void render_run(const obs::StatusSample& s, obs::RunHealth health,
 }
 
 int cmd_status(const util::CliArgs& args) {
-  std::string target = args.positional(0);
   const bool json = args.has("json");
   const bool watch = args.has("watch");
-  const bool timing = args.has("interval-ms") || args.has("frames");
+  const bool timing =
+      args.value("interval-ms").has_value() || args.value("frames").has_value();
+  std::string target = args.positional(0);
   const auto interval_ms =
       static_cast<std::int64_t>(args.get_int("interval-ms", 1000));
   const auto frame_limit =
