@@ -48,7 +48,8 @@ int main() {
     const SwarmingModel model(sim, bandwidths);
 
     std::vector<double> perf(members.size());
-    util::ThreadPool pool;
+    // One lane per core: the workers and this thread.
+    util::ThreadPool pool(util::ThreadPool::default_thread_count() - 1);
     pool.parallel_for(members.size(), [&](std::size_t i) {
       double total = 0.0;
       for (std::size_t run = 0; run < runs; ++run) {

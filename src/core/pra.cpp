@@ -52,22 +52,22 @@ util::ThreadPool* PraEngine::pool() const {
   const std::size_t threads = config_.threads == 0
                                   ? util::ThreadPool::default_thread_count()
                                   : config_.threads;
-  if (threads == 1) return nullptr;
-  if (!owned_pool_) owned_pool_ = std::make_unique<util::ThreadPool>(threads);
+  // The calling thread is one of the `threads` lanes.
+  if (!owned_pool_) {
+    owned_pool_ = std::make_unique<util::ThreadPool>(threads - 1);
+  }
   return owned_pool_.get();
 }
 
 template <typename Fn>
 void PraEngine::run_grid(std::size_t total, Fn&& fn) const {
   util::ThreadPool* workers = pool();
-  if (workers == nullptr) {
-    for (std::size_t t = 0; t < total; ++t) fn(t);
-    return;
-  }
-  // Aim for ~32 chunks per worker so stragglers rebalance, but never let a
-  // chunk shrink to the point where the shared counter is hot.
-  const std::size_t grain = std::clamp<std::size_t>(
-      total / (workers->thread_count() * 32 + 1), 1, 64);
+  // Aim for ~32 chunks per lane (the workers and the caller) so stragglers
+  // rebalance, but never let a chunk shrink to the point where the shared
+  // counter is hot.
+  const std::size_t lanes = workers->thread_count() + 1;
+  const std::size_t grain =
+      std::clamp<std::size_t>(total / (lanes * 32 + 1), 1, 64);
   workers->parallel_for(total, std::forward<Fn>(fn), grain);
 }
 

@@ -62,7 +62,7 @@ struct ProtocolMetrics {
 /// Runs PRA over a model's whole protocol space.
 ///
 /// All scheduling goes through one ThreadPool — caller-provided or lazily
-/// owned, or none when one worker runs the grid inline — and every
+/// owned — whose parallel_for also runs tasks on the calling thread, and every
 /// experiment is flattened into a grid of independent per-simulation tasks,
 /// so one slow protocol never straggles a pass.
 /// Methods parallelize internally; the engine itself must not be driven from
@@ -75,10 +75,10 @@ class PraEngine {
   ///
   /// When `pool` is non-null the engine schedules every experiment on it
   /// (the pool must outlive the engine and config.threads is ignored);
-  /// otherwise the engine lazily creates its own pool with config.threads
-  /// workers (0 = hardware concurrency) on first use — unless that is one
-  /// worker, in which case every grid runs inline on the calling thread and
-  /// no thread is ever started.
+  /// otherwise the engine lazily creates its own pool on first use, so that
+  /// config.threads simulations run at once (0 = hardware concurrency): the
+  /// calling thread and config.threads - 1 workers. With threads = 1 every
+  /// grid runs on the calling thread and no thread is ever started.
   ///
   /// Construction only validates: opponent samples are drawn on demand, per
   /// protocol, by the methods that need them.
@@ -145,12 +145,11 @@ class PraEngine {
   [[nodiscard]] std::vector<std::uint32_t> opponent_table(
       std::uint32_t begin, std::uint32_t end) const;
 
-  /// The scheduler for config.threads workers: the caller's pool, the
-  /// lazily-built owned one, or nullptr when one worker means inline.
+  /// The scheduler: the caller's pool, or the lazily-built owned one with
+  /// config.threads - 1 workers (the calling thread is the last lane).
   [[nodiscard]] util::ThreadPool* pool() const;
 
-  /// Runs fn(t) for every t in [0, total) on pool(), or inline on the
-  /// calling thread when pool() is nullptr.
+  /// Runs fn(t) for every t in [0, total) on pool() and the calling thread.
   template <typename Fn>
   void run_grid(std::size_t total, Fn&& fn) const;
 

@@ -75,9 +75,9 @@ JobRows execute_sweep(const Job& job) {
   const swarming::SwarmingModel model =
       model_from_params(p, p.get_double("churn"));
   core::PraConfig pra = sweep_pra_config(p);
-  // Jobs already run concurrently on the runner's pool; a nested pool here
-  // would deadlock it. threads=1 runs the engine's grid inline on this
-  // worker without starting a thread — and per-item seeding keeps the
+  // Jobs already run concurrently on the runner's pool; a nested pool would
+  // only oversubscribe the cores. threads=1 runs the engine's grid on this
+  // thread without starting another — and per-item seeding keeps the
   // numbers identical to any other scheduling. The engine draws opponent
   // samples only for the protocols this job quantifies.
   pra.threads = 1;

@@ -9,7 +9,7 @@
 //   DSA_SEED            master seed                 (default 2011)
 //   DSA_FULL=1          shorthand for the paper-fidelity values above
 //   DSA_RESULTS         dataset path (default results/pra_results.csv)
-//   DSA_THREADS         worker threads              (default: hardware)
+//   DSA_THREADS         jobs run at once            (default: hardware)
 //
 // The knobs become JSON text that parse_scenario_text validates, so the
 // sweep kind's parameter table range-checks every value. An unset knob

@@ -196,7 +196,9 @@ RunReport run_scenario(const Plan& plan, const RunOptions& options) {
           ? options.threads
           : (plan.spec.threads != 0 ? plan.spec.threads
                                     : util::ThreadPool::default_thread_count());
-  util::ThreadPool pool(threads);
+  // The calling thread runs jobs too (parallel_for), so `threads` jobs run
+  // at once on threads - 1 workers.
+  util::ThreadPool pool(threads - 1);
   telemetry.watch_pool(&pool);
   // Declared after the pool, so its destructor clears the queue-depth watch
   // before the pool goes away on every exit path (including exceptions).

@@ -29,7 +29,8 @@
 namespace dsa::scenario {
 
 struct RunOptions {
-  /// Worker threads; 0 = spec.threads, which itself defaults to hardware
+  /// Jobs run at once, the calling thread included (the pool starts one
+  /// worker fewer); 0 = spec.threads, which itself defaults to hardware
   /// concurrency. Never affects the output bytes.
   std::size_t threads = 0;
   /// Progress meter + resume notes on stderr.

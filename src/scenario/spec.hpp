@@ -84,8 +84,9 @@ struct ScenarioSpec {
   std::string name;
   Kind kind = Kind::kSweep;
   std::filesystem::path output;
-  /// Worker threads for the job runner; 0 = hardware concurrency. Not part
-  /// of the fingerprint: results are thread-count independent.
+  /// Jobs the runner runs at once, its calling thread included; 0 =
+  /// hardware concurrency. Not part of the fingerprint: results are
+  /// thread-count independent.
   std::size_t threads = 0;
   /// Retries after a job's first failed attempt.
   std::size_t retries = 1;

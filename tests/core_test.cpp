@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <iterator>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "core/design_space.hpp"
@@ -274,6 +275,24 @@ TEST(PraEngine, SingleThreadQuantifyStartsNoThread) {
   ASSERT_EQ(metrics.size(), 1u);
   EXPECT_DOUBLE_EQ(metrics[0].raw_performance, 3.0);
   EXPECT_EQ(metrics[0].robustness, engine.win_rate_of(2, 0.5));
+}
+
+TEST(PraEngine, ThreadsCountTheCallingThread) {
+  ToyModel model({1.0, 2.0, 3.0, 4.0});
+  PraConfig config;
+  config.performance_runs = 2;
+  config.encounter_runs = 2;
+  config.opponent_sample = 2;
+  config.threads = 3;
+  // A sanitizer runtime starts its own helper thread at the first thread
+  // creation; start it before taking the baseline.
+  std::thread([] {}).join();
+  const std::size_t before = process_thread_count();
+  const PraEngine engine(model, config);
+  (void)engine.quantify(2, 3);
+  // The pool quantify built lives as long as the engine: 3 lanes are this
+  // thread and 2 workers.
+  EXPECT_EQ(process_thread_count(), before + 2);
 }
 
 TEST(DeriveSeed, DistinguishesEveryCoordinate) {

@@ -5,10 +5,16 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <latch>
+#include <memory>
 #include <numeric>
 #include <sstream>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/csv.hpp"
@@ -401,6 +407,110 @@ TEST(ThreadPool, ChunkedParallelForExceptionSkipsRestOfChunkOnly) {
   std::atomic<int> count{0};
   pool.parallel_for(8, [&](std::size_t) { ++count; }, /*grain=*/3);
   EXPECT_EQ(count.load(), 8);
+}
+
+TEST(ThreadPool, ZeroWorkersRunEverythingOnTheCaller) {
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.thread_count(), 0u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(100);
+  pool.parallel_for(100, [&](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  }, /*grain=*/3);
+  for (const auto& id : ran_on) EXPECT_EQ(id, caller);
+  EXPECT_THROW(pool.submit([] {}), std::logic_error);
+}
+
+// A regression in these tests would block forever; each waits with a
+// deadline instead, so it fails.
+constexpr auto kHangTimeout = std::chrono::seconds(20);
+
+TEST(ThreadPool, ParallelForCompletesOnTheCallerWhileEveryWorkerIsBlocked) {
+  ThreadPool pool(2);
+  std::latch release(1);
+  for (std::size_t w = 0; w < pool.thread_count(); ++w) {
+    pool.submit([&release] { release.wait(); });
+  }
+  std::vector<std::thread::id> ran_on(100);
+  std::thread::id caller;
+  auto done = std::async(std::launch::async, [&] {
+    caller = std::this_thread::get_id();
+    pool.parallel_for(100, [&](std::size_t i) {
+      ran_on[i] = std::this_thread::get_id();
+    });
+  });
+  const bool finished =
+      done.wait_for(kHangTimeout) == std::future_status::ready;
+  release.count_down();
+  done.get();
+  ASSERT_TRUE(finished) << "parallel_for waited for blocked workers";
+  for (const auto& id : ran_on) EXPECT_EQ(id, caller);
+  pool.wait_idle();
+}
+
+// Spins until `flag` is set or the deadline passes.
+bool await_flag(const std::atomic<bool>& flag) {
+  const auto deadline = std::chrono::steady_clock::now() + kHangTimeout;
+  while (!flag.load()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+TEST(ThreadPool, ConcurrentParallelForsKeepTheirOwnExceptions) {
+  ThreadPool pool(2);
+  // The throwing call fails only once the other call is running, and the
+  // other call keeps running until the exception has been thrown.
+  std::atomic<bool> other_running{false};
+  std::atomic<bool> thrown{false};
+  auto failing = std::async(std::launch::async, [&] {
+    pool.parallel_for(50, [&](std::size_t i) {
+      if (i != 0) return;
+      (void)await_flag(other_running);
+      thrown = true;
+      throw std::runtime_error("failing call");
+    });
+  });
+  std::atomic<int> ran{0};
+  EXPECT_NO_THROW(pool.parallel_for(50, [&](std::size_t i) {
+    if (i == 0) {
+      other_running = true;
+      (void)await_flag(thrown);
+    }
+    ++ran;
+  }));
+  EXPECT_EQ(ran.load(), 50);
+  EXPECT_THROW(failing.get(), std::runtime_error);
+}
+
+TEST(ThreadPool, ParallelForDoesNotRethrowASubmittedJobsException) {
+  ThreadPool pool(2);
+  pool.submit([] { throw std::runtime_error("submitted job failed"); });
+  std::atomic<int> ran{0};
+  EXPECT_NO_THROW(pool.parallel_for(100, [&](std::size_t) { ++ran; }));
+  EXPECT_EQ(ran.load(), 100);
+  // The job's exception stays with wait_idle().
+  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
+}
+
+TEST(ThreadPool, ParallelForInsideAPoolJobCompletes) {
+  // Leaked if the nested call hangs, so the failing test cannot block in
+  // the pool's destructor.
+  auto pool = std::make_unique<ThreadPool>(2);
+  std::atomic<int> ran{0};
+  std::promise<void> finished;
+  pool->submit([&] {
+    pool->parallel_for(100, [&](std::size_t) { ++ran; });
+    finished.set_value();
+  });
+  if (finished.get_future().wait_for(kHangTimeout) !=
+      std::future_status::ready) {
+    (void)pool.release();
+    FAIL() << "parallel_for inside a pool job did not complete";
+  }
+  EXPECT_EQ(ran.load(), 100);
+  pool->wait_idle();
 }
 
 // ------------------------------------------------------- TablePrinter ----

@@ -122,8 +122,9 @@ const util::HelpIndex& help_index() {
        "                   [--rounds N] [--seed N] [--threads N]\n\n"
        "Performance / robustness / aggressiveness quantification over a\n"
        "comma-separated protocol subset (Sec. 4).\n"
-       "--threads N worker threads; default DSA_THREADS, 0 = hardware\n"
-       "concurrency. Results are thread-count independent.\n"
+       "--threads N simulations run at once, this thread included;\n"
+       "default DSA_THREADS, 0 = hardware concurrency. Results are\n"
+       "thread-count independent.\n"
        "defaults: --protocols bt,birds,loyal,sorts --runs 3\n"
        "          --population 50 --rounds 200 --seed 2011\n"},
       {"sweep", "full design-space PRA sweep (a scenario built from DSA_*)",
@@ -137,9 +138,9 @@ const util::HelpIndex& help_index() {
        "Scale via DSA_FULL / DSA_ROUNDS / DSA_POPULATION / DSA_PERF_RUNS /\n"
        "DSA_ENCOUNTER_RUNS / DSA_OPPONENTS / DSA_SEED; an out-of-range knob\n"
        "exits 2 naming the variable. Output via --out or DSA_RESULTS\n"
-       "(default results/pra_results.csv); threads via --threads or\n"
-       "DSA_THREADS. With the defaults the spec is\n"
-       "examples/scenarios/pra_sweep.json's.\n"},
+       "(default results/pra_results.csv); jobs run at once (this thread\n"
+       "included) via --threads or DSA_THREADS. With the defaults the spec\n"
+       "is examples/scenarios/pra_sweep.json's.\n"},
       {"swarm", "piece-level swarm head-to-head (Sec. 5)",
        "usage: dsa_cli swarm [--a C] [--b C] [--fraction X] [--runs N]\n"
        "                     [--seed N] [fault flags]\n"
@@ -205,9 +206,10 @@ const util::HelpIndex& help_index() {
        "CSV is written atomically and is byte-identical regardless of\n"
        "thread count or interruptions.\n\n"
        "flags:\n"
-       "  --threads N      worker threads (default: DSA_THREADS, else the\n"
-       "                   spec's \"threads\", else hardware concurrency);\n"
-       "                   never affects the output bytes\n"
+       "  --threads N      jobs run at once, this thread included (default:\n"
+       "                   DSA_THREADS, else the spec's \"threads\", else\n"
+       "                   hardware concurrency); never affects the output\n"
+       "                   bytes\n"
        "  --keep-manifest  keep the job manifest after a successful merge\n"
        "  --quiet          suppress the progress meter and resume notes\n"},
       {"explore", "worst-case fault-schedule search (explore spec)",
@@ -226,8 +228,9 @@ const util::HelpIndex& help_index() {
        "to render a failure report: fault timeline + per-leecher impact vs\n"
        "the fault-free baseline.\n\n"
        "flags:\n"
-       "  --threads N      worker threads (default DSA_THREADS, 0 = auto);\n"
-       "                   never affects the output bytes\n"
+       "  --threads N      jobs run at once, this thread included (default\n"
+       "                   DSA_THREADS, 0 = auto); never affects the output\n"
+       "                   bytes\n"
        "  --keep-manifest  keep the job manifest after a successful merge\n"
        "  --quiet          suppress the progress meter and resume notes\n"
        "  --worst-out F    counterexample path (default: the spec output\n"
