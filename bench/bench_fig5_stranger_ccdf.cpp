@@ -4,9 +4,7 @@
 // Ported to the flight recorder: the dataset layer emits one kPra event per
 // protocol and the tables are rendered from that recording by dsa_report —
 // the exact code path `dsa_cli report --table fig5` uses, so the two outputs
-// are byte-identical (enforced by the recorder golden test). With the
-// recorder compiled out (-DDSA_TRACE=OFF) the twin extractor builds the
-// same series straight from the PRA records.
+// are byte-identical (enforced by the recorder golden test).
 #include <cstdio>
 
 #include "common.hpp"
@@ -22,22 +20,16 @@ int main() {
       "only protocols using the When-needed stranger policy reach the "
       "highest robustness levels (> 0.99 in the paper's exhaustive run)");
 
-#if DSA_OBS_COMPILED_IN
   // Arm the recorder (unless DSA_OBS=record already did) before touching
   // the dataset so load-or-compute emits the kPra events this bench renders
   // from.
   if (obs::Recorder::global().level() == obs::RecordLevel::kOff) {
-    obs::Recorder::global().configure({obs::RecordLevel::kRounds, 1});
+    obs::Recorder::global().configure(obs::RecordLevel::kRounds);
   }
-  [[maybe_unused]] const auto records = bench::dataset();
+  bench::dataset();
   const std::vector<obs::Event> events = obs::Recorder::global().snapshot();
   const auto by_policy = report::fig5_robustness_by_policy(
       std::span<const obs::Event>(events));
-#else
-  const auto records = bench::dataset();
-  const auto by_policy = report::fig5_robustness_by_policy(
-      std::span<const swarming::PraRecord>(records));
-#endif
 
   const report::Fig5Tables tables = report::render_fig5(by_policy);
   std::fputs(tables.text.c_str(), stdout);

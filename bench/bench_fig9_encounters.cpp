@@ -8,11 +8,10 @@
 // kLeecher summary per leecher, and dsa_report rebuilds the panel tables
 // from those events — the exact code path `dsa_cli report --table fig9`
 // uses, so the two outputs are byte-identical (enforced by the recorder
-// golden test). With the recorder compiled out (-DDSA_TRACE=OFF) the twin
-// path below computes the same series directly from the swarm results.
+// golden test).
 //
 // Tables print the *realized* fraction count_a/50 (e.g. 0.26 for the
-// nominal 0.25 mix), which both paths can reconstruct exactly.
+// nominal 0.25 mix), which the recording reconstructs exactly.
 //
 // Run-key note: seeds are seed_base + run*131 + count_a with bases
 // 1000/2000/3000 and count_a drawn from {0,5,13,25,38,45,50}. No two
@@ -30,7 +29,6 @@
 #include "common.hpp"
 #include "obs/recorder.hpp"
 #include "report/report.hpp"
-#include "stats/descriptive.hpp"
 #include "swarm/swarm_sim.hpp"
 #include "util/env.hpp"
 
@@ -49,9 +47,8 @@ report::EncounterSeries run_panel(const std::string& title, ClientVariant a,
                                   std::uint64_t seed_base) {
   SwarmConfig config;  // paper setup: 50 leechers, 5 MB, 128 KBps seeder
 
-#if DSA_OBS_COMPILED_IN
-  // Recorder path: tag the panel, run the experiments, and extract the
-  // series from the recording.
+  // Tag the panel, run the experiments, and extract the series from the
+  // recording.
   obs::Recorder::global().set_context(title);
   for (double fraction : fractions()) {
     const auto count_a =
@@ -66,44 +63,6 @@ report::EncounterSeries run_panel(const std::string& title, ClientVariant a,
     if (series.title == title) return series;
   }
   throw std::runtime_error("recording produced no series for " + title);
-#else
-  // Recorder compiled out: build the identical series directly.
-  report::EncounterSeries series;
-  series.title = title;
-  series.variant_a = to_string(a);
-  series.variant_b = to_string(b);
-  for (double fraction : fractions()) {
-    const auto count_a =
-        static_cast<std::size_t>(std::lround(fraction * 50.0));
-    report::EncounterPoint point;
-    point.count_a = count_a;
-    point.fraction = static_cast<double>(count_a) / 50.0;
-    std::vector<double> times_a, times_b;
-    for (std::size_t run = 0; run < runs; ++run) {
-      config.seed = seed_base + run * 131 + count_a;
-      const auto result = run_mixed_swarm(a, b, count_a, 50, config);
-      const double cap = static_cast<double>(config.max_ticks);
-      if (count_a > 0) {
-        times_a.push_back(result.group_mean_time(0, count_a, cap));
-      }
-      if (count_a < 50) {
-        times_b.push_back(result.group_mean_time(count_a, 50, cap));
-      }
-    }
-    if (!times_a.empty()) {
-      point.has_a = true;
-      point.mean_a = stats::mean(times_a);
-      point.ci_a = stats::ci95_half_width(times_a);
-    }
-    if (!times_b.empty()) {
-      point.has_b = true;
-      point.mean_b = stats::mean(times_b);
-      point.ci_b = stats::ci95_half_width(times_b);
-    }
-    series.points.push_back(point);
-  }
-  return series;
-#endif
 }
 
 }  // namespace
@@ -124,7 +83,7 @@ int main() {
   // The panels are extracted from the recording: arm the recorder unless
   // DSA_OBS=record already did.
   if (obs::Recorder::global().level() == obs::RecordLevel::kOff) {
-    obs::Recorder::global().configure({obs::RecordLevel::kRounds, 1});
+    obs::Recorder::global().configure(obs::RecordLevel::kRounds);
   }
 
   const auto fig9a =

@@ -106,12 +106,6 @@ std::string Config::spec() const {
 
 Session::Session(Config config, std::string_view name)
     : config_(std::move(config)), name_(sanitize_run_name(name)) {
-  if (!DSA_OBS_COMPILED_IN && (config_.metrics || config_.prof ||
-                               config_.trace ||
-                               config_.record != RecordLevel::kOff)) {
-    std::fprintf(stderr, "obs: instrumentation compiled out (-DDSA_TRACE="
-                         "OFF): no metrics, phases or recorded events\n");
-  }
   if (config_.metrics) set_enabled(true);
   // Configured even when off, so a command that forces heartbeats on (the
   // serve daemon) writes them under dir= too.
@@ -123,7 +117,7 @@ Session::Session(Config config, std::string_view name)
   }
   if (config_.trace) TraceSink::global().start(artifact("TRACE_", ".json"));
   if (config_.record != RecordLevel::kOff) {
-    Recorder::global().configure({config_.record, 1});
+    Recorder::global().configure(config_.record);
     Recorder::global().set_context(name_);
   }
 }
@@ -156,7 +150,7 @@ void Session::finish() {
   write(config_.record != RecordLevel::kOff, "RECORD_", ".jsonl",
         [](const auto& path) {
           Recorder::global().save(path);
-          Recorder::global().configure({});
+          Recorder::global().configure(RecordLevel::kOff);
         });
   write(config_.metrics, "METRICS_", ".jsonl", [](const auto& path) {
     Registry::global().snapshot().save_jsonl(path);

@@ -14,7 +14,7 @@
 // repeated or empty token throws naming DSA_OBS and the token, and so does
 // any of the per-layer variables the spec replaced if it is still set. The
 // sampling constants are the struct defaults (heartbeat every 1000 ms,
-// profiler at 97 Hz, recorder stride 1); tests set the fields directly.
+// profiler at 97 Hz); tests set the fields directly.
 #pragma once
 
 #include <filesystem>

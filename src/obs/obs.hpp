@@ -2,22 +2,14 @@
 // the live phase stacks (obs/profiler.hpp) and the trace sink all key off
 // the one runtime flag here; starting telemetry or a trace capture sets it.
 //
-// Two layers of "off" keep the hot paths honest:
-//
-//  * Runtime: `enabled()` reads one relaxed atomic bool (default false).
-//    Instrumented code checks it once per coarse unit of work (per
-//    simulation run, per sweep task) and aggregates locally in between, so
-//    a disabled binary pays a branch per run, not per round. Measured on
-//    `dsa_cli sweep`, 7 alternating runs per configuration: the disabled
-//    path's median was no slower than the compiled-out build's, within a
-//    run-to-run spread (4-17%) too wide to resolve 2% (EXPERIMENTS.md,
-//    "Observability overhead").
-//  * Compile time: building with -DDSA_TRACE=OFF defines
-//    DSA_OBS_COMPILED_IN=0, which turns `enabled()` into `constexpr false`
-//    and the DSA_OBS_PHASE macro into nothing — the instrumentation
-//    branches fold away entirely. The obs classes themselves stay compiled
-//    (they can still be driven directly, and the ABI does not fork), they
-//    just never observe anything through the global switch.
+// `enabled()` reads one relaxed atomic bool (default false). Instrumented
+// code checks it once per coarse unit of work (per simulation run, per
+// sweep task) and aggregates locally in between, so a disabled binary pays
+// a branch per run, not per round. Measured on `dsa_cli sweep`, 7
+// alternating runs per configuration: the disabled path's median was no
+// slower than a build with the instrumentation compiled out, within a
+// run-to-run spread (4-17%) too wide to resolve 2% (EXPERIMENTS.md,
+// "Observability overhead"), so there is one build.
 //
 // Determinism contract (enforced by ObsDeterminism tests): nothing in this
 // layer touches RNG state or feeds back into simulation arithmetic. Sweep
@@ -27,17 +19,12 @@
 
 #include <atomic>
 
-#ifndef DSA_OBS_COMPILED_IN
-#define DSA_OBS_COMPILED_IN 1
-#endif
-
 namespace dsa::obs {
 
 namespace detail {
 inline std::atomic<bool> g_enabled{false};
 }  // namespace detail
 
-#if DSA_OBS_COMPILED_IN
 /// True when instrumentation should record. One relaxed load; safe to call
 /// from any thread at any time.
 inline bool enabled() noexcept {
@@ -49,9 +36,5 @@ inline bool enabled() noexcept {
 inline void set_enabled(bool on) noexcept {
   detail::g_enabled.store(on, std::memory_order_relaxed);
 }
-#else
-constexpr bool enabled() noexcept { return false; }
-inline void set_enabled(bool) noexcept {}
-#endif
 
 }  // namespace dsa::obs

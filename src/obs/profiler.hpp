@@ -73,11 +73,7 @@ class ScopedPhase {
 #define DSA_OBS_CONCAT_INNER(a, b) a##b
 #define DSA_OBS_CONCAT(a, b) DSA_OBS_CONCAT_INNER(a, b)
 
-#if DSA_OBS_COMPILED_IN
 #define DSA_OBS_PHASE(name) \
   ::dsa::obs::ScopedPhase DSA_OBS_CONCAT(dsa_obs_phase_, __LINE__)(name)
-#else
-#define DSA_OBS_PHASE(name) ((void)0)
-#endif
 
 }  // namespace dsa::obs

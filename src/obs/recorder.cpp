@@ -75,10 +75,8 @@ Recorder& Recorder::global() {
   return instance;
 }
 
-void Recorder::configure(const RecorderOptions& options) {
-  level_.store(static_cast<int>(options.level), std::memory_order_relaxed);
-  stride_.store(options.stride == 0 ? 1 : options.stride,
-                std::memory_order_relaxed);
+void Recorder::configure(RecordLevel level) {
+  level_.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
 void Recorder::set_context(std::string context) {
@@ -139,10 +137,10 @@ void Recorder::reset() {
 }
 
 std::string to_recording_jsonl(const std::vector<Event>& events,
-                               RecordLevel level, std::uint32_t stride) {
+                               RecordLevel level) {
   std::ostringstream out;
   out << "{\"type\":\"recording\",\"schema\":1,\"level\":\""
-      << to_string(level) << "\",\"stride\":" << stride
+      << to_string(level) << "\",\"stride\":1"
       << ",\"events\":" << events.size() << "}\n";
   for (const Event& event : events) {
     out << "{\"kind\":\"" << to_string(event.kind) << "\",\"run\":\""
@@ -165,7 +163,7 @@ std::string to_recording_jsonl(const std::vector<Event>& events,
 }
 
 void Recorder::save(const std::filesystem::path& path) const {
-  util::atomic_write(path, to_recording_jsonl(snapshot(), level(), stride()));
+  util::atomic_write(path, to_recording_jsonl(snapshot(), level()));
 }
 
 }  // namespace dsa::obs

@@ -9,23 +9,19 @@
 //    recording off, on, and at any thread count (RecorderDeterminism
 //    tests).
 //  * Hot loops never touch a lock or an atomic: each engine run owns a
-//    plain RunCapture buffer (level and stride latched once at run start)
-//    and appends events locally; the buffer is flushed into the global
-//    Recorder under its mutex exactly once, when the run finishes.
-//  * Building with -DDSA_TRACE=OFF (DSA_OBS_COMPILED_IN=0) pins the level
-//    to kOff at compile time: every `if (capture.rounds())` /
-//    `if (capture.full())` guard folds away and the instrumentation
-//    compiles to no-ops.
+//    plain RunCapture buffer (level latched once at run start) and appends
+//    events locally; the buffer is flushed into the global Recorder under
+//    its mutex exactly once, when the run finishes.
 //  * Files are written through util::atomic_write (never torn), as JSONL
 //    (one typed object per line, parseable by util::json and `dsa_cli
 //    report`).
 //
-// Sampling: the `record[=rounds|full]` token of DSA_OBS (obs/config.hpp)
-// picks the level; RecorderOptions::stride = k records every k-th round (or
-// tick) for the per-round event kinds. "rounds" captures run headers and
-// end-of-run summaries plus per-round aggregates; "full" adds per-decision
-// detail (partner selections, stranger gifts, choke decisions, piece
-// completions).
+// Levels: the `record[=rounds|full]` token of DSA_OBS (obs/config.hpp)
+// picks the level, and every round (or tick) is recorded. "rounds"
+// captures run headers and end-of-run summaries plus per-round aggregates;
+// "full" adds per-decision detail (partner selections, stranger gifts,
+// choke decisions, piece completions). Recording headers carry
+// `"stride":1`, the only value a reader accepts.
 //
 // Determinism of the recording itself: snapshot() returns events in a
 // canonical sort order (run key first), so as long as run keys are unique —
@@ -62,17 +58,17 @@ enum class EventKind : std::uint8_t {
   /// engine (1 for the round model's engine; 0 in recordings made by the
   /// former dense engine; unused for swarm)}.
   kRun = 0,
-  /// Round-model per-round aggregate (rounds level, strided). time = round,
-  /// value = {mean round throughput, peers replaced so far}.
+  /// Round-model per-round aggregate (rounds level). time = round, value =
+  /// {mean round throughput, peers replaced so far}.
   kRound,
-  /// Round-model selection outcome (full, strided). actor = acting peer,
+  /// Round-model selection outcome (full). actor = acting peer,
   /// value = {candidates, partners kept, strangers contacted, lanes}.
   kSelect,
-  /// One selected partner (full, strided). actor -> peer,
+  /// One selected partner (full). actor -> peer,
   /// value = {amount granted (pre intake cap), window bandwidth received
   /// from the partner — the reciprocation signal}.
   kPartner,
-  /// One stranger contact (full, strided). actor -> peer,
+  /// One stranger contact (full). actor -> peer,
   /// value = {gift amount; 0.0 is a visible defection}.
   kStranger,
   /// Round-model end-of-run peer summary (rounds level). actor = peer,
@@ -83,11 +79,11 @@ enum class EventKind : std::uint8_t {
   /// protocol id, label = protocol description, value = {performance
   /// (normalized), robustness, aggressiveness, raw performance}.
   kPra,
-  /// Swarm choke decision (full, strided): one per unchoked peer per choke
-  /// round. actor = chooser, peer = unchoked peer, value = {1 regular slot,
+  /// Swarm choke decision (full): one per unchoked peer per choke round.
+  /// actor = chooser, peer = unchoked peer, value = {1 regular slot,
   /// 2 optimistic slot}.
   kChoke,
-  /// Swarm piece completion (full, strided by tick). actor = receiver,
+  /// Swarm piece completion (full). actor = receiver,
   /// peer = sender, value = {piece index, pieces held after}.
   kPiece,
   /// Swarm end-of-run leecher summary (rounds level). actor = leecher index
@@ -129,12 +125,6 @@ struct Event {
   static constexpr std::uint32_t kNoIndex = 0xffffffffu;
 };
 
-/// Level + stride; obs::Session applies the DSA_OBS level at stride 1.
-struct RecorderOptions {
-  RecordLevel level = RecordLevel::kOff;
-  std::uint32_t stride = 1;
-};
-
 /// The process-wide event store. Engines never touch it directly in hot
 /// loops — they go through RunCapture below.
 class Recorder {
@@ -145,22 +135,12 @@ class Recorder {
 
   static Recorder& global();
 
-  /// Sets level/stride. Like obs::set_enabled, flip this once before the
-  /// runs you want captured. With DSA_OBS_COMPILED_IN=0 the stored level is
-  /// ignored (level() stays kOff) but the call is still safe.
-  void configure(const RecorderOptions& options);
+  /// Sets the level. Like obs::set_enabled, flip this once before the runs
+  /// you want captured.
+  void configure(RecordLevel level);
 
-#if DSA_OBS_COMPILED_IN
   [[nodiscard]] RecordLevel level() const noexcept {
     return static_cast<RecordLevel>(level_.load(std::memory_order_relaxed));
-  }
-#else
-  [[nodiscard]] constexpr RecordLevel level() const noexcept {
-    return RecordLevel::kOff;
-  }
-#endif
-  [[nodiscard]] std::uint32_t stride() const noexcept {
-    return stride_.load(std::memory_order_relaxed);
   }
 
   /// Free-form provenance tag stamped into kRun / kMixedSwarm events
@@ -175,7 +155,7 @@ class Recorder {
   [[nodiscard]] std::vector<Event> snapshot() const;
   [[nodiscard]] std::size_t event_count() const;
 
-  /// Drops all events (level/stride/context stay).
+  /// Drops all events (level/context stay).
   void reset();
 
   /// Writes the snapshot as recording JSONL via util::atomic_write. Throws
@@ -185,7 +165,6 @@ class Recorder {
  private:
   mutable std::mutex mutex_;
   std::atomic<int> level_{0};
-  std::atomic<std::uint32_t> stride_{1};
   std::string context_;
   std::vector<Event> events_;
 };
@@ -211,38 +190,26 @@ class SuppressScope {
   bool previous_;
 };
 
-/// Per-run capture buffer: latches level/stride/context once at run start,
+/// Per-run capture buffer: latches level/context once at run start,
 /// then appends to a plain vector. Flushes to the Recorder exactly once —
 /// explicitly via flush() or on destruction.
 class RunCapture {
  public:
   explicit RunCapture(Recorder& recorder)
       : recorder_(&recorder),
-        level_(SuppressScope::active() ? RecordLevel::kOff : recorder.level()),
-        stride_(recorder.stride() == 0 ? 1 : recorder.stride()) {
+        level_(SuppressScope::active() ? RecordLevel::kOff : recorder.level()) {
     if (level_ != RecordLevel::kOff) context_ = recorder.context();
   }
   ~RunCapture() { flush(); }
   RunCapture(const RunCapture&) = delete;
   RunCapture& operator=(const RunCapture&) = delete;
 
-  /// Level guards for instrumentation sites. With DSA_OBS_COMPILED_IN=0
-  /// these are constexpr false and the sites fold away.
-#if DSA_OBS_COMPILED_IN
+  /// Level guards for instrumentation sites.
   [[nodiscard]] bool rounds() const noexcept {
     return level_ >= RecordLevel::kRounds;
   }
   [[nodiscard]] bool full() const noexcept {
     return level_ == RecordLevel::kFull;
-  }
-#else
-  [[nodiscard]] constexpr bool rounds() const noexcept { return false; }
-  [[nodiscard]] constexpr bool full() const noexcept { return false; }
-#endif
-
-  /// True when round/tick `t` falls on the sampling stride.
-  [[nodiscard]] bool sampled(std::size_t t) const noexcept {
-    return t % stride_ == 0;
   }
 
   [[nodiscard]] const std::string& context() const noexcept {
@@ -259,7 +226,6 @@ class RunCapture {
  private:
   Recorder* recorder_;
   RecordLevel level_;
-  std::uint32_t stride_;
   std::string context_;
   std::vector<Event> events_;
 };
@@ -270,12 +236,12 @@ class RunCapture {
 [[nodiscard]] bool event_less(const Event& a, const Event& b) noexcept;
 
 /// Serializes the (already sorted) events as the recording JSONL: a header
-/// line {"type":"recording","schema":1,...} followed by one event per line.
+/// line {"type":"recording","schema":1,...,"stride":1,...} followed by one
+/// event per line.
 /// Doubles use util::exact_number and the 64-bit run key is a decimal
 /// string (JSON numbers only carry 53 bits), so a parse -> serialize round
 /// trip is byte-identical.
 [[nodiscard]] std::string to_recording_jsonl(const std::vector<Event>& events,
-                                             RecordLevel level,
-                                             std::uint32_t stride);
+                                             RecordLevel level);
 
 }  // namespace dsa::obs

@@ -355,23 +355,9 @@ void TelemetryRun::add_done(std::uint64_t n) {
   state_->done.fetch_add(n, std::memory_order_relaxed);
 }
 
-void TelemetryRun::update_done(std::uint64_t done) {
-  if (!state_) return;
-  std::uint64_t current = state_->done.load(std::memory_order_relaxed);
-  while (done > current &&
-         !state_->done.compare_exchange_weak(current, done,
-                                             std::memory_order_relaxed)) {
-  }
-}
-
 void TelemetryRun::add_failed(std::uint64_t n) {
   if (!state_) return;
   state_->failed.fetch_add(n, std::memory_order_relaxed);
-}
-
-void TelemetryRun::set_total(std::uint64_t total) {
-  if (!state_) return;
-  state_->total.store(total, std::memory_order_relaxed);
 }
 
 void TelemetryRun::set_last_error(std::string_view message) {
@@ -472,9 +458,7 @@ void Telemetry::configure(const TelemetryOptions& options) {
   }
   impl_->enabled.store(options.enabled, std::memory_order_relaxed);
   if (!options.enabled) return;
-  // Telemetry feeds off the metrics registry; make sure it is recording
-  // (no-op when compiled out — heartbeats still carry progress/RSS, just
-  // with empty counter sections).
+  // Telemetry feeds off the metrics registry; make sure it is recording.
   set_enabled(true);
   {
     std::lock_guard lock(impl_->wake_mutex);

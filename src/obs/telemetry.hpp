@@ -5,10 +5,10 @@
 // process exits. Long sweeps and swarm runs also need a cheap, continuously
 // refreshed view another process can attach to. One value type carries it,
 // StatusSample: run identity, phase, jobs done/total/failed, throughput,
-// ETA, RSS/peak-RSS, pool queue depth, one state character per shard, the
-// last error, and the metrics registry's cumulative counters, gauges and
-// sketch summaries. Each registered run keeps two artifacts of it, both
-// schema 2:
+// ETA, RSS/peak-RSS, the serve daemon's queued jobs, one state character
+// per shard, the last error, and the metrics registry's cumulative
+// counters, gauges and sketch summaries. Each registered run keeps two
+// artifacts of it, both schema 2:
 //
 //  * `<dir>/<name>.status.json` — the heartbeat: the latest sample written
 //    with "type":"status", atomically replaced every sampling interval via
@@ -98,19 +98,16 @@ class TelemetryRun {
 
   /// Names the current coarse phase ("quantify", "merge", ...).
   void set_phase(std::string_view phase);
-  /// Monotone progress. add_done increments; update_done raises the done
-  /// count to `done` if larger (CAS-max — safe with concurrent adders).
+  /// Monotone progress counters; safe with concurrent adders.
   void add_done(std::uint64_t n = 1);
-  void update_done(std::uint64_t done);
   void add_failed(std::uint64_t n = 1);
-  /// (Re)declares the total; 0 means unknown (no ETA).
-  void set_total(std::uint64_t total);
   /// Records the most recent error message (shown in the heartbeat).
   void set_last_error(std::string_view message);
 
-  /// Points the sampler at a pool whose queue depth to report. The pool
-  /// must outlive the watch: call watch_pool(nullptr) before the pool is
-  /// destroyed (or finish the run first).
+  /// Points the sampler at a pool whose queued jobs to report as
+  /// queue_depth (the serve daemon's submit backlog). The pool must outlive
+  /// the watch: call watch_pool(nullptr) before the pool is destroyed (or
+  /// finish the run first).
   void watch_pool(const util::ThreadPool* pool);
 
   /// Declares `count` shards (jobs, in plan order), all kTodo, and updates
@@ -198,7 +195,7 @@ struct StatusSample {
   double eta_sec = -1.0;  // -1 = unknown
   std::uint64_t rss_kb = 0;
   std::uint64_t peak_rss_kb = 0;
-  std::uint64_t queue_depth = 0;
+  std::uint64_t queue_depth = 0;  // serve daemon's queued jobs; 0 elsewhere
   std::string last_error;
   std::string shards;  // one ShardState character per shard, in job order
   std::map<std::string, std::uint64_t> counters;  // cumulative values

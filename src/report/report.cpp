@@ -66,8 +66,13 @@ Recording load_recording(const std::filesystem::path& path) {
       if (const auto* level = value.find("level")) {
         recording.level = obs::parse_record_level(level->text);
       }
-      if (const auto* stride = value.find("stride")) {
-        recording.stride = static_cast<std::uint32_t>(stride->number);
+      // Every per-round event kind assumes that every round was recorded.
+      const auto* stride = value.find("stride");
+      if (stride != nullptr &&
+          (stride->type != util::json::Value::Type::kNumber ||
+           stride->number != 1.0)) {
+        throw std::runtime_error(origin +
+                                 ": recording header 'stride' must be 1");
       }
       saw_header = true;
       continue;
@@ -299,8 +304,7 @@ std::string render_encounter_series(const EncounterSeries& series) {
 std::string render_summary(const Recording& recording) {
   std::ostringstream out;
   out << "\nRecording: level=" << obs::to_string(recording.level)
-      << " stride=" << recording.stride << " events="
-      << recording.events.size() << '\n';
+      << " events=" << recording.events.size() << '\n';
   util::TablePrinter table({"kind", "events", "runs"});
   for (int k = 0; k <= static_cast<int>(obs::EventKind::kMixedSwarm); ++k) {
     const auto kind = static_cast<obs::EventKind>(k);

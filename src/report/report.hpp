@@ -1,14 +1,12 @@
 // Figure-grade aggregation over flight recordings (obs/recorder.hpp).
 //
 // The layer is split in two so the figure benches and `dsa_cli report`
-// render *the same bytes* from either source:
+// render *the same bytes* from a recording:
 //
 //  * extraction — typed series pulled out of a recording's event stream
-//    (fig5_robustness_by_policy, encounter_series_from_events, ...). Each
-//    extractor also has a twin that builds the identical series straight
-//    from in-memory results (PraRecord rows, swarm outcomes), which is what
-//    the benches fall back to when the recorder is compiled out
-//    (-DDSA_TRACE=OFF).
+//    (fig5_robustness_by_policy, encounter_series_from_events, ...). The
+//    Fig. 5 extractor also has a twin over PraRecord rows, the reference a
+//    golden test compares the event path against.
 //  * rendering — pure functions from a typed series to the exact table text
 //    the corresponding bench has always printed. Byte-for-byte equality of
 //    the two paths is enforced by the recorder golden tests.
@@ -40,18 +38,18 @@ namespace dsa::report {
 /// CSV it mirrors.
 std::string render_csv_table(const util::CsvTable& table);
 
-/// A parsed recording file: the header's capture settings plus the events
-/// in file order (which save() wrote canonically sorted).
+/// A parsed recording file: the header's capture level plus the events in
+/// file order (which save() wrote canonically sorted).
 struct Recording {
   obs::RecordLevel level = obs::RecordLevel::kOff;
-  std::uint32_t stride = 1;
   std::vector<obs::Event> events;
 };
 
 /// Parses a recording JSONL written by obs::Recorder::save. Throws
 /// std::runtime_error (or util::json::ParseError) on unreadable files,
-/// missing headers, or unknown event kinds. Serializing the result back
-/// through obs::to_recording_jsonl reproduces the input bytes.
+/// missing headers, a header stride other than 1, or unknown event kinds.
+/// Serializing the result back through obs::to_recording_jsonl reproduces
+/// the input bytes.
 Recording load_recording(const std::filesystem::path& path);
 
 // ---------------------------------------------------------------- Fig. 5
@@ -62,7 +60,7 @@ Recording load_recording(const std::filesystem::path& path);
 std::array<std::vector<double>, 3> fig5_robustness_by_policy(
     std::span<const obs::Event> events);
 
-/// The same series straight from PRA records (the recorder-off twin).
+/// The same series straight from PRA records (the golden reference).
 std::array<std::vector<double>, 3> fig5_robustness_by_policy(
     std::span<const swarming::PraRecord> records);
 

@@ -47,7 +47,7 @@ std::string manifest_header_line(const Plan& plan) {
   const obs::Recorder& recorder = obs::Recorder::global();
   line += std::string(",\"record\":{\"level\":\"") +
           obs::to_string(recorder.level()) +
-          "\",\"stride\":" + std::to_string(recorder.stride()) + "}";
+          "\",\"stride\":1}";
   line += "}";
   return line;
 }

@@ -9,7 +9,6 @@
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/profiler.hpp"
-#include "obs/progress.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "scenario/exec.hpp"
@@ -146,7 +145,7 @@ RunReport run_scenario(const Plan& plan, const RunOptions& options) {
     }
   }
   report.skipped = plan.jobs.size() - pending.size();
-  telemetry.update_done(report.skipped);
+  telemetry.add_done(report.skipped);
   if (report.skipped > 0) {
     if (options.verbose) {
       std::fprintf(stderr,
@@ -178,14 +177,11 @@ RunReport run_scenario(const Plan& plan, const RunOptions& options) {
 
   std::vector<JobRows> results = std::move(manifest.rows);
   std::vector<double> job_ms = std::move(manifest.ms);
-  obs::ProgressMeter meter("scenario", report.total, options.verbose);
-  if (report.skipped > 0) meter.update(report.skipped);
   telemetry.set_phase("jobs");
 
   std::mutex sink_mutex;  // manifest stream + failure bookkeeping
   std::atomic<std::size_t> executed{0};
   std::atomic<std::size_t> retried{0};
-  std::atomic<std::size_t> done{report.skipped};
   std::atomic<std::size_t> tickets{0};
   std::atomic<bool> aborted{false};
   std::size_t failures = 0;
@@ -199,13 +195,6 @@ RunReport run_scenario(const Plan& plan, const RunOptions& options) {
   // The calling thread runs jobs too (parallel_for), so `threads` jobs run
   // at once on threads - 1 workers.
   util::ThreadPool pool(threads - 1);
-  telemetry.watch_pool(&pool);
-  // Declared after the pool, so its destructor clears the queue-depth watch
-  // before the pool goes away on every exit path (including exceptions).
-  struct PoolWatchGuard {
-    obs::TelemetryRun& telemetry;
-    ~PoolWatchGuard() { telemetry.watch_pool(nullptr); }
-  } pool_watch{telemetry};
   pool.parallel_for(pending.size(), [&](std::size_t i) {
     const Job& job = plan.jobs[pending[i]];
     if (options.max_jobs > 0 &&
@@ -255,7 +244,6 @@ RunReport run_scenario(const Plan& plan, const RunOptions& options) {
     results[job.index] = std::move(rows);
     job_ms[job.index] = wall_ms;
     executed.fetch_add(1, std::memory_order_relaxed);
-    meter.update(done.fetch_add(1, std::memory_order_relaxed) + 1);
     telemetry.set_shard_state(job.index, obs::ShardState::kDone);
     telemetry.add_done();
     if (obs::enabled()) {
@@ -264,7 +252,6 @@ RunReport run_scenario(const Plan& plan, const RunOptions& options) {
     }
     obs::TraceSink::global().instant("scenario/job-done");
   });
-  meter.finish();
   out.flush();
 
   report.executed = executed.load();

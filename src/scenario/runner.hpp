@@ -33,7 +33,7 @@ struct RunOptions {
   /// worker fewer); 0 = spec.threads, which itself defaults to hardware
   /// concurrency. Never affects the output bytes.
   std::size_t threads = 0;
-  /// Progress meter + resume notes on stderr.
+  /// Resume notes and the job latency summary on stderr.
   bool verbose = true;
   /// Keep the manifest after a successful merge (debugging aid).
   bool keep_manifest = false;

@@ -59,7 +59,7 @@ class Server {
   }
 
   /// Cache + query counters, as reported to "status" requests. Works with
-  /// observability compiled out — these are the daemon's own numbers, not
+  /// observability off — these are the daemon's own numbers, not
   /// obs::Registry's.
   [[nodiscard]] std::map<std::string, std::uint64_t> counters() const;
 

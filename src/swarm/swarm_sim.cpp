@@ -153,7 +153,6 @@ class SwarmEngine {
       DSA_OBS_PHASE("swarm/ticks");
       for (; tick < config_.max_ticks && incomplete_leechers() > 0; ++tick) {
         tick_ = static_cast<std::uint32_t>(tick);
-        record_full_tick_ = capture_.full() && capture_.sampled(tick_);
         apply_faults(tick);
         process_arrivals(tick);
         if (tick % config_.rechoke_interval == 0) rechoke();
@@ -533,7 +532,7 @@ class SwarmEngine {
 
     update_optimistic(i, variant, slots);
 
-    if (record_full_tick_) {
+    if (capture_.full()) {
       for (std::uint32_t peer : unchoked_[i]) {
         capture_.emit({.kind = obs::EventKind::kChoke,
                        .run = config_.seed,
@@ -750,7 +749,7 @@ class SwarmEngine {
     ++have_count_[receiver];
     ++availability_[piece];
     observe_progress(receiver);
-    if (record_full_tick_) {
+    if (capture_.full()) {
       capture_.emit({.kind = obs::EventKind::kPiece,
                      .run = config_.seed,
                      .time = static_cast<std::uint32_t>(tick),
@@ -847,12 +846,10 @@ class SwarmEngine {
   // switch-rate sketch can diff against it. Never read by the simulation.
   std::vector<std::uint32_t> prev_unchoked_;
 
-  // Flight recorder: level/stride latched at construction, events buffered
-  // locally and flushed once when the engine dies. Never touches rng_ or
-  // fault_rng_.
+  // Flight recorder: level latched at construction, events buffered locally
+  // and flushed once when the engine dies. Never touches rng_ or fault_rng_.
   obs::RunCapture capture_{obs::Recorder::global()};
   std::uint32_t tick_ = 0;
-  bool record_full_tick_ = false;
 };
 
 }  // namespace

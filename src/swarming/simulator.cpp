@@ -235,7 +235,7 @@ class SparseEngine {
           outcome.round_throughput.push_back(round_mean /
                                              static_cast<double>(n_));
         }
-        if (capture_.rounds() && capture_.sampled(round)) {
+        if (capture_.rounds()) {
           double round_mean = 0.0;
           for (std::size_t i = 0; i < n_; ++i) {
             round_mean += ws_.round_received[i];
@@ -289,7 +289,7 @@ class SparseEngine {
     // act() is templated on the record flag so the non-recording
     // instantiation compiles to exactly the pre-recorder hot path — the
     // emit sites must not cost codegen when recording is off.
-    const bool record_full = capture_.full() && capture_.sampled(round);
+    const bool record_full = capture_.full();
     for (std::size_t me = 0; me < n_; ++me) {
       if (record_full) {
         act<true>(me);
@@ -404,8 +404,8 @@ class SparseEngine {
     const std::size_t partner_lanes =
         config_.lane_model == LaneModel::kFixedLanes ? k : partner_count;
     const std::size_t lanes = partner_lanes + gifted_strangers;
-    // Decision events (full level, strided): pure reads of already-computed
-    // values; rng_ is never touched.
+    // Decision events (full level): pure reads of already-computed values;
+    // rng_ is never touched.
     if constexpr (kRecordFull) {
       capture_.emit({.kind = obs::EventKind::kSelect,
                      .run = config_.seed,
@@ -881,8 +881,8 @@ class SparseEngine {
   std::size_t candidates_scanned_ = 0;
   std::size_t unranked_selections_ = 0;
 
-  // Flight recorder: level/stride latched at construction, events buffered
-  // locally and flushed once when the engine dies. Never touches rng_.
+  // Flight recorder: level latched at construction, events buffered locally
+  // and flushed once when the engine dies. Never touches rng_.
   obs::RunCapture capture_{obs::Recorder::global()};
   std::uint32_t round_ = 0;
 

@@ -1,7 +1,7 @@
 # DSA_OBS=record,dir=DIR on an ordinary command leaves DIR/RECORD_swarm.jsonl
-# and `dsa_cli report` reads it back; with instrumentation compiled in it
-# holds leecher events tagged with the command name. Invoked via
-#   cmake -DDSA_CLI=... -DDIR=... -DCOMPILED_IN=ON|OFF -P cli_obs_record.cmake
+# and `dsa_cli report` reads it back; it holds rounds-level leecher events
+# tagged with the command name. Invoked via
+#   cmake -DDSA_CLI=... -DDIR=... -P cli_obs_record.cmake
 file(REMOVE_RECURSE "${DIR}")
 set(ENV{DSA_OBS} "record,dir=${DIR}")
 execute_process(COMMAND "${DSA_CLI}" swarm --runs 1 OUTPUT_QUIET
@@ -17,8 +17,8 @@ if(NOT status EQUAL 0 OR NOT summary MATCHES "Recording: level=")
   message(FATAL_ERROR "dsa_cli report failed (exit ${status}):\n${summary}")
 endif()
 file(READ "${recording}" events)
-if(COMPILED_IN AND NOT (summary MATCHES "level=rounds stride=1" AND
-                        events MATCHES "\"kind\":\"leecher\"" AND
-                        events MATCHES "\"detail\":\"swarm\""))
+if(NOT (summary MATCHES "level=rounds events=" AND
+        events MATCHES "\"kind\":\"leecher\"" AND
+        events MATCHES "\"detail\":\"swarm\""))
   message(FATAL_ERROR "recording lacks rounds-level swarm events:\n${summary}")
 endif()

@@ -133,8 +133,6 @@ TEST(FlameOptions, EnvironmentParsingIsStrict) {
   EXPECT_FALSE(obs::Config::from_environment().prof);
 }
 
-#if DSA_OBS_COMPILED_IN
-
 // --- live stacks + sampler (need the runtime switch and phase macro) ------
 
 /// Restores the global obs state so test order never matters.
@@ -321,7 +319,5 @@ TEST(SamplerDeterminism, PraScoresAreBitwiseIdenticalWithSamplerOn) {
               std::bit_cast<std::uint64_t>(sampled.aggressiveness[i]));
   }
 }
-
-#endif  // DSA_OBS_COMPILED_IN
 
 }  // namespace

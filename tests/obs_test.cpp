@@ -91,11 +91,9 @@ TEST(ObsRegistry, ConcurrentAddsFromManyThreadsMatchSerialTotal) {
   const obs::MetricsSnapshot snap = registry.snapshot();
   EXPECT_EQ(snap.counter_value("hits"), kTotal);
   ASSERT_EQ(snap.distributions.size(), 1u);
-  // Compiled out (DSA_TRACE=OFF), the switch stays off and nothing lands.
-  const std::uint64_t expected = DSA_OBS_COMPILED_IN ? kTotal : 0;
-  EXPECT_EQ(snap.distributions[0].count(), expected);
+  EXPECT_EQ(snap.distributions[0].count(), kTotal);
   EXPECT_DOUBLE_EQ(snap.distributions[0].sum,
-                   0.5 * static_cast<double>(expected));
+                   0.5 * static_cast<double>(kTotal));
 }
 
 TEST(ObsRegistry, SnapshotMergesShardsWrittenByExitedThreads) {
@@ -172,7 +170,7 @@ TEST(ObsSnapshot, SaveJsonlWritesAtomically) {
   std::filesystem::remove(path);
 }
 
-// --- The DSA_OBS switch (parsed the same with instrumentation compiled out)
+// --- The DSA_OBS switch ---------------------------------------------------
 
 /// The message Config::parse throws for `spec` ("" when it parses).
 std::string parse_error(const char* spec) {
@@ -304,16 +302,12 @@ TEST(ObsConfig, SessionWritesOneArtifactPerLayerAndChangesNoResult) {
         "STATUS_demo.timeseries.jsonl"}) {
     EXPECT_TRUE(std::filesystem::exists(dir / file)) << file;
   }
-#if DSA_OBS_COMPILED_IN
   // The session's (sanitized) name is the recording's context tag.
   EXPECT_NE(slurp(dir / "RECORD_demo_run.jsonl").find("\"demo_run\""),
             std::string::npos);
-#endif
   obs::Recorder::global().reset();
   std::filesystem::remove_all(dir);
 }
-
-#if DSA_OBS_COMPILED_IN
 
 // --- Trace (toggles the process-global enabled flag) ---------------------
 
@@ -410,7 +404,5 @@ TEST(ObsDeterminism, SweepIsBitwiseIdenticalWithTracingOnAndOff) {
   expect_bitwise(baseline.aggressiveness, traced.aggressiveness,
                  "aggressiveness");
 }
-
-#endif  // DSA_OBS_COMPILED_IN
 
 }  // namespace

@@ -5,9 +5,9 @@
 //    off, on, and under concurrent runs (the recorder's core contract);
 //  * canonical ordering — the saved bytes do not depend on which thread
 //    flushed first, as long as run keys are unique;
-//  * sampling — a stride of k records every k-th round only;
 //  * serialization — recording JSONL survives a save -> load -> save round
-//    trip byte-for-byte (the schema contract `dsa_cli report` relies on);
+//    trip byte-for-byte (the schema contract `dsa_cli report` relies on),
+//    and a header stride other than 1 is rejected by name;
 //  * golden extraction — the event path and the in-memory twin produce the
 //    same figure tables byte-for-byte.
 #include <gtest/gtest.h>
@@ -45,13 +45,13 @@ class RecorderTest : public ::testing::Test {
 
   static void quiesce() {
     obs::Recorder& recorder = obs::Recorder::global();
-    recorder.configure({obs::RecordLevel::kOff, 1});
+    recorder.configure(obs::RecordLevel::kOff);
     recorder.set_context("");
     recorder.reset();
   }
 
-  static void configure(obs::RecordLevel level, std::uint32_t stride = 1) {
-    obs::Recorder::global().configure({level, stride});
+  static void configure(obs::RecordLevel level) {
+    obs::Recorder::global().configure(level);
   }
 };
 
@@ -111,11 +111,7 @@ TEST_F(RecorderTest, RoundModelOutputsIdenticalWithRecordingOnAndOff) {
 
   expect_bits_equal(off.peer_throughput, full.peer_throughput);
   EXPECT_EQ(off.peers_replaced, full.peers_replaced);
-#if DSA_OBS_COMPILED_IN
   EXPECT_GT(obs::Recorder::global().event_count(), 0u);
-#else
-  EXPECT_EQ(obs::Recorder::global().event_count(), 0u);
-#endif
   obs::Recorder::global().reset();
 }
 
@@ -130,9 +126,7 @@ TEST_F(RecorderTest, SwarmOutputsIdenticalWithRecordingOnAndOff) {
   expect_bits_equal(off.uploaded_kb, full.uploaded_kb);
   expect_bits_equal(off.downloaded_kb, full.downloaded_kb);
   EXPECT_EQ(off.all_completed, full.all_completed);
-#if DSA_OBS_COMPILED_IN
   EXPECT_GT(obs::Recorder::global().event_count(), 0u);
-#endif
 }
 
 TEST_F(RecorderTest, ConcurrentRunsProduceTheSerialRecordingBytes) {
@@ -149,7 +143,7 @@ TEST_F(RecorderTest, ConcurrentRunsProduceTheSerialRecordingBytes) {
   }
   const auto serial_events = obs::Recorder::global().snapshot();
   const std::string serial_jsonl = obs::to_recording_jsonl(
-      serial_events, obs::RecordLevel::kFull, 1);
+      serial_events, obs::RecordLevel::kFull);
   obs::Recorder::global().reset();
 
   std::vector<swarming::SimulationOutcome> threaded(8);
@@ -164,7 +158,7 @@ TEST_F(RecorderTest, ConcurrentRunsProduceTheSerialRecordingBytes) {
   for (std::thread& worker : workers) worker.join();
   const auto threaded_events = obs::Recorder::global().snapshot();
   const std::string threaded_jsonl = obs::to_recording_jsonl(
-      threaded_events, obs::RecordLevel::kFull, 1);
+      threaded_events, obs::RecordLevel::kFull);
 
   for (std::size_t i = 0; i < 8; ++i) {
     expect_bits_equal(serial[i].peer_throughput,
@@ -185,22 +179,7 @@ TEST_F(RecorderTest, SuppressScopeSilencesCapturesOnThisThread) {
   EXPECT_EQ(obs::Recorder::global().event_count(), 0u);
 }
 
-// --- Sampling -------------------------------------------------------------
-
-#if DSA_OBS_COMPILED_IN
-TEST_F(RecorderTest, StrideRecordsEveryKthRoundOnly) {
-  configure(obs::RecordLevel::kRounds, 7);
-  run_round_model();
-  const auto events = obs::Recorder::global().snapshot();
-  std::size_t round_events = 0;
-  for (const obs::Event& event : events) {
-    if (event.kind != obs::EventKind::kRound) continue;
-    ++round_events;
-    EXPECT_EQ(event.time % 7, 0u) << "round " << event.time;
-  }
-  // 60 rounds, stride 7 -> rounds 0, 7, ..., 56.
-  EXPECT_EQ(round_events, 9u);
-}
+// --- Pinned bytes ---------------------------------------------------------
 
 /// FNV-1a over a string's bytes.
 std::uint64_t fnv1a(const std::string& bytes) {
@@ -267,7 +246,7 @@ TEST_F(RecorderTest, FullLevelRoundModelRecordingIsPinned) {
         config, &bandwidths);
   }
   const std::string jsonl = obs::to_recording_jsonl(
-      obs::Recorder::global().snapshot(), obs::RecordLevel::kFull, 1);
+      obs::Recorder::global().snapshot(), obs::RecordLevel::kFull);
   EXPECT_GT(jsonl.size(), 100000u);
   EXPECT_EQ(fnv1a(jsonl), 0xd822f79b43783d58ULL)
       << std::hex << fnv1a(jsonl);
@@ -283,7 +262,6 @@ TEST_F(RecorderTest, RoundsLevelSkipsPerDecisionEvents) {
         << "unexpected kind " << obs::to_string(event.kind);
   }
 }
-#endif  // DSA_OBS_COMPILED_IN
 
 // --- Serialization --------------------------------------------------------
 
@@ -364,18 +342,37 @@ std::vector<obs::Event> synthetic_events() {
 TEST_F(RecorderTest, RecordingJsonlSurvivesLoadSaveRoundTrip) {
   const std::vector<obs::Event> events = synthetic_events();
   const std::string first =
-      obs::to_recording_jsonl(events, obs::RecordLevel::kFull, 3);
+      obs::to_recording_jsonl(events, obs::RecordLevel::kFull);
   const auto path =
       std::filesystem::temp_directory_path() / "dsa_recorder_roundtrip.jsonl";
   util::atomic_write(path, first);
 
   const report::Recording loaded = report::load_recording(path);
   EXPECT_EQ(loaded.level, obs::RecordLevel::kFull);
-  EXPECT_EQ(loaded.stride, 3u);
   ASSERT_EQ(loaded.events.size(), events.size());
   const std::string second =
-      obs::to_recording_jsonl(loaded.events, loaded.level, loaded.stride);
+      obs::to_recording_jsonl(loaded.events, loaded.level);
   EXPECT_EQ(first, second);
+  std::filesystem::remove(path);
+}
+
+TEST_F(RecorderTest, RecordingWithStrideOtherThanOneIsRejectedByName) {
+  const auto path =
+      std::filesystem::temp_directory_path() / "dsa_recorder_stride.jsonl";
+  for (const char* stride : {"3", "0", "\"1\""}) {
+    util::atomic_write(
+        path, std::string("{\"type\":\"recording\",\"schema\":1,"
+                          "\"level\":\"rounds\",\"stride\":") +
+                  stride + ",\"events\":0}\n");
+    try {
+      (void)report::load_recording(path);
+      ADD_FAILURE() << "stride " << stride << " was accepted";
+    } catch (const std::runtime_error& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find("stride"), std::string::npos) << message;
+      EXPECT_NE(message.find(path.string()), std::string::npos) << message;
+    }
+  }
   std::filesystem::remove(path);
 }
 
@@ -387,8 +384,7 @@ TEST_F(RecorderTest, SaveWritesCanonicalBytes) {
       std::filesystem::temp_directory_path() / "dsa_recorder_save.jsonl";
   recorder.save(path);
   EXPECT_EQ(slurp(path), obs::to_recording_jsonl(recorder.snapshot(),
-                                                 recorder.level(),
-                                                 recorder.stride()));
+                                                 recorder.level()));
   std::filesystem::remove(path);
 }
 
@@ -437,7 +433,6 @@ TEST_F(RecorderTest, Fig5TablesFromEventsMatchRecordsPathByteForByte) {
             report::render_fig5(from_records).text);
 }
 
-#if DSA_OBS_COMPILED_IN
 TEST_F(RecorderTest, EncounterSeriesFromSwarmEventsMatchesDirectResults) {
   // Two fractions x two runs of the mixed swarm, recorded; the extractor
   // must rebuild exactly the group means the results report directly.
@@ -473,6 +468,5 @@ TEST_F(RecorderTest, EncounterSeriesFromSwarmEventsMatchesDirectResults) {
   EXPECT_EQ(std::bit_cast<std::uint64_t>(series[0].points[1].mean_a),
             std::bit_cast<std::uint64_t>((direct_a[2] + direct_a[3]) / 2.0));
 }
-#endif  // DSA_OBS_COMPILED_IN
 
 }  // namespace

@@ -52,7 +52,7 @@ TEST(QuantileBucket, CumulativeWalkSkipsEmptyBuckets) {
   EXPECT_EQ(obs::quantile_bucket(buckets, 0, 0.5), buckets.size());
 }
 
-// --- snapshot math (no observe path, works even when compiled out) --------
+// --- snapshot math (no observe path) --------------------------------------
 
 TEST(MomentsSnapshot, DerivedStatisticsAndMerge) {
   // Values {1, 3} in the first positive buckets' counts.
@@ -74,7 +74,6 @@ TEST(MomentsSnapshot, DerivedStatisticsAndMerge) {
   EXPECT_DOUBLE_EQ(empty.variance(), 0.0);
   EXPECT_DOUBLE_EQ(empty.quantile(0.5), 0.0);
 
-#if DSA_OBS_COMPILED_IN
   // The registry's snapshot merges per-thread moments: an exited thread's
   // extrema combine with the live thread's, and a thread that never
   // observed contributes nothing.
@@ -94,10 +93,7 @@ TEST(MomentsSnapshot, DerivedStatisticsAndMerge) {
   EXPECT_DOUBLE_EQ(snap.max, 3.0);
   EXPECT_DOUBLE_EQ(snap.sum, 2.0);
   EXPECT_DOUBLE_EQ(snap.sum_squares, 14.0);
-#endif
 }
-
-#if DSA_OBS_COMPILED_IN
 
 // --- observe path (needs the runtime switch) ------------------------------
 
@@ -394,7 +390,5 @@ TEST(DistributionExport, JsonlAndTelemetryAgreeWithinTheErrorBound) {
   EXPECT_EQ(line->find("max")->number,
             *std::max_element(latencies.begin(), latencies.end()));
 }
-
-#endif  // DSA_OBS_COMPILED_IN
 
 }  // namespace

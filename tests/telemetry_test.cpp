@@ -287,8 +287,7 @@ TEST_F(TelemetryTest, HeartbeatSchemaRoundTrips) {
   EXPECT_GT(status.rss_kb, 0u);  // /proc/self/status is available
 #endif
 
-  run.update_done(7);   // CAS-max: raises
-  run.update_done(5);   // ...and never lowers
+  run.add_done(4);
   run.finish(true);
   status = obs::load_status_file(heartbeat);
   EXPECT_EQ(status.state, "done");
@@ -333,7 +332,6 @@ TEST_F(TelemetryTest, TimeseriesAppendsWithMonotoneSeq) {
   EXPECT_GT(read_jsonl(series).size(), lines.size());
 }
 
-#if DSA_OBS_COMPILED_IN
 TEST_F(TelemetryTest, TimeseriesCountersAreCumulativeAndNeverDecrease) {
   obs::Telemetry telemetry;
   telemetry.configure(enabled_options());
@@ -367,7 +365,6 @@ TEST_F(TelemetryTest, TimeseriesCountersAreCumulativeAndNeverDecrease) {
     }
   }
 }
-#endif  // DSA_OBS_COMPILED_IN
 
 TEST_F(TelemetryTest, FailedRunsAndErrorsReachTheHeartbeat) {
   obs::Telemetry telemetry;

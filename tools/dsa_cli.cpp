@@ -131,7 +131,8 @@ const util::HelpIndex& help_index() {
        "usage: dsa_cli sweep [--out FILE] [--threads N] [--force] [--quiet]\n\n"
        "PRA quantification of all 3270 protocols. The DSA_* scale knobs\n"
        "become a `sweep` scenario spec, run like `dsa_cli run`: sharded\n"
-       "jobs, live progress, and a manifest a killed sweep resumes from.\n"
+       "jobs, live progress (DSA_OBS=status), and a manifest a killed\n"
+       "sweep resumes from.\n"
        "An existing output is reused only when its provenance sidecar\n"
        "(<out>.provenance.json) records the same spec; otherwise the\n"
        "command fails naming both fingerprints. --force recomputes.\n\n"
@@ -211,7 +212,8 @@ const util::HelpIndex& help_index() {
        "                   hardware concurrency); never affects the output\n"
        "                   bytes\n"
        "  --keep-manifest  keep the job manifest after a successful merge\n"
-       "  --quiet          suppress the progress meter and resume notes\n"},
+       "  --quiet          suppress the resume notes and the job latency\n"
+       "                   summary\n"},
       {"explore", "worst-case fault-schedule search (explore spec)",
        "usage: dsa_cli explore <spec.json> [--threads N] [--keep-manifest]\n"
        "                       [--quiet] [--worst-out FILE]\n\n"
@@ -232,7 +234,8 @@ const util::HelpIndex& help_index() {
        "                   DSA_THREADS, 0 = auto); never affects the output\n"
        "                   bytes\n"
        "  --keep-manifest  keep the job manifest after a successful merge\n"
-       "  --quiet          suppress the progress meter and resume notes\n"
+       "  --quiet          suppress the resume notes and the job latency\n"
+       "                   summary\n"
        "  --worst-out F    counterexample path (default: the spec output\n"
        "                   with its extension replaced by .worst.json)\n"},
       {"report", "render figure tables from a recording",
@@ -1013,14 +1016,13 @@ int explore_postprocess(const scenario::Plan& plan,
   std::printf("replay with: dsa_cli swarm --fault-file %s\n",
               ce_path.string().c_str());
 
-#if DSA_OBS_COMPILED_IN
   // Failure report: re-run the shrunk schedule and the fault-free baseline
   // under the flight recorder at full detail, then contrast them. Any
   // ambient recording (DSA_OBS=record) is preserved around the bracket.
   obs::Recorder& recorder = obs::Recorder::global();
-  const obs::RecorderOptions saved{recorder.level(), recorder.stride()};
+  const obs::RecordLevel saved = recorder.level();
   std::vector<obs::Event> ambient = recorder.snapshot();
-  recorder.configure({obs::RecordLevel::kFull, 1});
+  recorder.configure(obs::RecordLevel::kFull);
   recorder.reset();
   (void)scenario::run_explore_schedule(ctx, shrunk.schedule);
   const std::vector<obs::Event> worst_events = recorder.snapshot();
@@ -1032,10 +1034,6 @@ int explore_postprocess(const scenario::Plan& plan,
   recorder.append(std::move(ambient));
   std::cout << report::render_fault_timeline(worst_events);
   std::cout << report::render_fault_impact(worst_events, baseline_events);
-#else
-  std::printf("(failure report skipped: recorder compiled out, "
-              "-DDSA_TRACE=OFF)\n");
-#endif
   return 0;
 }
 
@@ -1571,23 +1569,17 @@ int cmd_version(const util::CliArgs& args) {
   std::printf("  DSA_NATIVE:      %s\n", DSA_BUILD_NATIVE);
   std::printf("  DSA_SANITIZE:    %s\n",
               sanitize[0] != '\0' ? sanitize : "(none)");
-  std::printf("  observability:   %s\n",
-              DSA_OBS_COMPILED_IN != 0 ? "compiled in (DSA_TRACE=ON)"
-                                       : "compiled out (DSA_TRACE=OFF)");
   std::printf("  DSA_OBS:         %s\n"
               "                   (effective spec; tokens metrics, status, "
               "prof, trace,\n"
               "                   record[=rounds|full], dir=PATH)\n",
               obs::Config::from_environment().spec().c_str());
-  std::printf("  live telemetry:  heartbeat + time-series every %u ms\n"
-              "                   (metric feeds %s)\n",
-              obs::TelemetryOptions{}.interval_ms,
-              DSA_OBS_COMPILED_IN != 0 ? "compiled in" : "compiled out");
+  std::printf("  live telemetry:  heartbeat + time-series every %u ms\n",
+              obs::TelemetryOptions{}.interval_ms);
   std::printf("  profiler:        %u Hz wall-clock stack sampling -> "
               "`dsa_cli flame`\n"
-              "                   (live-stack depth %zu; phases %s)\n",
-              obs::FlameOptions{}.hz, obs::Profiler::kMaxLiveDepth,
-              DSA_OBS_COMPILED_IN != 0 ? "compiled in" : "compiled out");
+              "                   (live-stack depth %zu)\n",
+              obs::FlameOptions{}.hz, obs::Profiler::kMaxLiveDepth);
   std::printf("  sketches:        registry distributions (p50/p90/p99 within "
               "1%% relative error,\n"
               "                   min/max/mean/stddev) feed health timelines "
