@@ -11,9 +11,13 @@
 // The grid covers all five variants, piece counts on both sides of every
 // 64-bit word boundary, generated fault plans across the intensity dial,
 // hand-built plans with loss, crashes and seeder outages, staggered arrivals
-// and the series.
+// and the series. The choke-round knobs (regular and seeder slots, the
+// optimistic period, the re-choke interval) and a large mixed five-variant
+// swarm were pinned on the engine whose choke round still walked every pair
+// and whose rarest-first scan was split in two at the drawn offset.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <sstream>
@@ -22,6 +26,7 @@
 
 #include "fault/fault_plan.hpp"
 #include "swarm/swarm_sim.hpp"
+#include "swarming/bandwidth.hpp"
 
 namespace {
 
@@ -253,6 +258,166 @@ TEST(SwarmGolden, StaggeredArrivalsWithSeries) {
       0x77ce7aa933d872fULL,
       0x8d211e0a06a59877ULL,
       0xa61c84074eb3276dULL,
+  });
+}
+
+/// One mixed swarm per variant pairing (each variant against its
+/// successor), all on one config shape adjusted by `tweak`.
+template <typename Tweak>
+std::vector<std::uint64_t> variant_pairs(std::uint64_t& seed, Tweak tweak) {
+  std::vector<std::uint64_t> hashes;
+  for (std::size_t v = 0; v < 5; ++v) {
+    SwarmConfig config = config_for(v % 2 == 0 ? 40 : 70, ++seed);
+    config.max_ticks = 3000;
+    tweak(config);
+    hashes.push_back(result_hash(run_mixed_swarm(
+        kVariants[v], kVariants[(v + 1) % 5], 9, 24, config)));
+  }
+  return hashes;
+}
+
+TEST(SwarmGolden, RegularSlots) {
+  // 60 slots exceed the 23 other leechers: every interested peer is
+  // unchoked and the optimistic slot has no one left to pick.
+  std::vector<std::uint64_t> actual;
+  std::uint64_t seed = 600;
+  for (std::size_t slots : {1, 4, 60}) {
+    for (std::uint64_t h : variant_pairs(seed, [&](SwarmConfig& config) {
+           config.regular_slots = slots;
+         })) {
+      actual.push_back(h);
+    }
+  }
+  expect_hashes(actual, {
+      0x3909aeac1b1819a6ULL,
+      0x47bfa08eaf1a08e2ULL,
+      0x9162b599dfc53008ULL,
+      0x8243c453af9e3d3dULL,
+      0xb61d2be2c6e7b347ULL,
+      0xda5105ea1543e65bULL,
+      0x818ea2337252ee6dULL,
+      0x985e230147c92ec5ULL,
+      0xc50e5d1030891a86ULL,
+      0xcce2f09f340c333cULL,
+      0xdde04b0b68cb226dULL,
+      0x6046cddf6631c52fULL,
+      0x39f59d822d42d982ULL,
+      0xefb1c5192eeff6f2ULL,
+      0x12ac7dbda983367dULL,
+  });
+}
+
+TEST(SwarmGolden, OptimisticPeriod) {
+  std::vector<std::uint64_t> actual;
+  std::uint64_t seed = 700;
+  for (std::size_t period : {1, 3, 7}) {
+    for (std::uint64_t h : variant_pairs(seed, [&](SwarmConfig& config) {
+           config.optimistic_period = period;
+         })) {
+      actual.push_back(h);
+    }
+  }
+  expect_hashes(actual, {
+      0xfc2ba6a0537aed56ULL,
+      0x34467ddcff0d5c81ULL,
+      0xb401500c1686abf4ULL,
+      0xfcd7257a78edec7bULL,
+      0x1c0fb13b189cebdcULL,
+      0x1418f713e9eb3279ULL,
+      0x448aba7484580026ULL,
+      0xa2cc9dc5cf54adacULL,
+      0xf22a3f38724d4503ULL,
+      0xb833a92b3f640fafULL,
+      0xbfd56de10b533703ULL,
+      0xc2d59bf9e434b1e4ULL,
+      0x53d77e0b87ad2952ULL,
+      0xe3d69ea544d4e5d0ULL,
+      0xfadff8c34173592eULL,
+  });
+}
+
+TEST(SwarmGolden, SeederSlots) {
+  std::vector<std::uint64_t> actual;
+  std::uint64_t seed = 800;
+  for (std::size_t slots : {1, 3}) {
+    for (std::uint64_t h : variant_pairs(seed, [&](SwarmConfig& config) {
+           config.seeder_slots = slots;
+         })) {
+      actual.push_back(h);
+    }
+  }
+  expect_hashes(actual, {
+      0x88ca7284ef9aeaedULL,
+      0x88951e40b365b92bULL,
+      0x3052acc45034e3e3ULL,
+      0x2116d26d72b52fa8ULL,
+      0x2af4e92e3a17e3abULL,
+      0x8b81a60ac015192fULL,
+      0xb51965e1d43021c2ULL,
+      0xdbed94fdfc0ae246ULL,
+      0x9c2f0e78297cd68dULL,
+      0x8c36eebb8300720ULL,
+  });
+}
+
+TEST(SwarmGolden, RechokeInterval) {
+  std::vector<std::uint64_t> actual;
+  std::uint64_t seed = 900;
+  for (std::size_t interval : {1, 10}) {
+    for (std::uint64_t h : variant_pairs(seed, [&](SwarmConfig& config) {
+           config.rechoke_interval = interval;
+         })) {
+      actual.push_back(h);
+    }
+  }
+  expect_hashes(actual, {
+      0xe66f5515ead35862ULL,
+      0xf527062534d6db35ULL,
+      0xb5894d09d63e0786ULL,
+      0xba41e5e377e231d5ULL,
+      0xdbd7dd8aaa57a509ULL,
+      0xc60ba504723fc75bULL,
+      0x56bc8f1f54c29f90ULL,
+      0xdbd3150653dfeb93ULL,
+      0xf3ab9226436344bdULL,
+      0xf99899871003c495ULL,
+  });
+}
+
+TEST(SwarmGolden, LargeMixedSwarmWithFaultsAndArrivals) {
+  // 120 leechers cycling through all five variants, 200 pieces (four
+  // words, the last one partial), staggered arrivals, crashes, two seeder
+  // outages and message loss.
+  constexpr std::size_t kLeechers = 120;
+  std::vector<ClientVariant> leechers;
+  for (std::size_t l = 0; l < kLeechers; ++l) {
+    leechers.push_back(kVariants[l % 5]);
+  }
+  std::vector<double> capacities =
+      dsa::swarming::BandwidthDistribution::piatek().stratified_sample(
+          kLeechers);
+  std::vector<std::uint64_t> actual;
+  std::uint64_t crashes = 0;
+  std::uint64_t down = 0;
+  for (std::uint64_t seed : {1001, 1002}) {
+    SwarmConfig config = config_for(200, seed);
+    config.max_ticks = 6000;
+    config.arrival_interval = 2;
+    config.faults.crashes = {{4, 30, 25},  {17, 80, 10}, {55, 120, 60},
+                             {4, 200, 15}, {90, 260, 5}, {119, 400, 30}};
+    config.faults.seeder_outages = {{50, 90}, {300, 340}};
+    config.faults.message_loss = seed == 1001 ? 0.0 : 0.3;
+    const SwarmResult result = run_swarm(leechers, capacities, config);
+    crashes += result.fault_stats.crashes;
+    down += result.fault_stats.seeder_down_ticks;
+    actual.push_back(result_hash(result));
+    std::rotate(capacities.begin(), capacities.begin() + 7, capacities.end());
+  }
+  EXPECT_GT(crashes, 0u);
+  EXPECT_GT(down, 0u);
+  expect_hashes(actual, {
+      0x2c739baca9196633ULL,
+      0xc10de6b5b04fed47ULL,
   });
 }
 
