@@ -63,7 +63,7 @@ const char* to_string(EventKind kind) noexcept {
 }
 
 EventKind parse_event_kind(const std::string& text) {
-  for (int k = 0; k <= static_cast<int>(EventKind::kFault); ++k) {
+  for (int k = 0; k <= static_cast<int>(kLastEventKind); ++k) {
     const auto kind = static_cast<EventKind>(k);
     if (text == to_string(kind)) return kind;
   }

@@ -104,6 +104,10 @@ enum class EventKind : std::uint8_t {
   kFault,
 };
 
+/// The last EventKind: loops over every kind run from kRun up to and
+/// including it. A new kind goes before it or replaces it here.
+inline constexpr EventKind kLastEventKind = EventKind::kFault;
+
 [[nodiscard]] const char* to_string(EventKind kind) noexcept;
 
 /// Inverse of to_string(EventKind); throws std::invalid_argument on an

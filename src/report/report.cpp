@@ -306,7 +306,7 @@ std::string render_summary(const Recording& recording) {
   out << "\nRecording: level=" << obs::to_string(recording.level)
       << " events=" << recording.events.size() << '\n';
   util::TablePrinter table({"kind", "events", "runs"});
-  for (int k = 0; k <= static_cast<int>(obs::EventKind::kMixedSwarm); ++k) {
+  for (int k = 0; k <= static_cast<int>(obs::kLastEventKind); ++k) {
     const auto kind = static_cast<obs::EventKind>(k);
     std::size_t count = 0;
     std::vector<std::uint64_t> runs;

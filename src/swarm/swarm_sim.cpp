@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -30,12 +31,13 @@ void SwarmConfig::validate(std::size_t leecher_count) const {
   if (piece_count == 0) {
     throw std::invalid_argument("SwarmConfig.piece_count: must be > 0");
   }
-  if (!(piece_size_kb > 0.0)) {
-    throw std::invalid_argument("SwarmConfig.piece_size_kb: must be > 0");
-  }
-  if (!(seeder_capacity_kbps > 0.0)) {
+  if (!(std::isfinite(piece_size_kb) && piece_size_kb > 0.0)) {
     throw std::invalid_argument(
-        "SwarmConfig.seeder_capacity_kbps: must be > 0");
+        "SwarmConfig.piece_size_kb: must be finite and > 0");
+  }
+  if (!(std::isfinite(seeder_capacity_kbps) && seeder_capacity_kbps > 0.0)) {
+    throw std::invalid_argument(
+        "SwarmConfig.seeder_capacity_kbps: must be finite and > 0");
   }
   if (regular_slots == 0) {
     throw std::invalid_argument("SwarmConfig.regular_slots: must be > 0");
@@ -113,15 +115,22 @@ class SwarmEngine {
         arrival_tick_(n_, 0),
         uploaded_(n_, 0.0),
         downloaded_(n_, 0.0),
+        incomplete_(leechers.size()),
         crashed_until_(n_, -1),
         crash_schedule_(config.faults.crashes) {
     for (std::size_t l = 0; l < leechers.size(); ++l) {
       variant_[l + 1] = leechers[l];
       capacity_[l + 1] = capacities[l];
+      if (leechers[l] == ClientVariant::kLoyalWhenNeeded) {
+        loyal_.push_back(static_cast<std::uint32_t>(l + 1));
+      }
       if (config.arrival_interval > 0) {
         arrival_tick_[l + 1] =
             static_cast<std::int64_t>(l * config.arrival_interval);
-        if (arrival_tick_[l + 1] > 0) active_[l + 1] = 0;
+        if (arrival_tick_[l + 1] > 0) {
+          active_[l + 1] = 0;
+          ++waiting_;
+        }
       }
     }
     // Seeder starts complete.
@@ -151,7 +160,7 @@ class SwarmEngine {
     std::size_t tick = 0;
     {
       DSA_OBS_PHASE("swarm/ticks");
-      for (; tick < config_.max_ticks && incomplete_leechers() > 0; ++tick) {
+      for (; tick < config_.max_ticks && incomplete_ > 0; ++tick) {
         tick_ = static_cast<std::uint32_t>(tick);
         apply_faults(tick);
         process_arrivals(tick);
@@ -252,7 +261,7 @@ class SwarmEngine {
   }
 
   /// Fraction of a leecher's fresh unchoke list that was not unchoked in
-  /// the previous round (prev_unchoked_ snapshot). 0 = stable partners,
+  /// the previous round (the prev_unchoked_ snapshot). 0 = stable partners,
   /// 1 = full churn.
   void observe_switch_rate(const std::vector<std::uint32_t>& fresh) {
     static const obs::Distribution distribution =
@@ -268,7 +277,9 @@ class SwarmEngine {
         static_cast<double>(switched) / static_cast<double>(fresh.size());
     distribution.observe(rate);
   }
+
   void process_arrivals(std::size_t tick) {
+    if (waiting_ == 0) return;
     for (std::size_t i = 1; i < n_; ++i) {
       if (active_[i] || is_complete(i)) continue;
       if (crashed_until_[i] >= 0) {
@@ -277,9 +288,11 @@ class SwarmEngine {
         if (static_cast<std::int64_t>(tick) >= crashed_until_[i]) {
           active_[i] = 1;
           crashed_until_[i] = -1;
+          --waiting_;
         }
       } else if (static_cast<std::int64_t>(tick) >= arrival_tick_[i]) {
         active_[i] = 1;
+        --waiting_;
       }
     }
   }
@@ -345,6 +358,7 @@ class SwarmEngine {
     unchoked_[i].clear();
     optimistic_[i] = kNoPeer;
     active_[i] = 0;
+    ++waiting_;
     crashed_until_[i] = static_cast<std::int64_t>(tick + crash.downtime);
   }
 
@@ -417,22 +431,16 @@ class SwarmEngine {
     return snap;
   }
 
-  /// Leechers that have not completed yet (arrived or still to arrive).
-  [[nodiscard]] std::size_t incomplete_leechers() const {
-    std::size_t count = 0;
-    for (std::size_t i = 1; i < n_; ++i) {
-      if (have_count_[i] < pieces_) ++count;
-    }
-    return count;
-  }
-
   [[nodiscard]] bool is_complete(std::size_t i) const {
     return have_count_[i] == pieces_;
   }
 
   /// j wants data at all (and i has at least one piece). The exact
   /// "i has something j lacks" check happens at piece assignment; a lane
-  /// that cannot be fed simply idles.
+  /// that cannot be fed simply idles. It reads i only through j != i and
+  /// have_count_[i] > 0, and a choke round changes neither, so a round lists
+  /// the peers that want data once (interested_) and each leecher's
+  /// candidates are that list without itself.
   [[nodiscard]] bool interested_in(std::size_t i, std::size_t j) const {
     return j != i && active_[j] && !is_complete(j) && have_count_[i] > 0;
   }
@@ -447,32 +455,54 @@ class SwarmEngine {
       priority = static_cast<std::uint32_t>(rng_());
     }
     // Window roll + loyalty streak update (one choke period granularity).
+    // Only Loyal-When-needed peers read streaks, and only on their own row.
     recv_prev_.swap(recv_cur_);
     std::fill(recv_cur_.begin(), recv_cur_.end(), 0.0);
-    for (std::size_t idx = 0; idx < n_ * n_; ++idx) {
-      streak_[idx] = recv_prev_[idx] > 0.0 ? streak_[idx] + 1 : 0;
+    for (std::uint32_t i : loyal_) {
+      for (std::size_t idx = i * n_; idx < (i + 1) * n_; ++idx) {
+        streak_[idx] = recv_prev_[idx] > 0.0 ? streak_[idx] + 1 : 0;
+      }
     }
     observe_peer_utilization();
 
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (!active_[i]) continue;
-      if (i == 0) {
-        rechoke_seeder();
-      } else if (!is_complete(i)) {
-        rechoke_leecher(i);
+    interested_.clear();
+    for (std::size_t j = 1; j < n_; ++j) {
+      if (active_[j] && !is_complete(j)) {
+        interested_.push_back(static_cast<std::uint32_t>(j));
       }
     }
 
-    // Release in-flight assignments on pairs that are no longer unchoked so
-    // a choked-off piece can be re-claimed from another sender. Each release
-    // touches only its own pair, so the walk follows piece_from_'s layout.
-    for (std::size_t receiver = 0; receiver < n_; ++receiver) {
-      for (std::size_t sender = 0; sender < n_; ++sender) {
-        if (piece_from_[receiver * n_ + sender] == kNoPiece) continue;
-        if (!is_unchoked(sender, receiver)) {
-          release_assignment(receiver, sender);
-        }
+    for (std::size_t i = 0; i < n_; ++i) {
+      if (!active_[i] || (i != 0 && is_complete(i))) continue;
+      prev_unchoked_ = unchoked_[i];
+      const std::int32_t prev_optimistic = optimistic_[i];
+      if (i == 0) {
+        rechoke_seeder();
+      } else {
+        rechoke_leecher(i);
       }
+      release_choked(i, prev_optimistic);
+    }
+  }
+
+  /// Releases the in-flight assignments from `sender` to the peers it just
+  /// choked off, so a choked-off piece can be re-claimed from another
+  /// sender. An in-flight pair is only ever created for an unchoked or
+  /// optimistic pair, and every clear of a sender's sets releases its pairs
+  /// first, so only the peers in the sender's previous sets (prev_unchoked_
+  /// and `prev_optimistic`) can hold one. No choke decision reads
+  /// piece_from_ or claimed_, and each release touches only its own pair,
+  /// so releasing right after each sender's re-choke leaves the same state
+  /// as releasing after the whole round.
+  void release_choked(std::size_t sender, std::int32_t prev_optimistic) {
+    for (std::uint32_t receiver : prev_unchoked_) {
+      if (!is_unchoked(sender, receiver)) {
+        release_assignment(receiver, sender);
+      }
+    }
+    if (prev_optimistic != kNoPeer &&
+        !is_unchoked(sender, static_cast<std::size_t>(prev_optimistic))) {
+      release_assignment(static_cast<std::size_t>(prev_optimistic), sender);
     }
   }
 
@@ -513,10 +543,13 @@ class SwarmEngine {
 
   void rechoke_leecher(std::size_t i) {
     candidates_.clear();
-    for (std::size_t j = 1; j < n_; ++j) {
-      if (interested_in(i, j)) {
-        candidates_.push_back(static_cast<std::uint32_t>(j));
-      }
+    if (have_count_[i] > 0) {
+      // i is active and incomplete, so it sits in interested_ exactly once.
+      const auto self = std::lower_bound(interested_.begin(),
+                                         interested_.end(),
+                                         static_cast<std::uint32_t>(i));
+      candidates_.assign(interested_.begin(), self);
+      candidates_.insert(candidates_.end(), self + 1, interested_.end());
     }
 
     const ClientVariant variant = variant_[i];
@@ -525,10 +558,8 @@ class SwarmEngine {
                                   : config_.regular_slots;
     const std::size_t picked = std::min(slots, candidates_.size());
     rank_candidates(i, variant, picked);
-    const bool observe = obs::enabled() && picked > 0;
-    if (observe) prev_unchoked_ = unchoked_[i];
     unchoked_[i].assign(candidates_.begin(), candidates_.begin() + picked);
-    if (observe) observe_switch_rate(unchoked_[i]);
+    if (obs::enabled() && picked > 0) observe_switch_rate(unchoked_[i]);
 
     update_optimistic(i, variant, slots);
 
@@ -630,20 +661,16 @@ class SwarmEngine {
     if (current_valid && !due_for_rotation) return;
 
     rechokes_since_rotation_[i] = 0;
-    // Candidates for the optimistic slot: interested peers outside the
-    // regular set.
-    scratch_.clear();
-    for (std::uint32_t j : candidates_) {
-      if (std::find(unchoked_[i].begin(), unchoked_[i].end(), j) ==
-          unchoked_[i].end()) {
-        scratch_.push_back(j);
-      }
-    }
+    // Candidates for the optimistic slot: the interested peers outside the
+    // regular set, which are exactly candidates_[picked..), in the order the
+    // ranking left them.
+    const std::size_t picked = unchoked_[i].size();
+    const std::size_t outside = candidates_.size() - picked;
     optimistic_[i] =
-        scratch_.empty()
+        outside == 0
             ? kNoPeer
-            : static_cast<std::int32_t>(
-                  scratch_[static_cast<std::size_t>(rng_.below(scratch_.size()))]);
+            : static_cast<std::int32_t>(candidates_[
+                  picked + static_cast<std::size_t>(rng_.below(outside))]);
   }
 
   // --- transfers ----------------------------------------------------------
@@ -685,40 +712,41 @@ class SwarmEngine {
     // Drawn even when the scan finds nothing: every draw is part of the
     // pinned RNG stream.
     const std::size_t offset = static_cast<std::size_t>(rng_.below(pieces_));
+    const std::uint64_t* offered = &have_[sender * words_];
+    const std::uint64_t* held = &have_[receiver * words_];
+    const std::uint64_t* claimed = &claimed_[receiver * words_];
+    // One wrap-around walk of words_ + 1 word visits: the offset's word from
+    // the offset bit up, the words after it, the words before it, and the
+    // offset's word again below the offset bit. No row has a bit at or past
+    // pieces_, so the last word needs no mask.
+    const std::size_t first = offset / 64;
+    const std::uint64_t from_offset = ~std::uint64_t{0} << (offset % 64);
     std::size_t best = pieces_;
     std::uint32_t best_availability = std::numeric_limits<std::uint32_t>::max();
-    rarest_in(receiver, sender, offset, pieces_, best, best_availability);
-    rarest_in(receiver, sender, 0, offset, best, best_availability);
+    for (std::size_t step = 0, w = first; step <= words_; ++step) {
+      std::uint64_t candidates = offered[w] & ~held[w] & ~claimed[w];
+      if (step == 0) {
+        candidates &= from_offset;
+      } else if (step == words_) {
+        candidates &= ~from_offset;
+      }
+      // Keeps the first strictly rarer piece. The select is branch-free:
+      // whether a piece is rarer than the best so far is data-dependent and
+      // mispredicts as a branch.
+      for (; candidates != 0; candidates &= candidates - 1) {
+        const std::size_t p =
+            w * 64 + static_cast<std::size_t>(std::countr_zero(candidates));
+        const std::uint32_t availability = availability_[p];
+        const bool rarer = availability < best_availability;
+        best = rarer ? p : best;
+        best_availability = rarer ? availability : best_availability;
+      }
+      if (++w == words_) w = 0;
+    }
     if (best == pieces_) return false;
     claimed_[receiver * words_ + best / 64] |= piece_bit(best);
     piece_from_[receiver * n_ + sender] = static_cast<std::int32_t>(best);
     return true;
-  }
-
-  /// Walks the pieces in [begin, end) that sender could assign to receiver,
-  /// in index order, and keeps the first one whose availability is strictly
-  /// below best_availability.
-  void rarest_in(std::size_t receiver, std::size_t sender, std::size_t begin,
-                 std::size_t end, std::size_t& best,
-                 std::uint32_t& best_availability) const {
-    if (begin >= end) return;
-    const std::uint64_t* offered = &have_[sender * words_];
-    const std::uint64_t* held = &have_[receiver * words_];
-    const std::uint64_t* claimed = &claimed_[receiver * words_];
-    const std::size_t last = (end - 1) / 64;
-    for (std::size_t w = begin / 64; w <= last; ++w) {
-      std::uint64_t candidates = offered[w] & ~held[w] & ~claimed[w];
-      if (w == begin / 64) candidates &= ~std::uint64_t{0} << (begin % 64);
-      if (w == last && end % 64 != 0) candidates &= piece_bit(end) - 1;
-      for (; candidates != 0; candidates &= candidates - 1) {
-        const std::size_t p =
-            w * 64 + static_cast<std::size_t>(std::countr_zero(candidates));
-        if (availability_[p] < best_availability) {
-          best = p;
-          best_availability = availability_[p];
-        }
-      }
-    }
   }
 
   void deliver(std::size_t sender, std::size_t receiver, double rate_kbps,
@@ -763,6 +791,7 @@ class SwarmEngine {
     done = 0.0;
 
     if (is_complete(receiver)) {
+      --incomplete_;
       completion_tick_[receiver] = static_cast<std::int64_t>(tick) + 1;
       departing_.push_back(static_cast<std::uint32_t>(receiver));
     }
@@ -815,7 +844,8 @@ class SwarmEngine {
   std::vector<std::int32_t> piece_from_;     // [receiver * n + sender]
   std::vector<double> bytes_done_;           // [receiver * pieces + p], KB
   std::vector<double> recv_cur_, recv_prev_;  // [receiver * n + sender], KB
-  std::vector<std::uint32_t> streak_;        // choke periods of cooperation
+  std::vector<std::uint32_t> streak_;  // choke periods; loyal_ rows only
+  std::vector<std::uint32_t> loyal_;   // Loyal-When-needed peers, ascending
   std::vector<std::vector<std::uint32_t>> unchoked_;
   std::vector<std::int32_t> optimistic_;
   std::vector<std::size_t> rechokes_since_rotation_;
@@ -824,6 +854,8 @@ class SwarmEngine {
   std::vector<double> uploaded_, downloaded_;
   double tick_transferred_ = 0.0;
   std::size_t seeder_rr_ = 0;
+  std::size_t incomplete_;    // leechers not complete (arrived or not)
+  std::size_t waiting_ = 0;   // leechers yet to arrive or to rejoin
 
   // Fault state.
   std::vector<std::int64_t> crashed_until_;   // rejoin tick; -1 = not crashed
@@ -838,12 +870,12 @@ class SwarmEngine {
   FaultStats stats_;
 
   // Scratch.
+  std::vector<std::uint32_t> interested_;  // this round's peers wanting data
   std::vector<std::uint32_t> candidates_;
-  std::vector<std::uint32_t> scratch_;
   std::vector<std::uint32_t> targets_;
   std::vector<std::uint32_t> departing_;
-  // Previous-round unchoke list, captured only while obs::enabled() so the
-  // switch-rate sketch can diff against it. Never read by the simulation.
+  // The peer being re-choked's unchoke list before the re-choke: read by
+  // the release pass and the switch-rate sketch.
   std::vector<std::uint32_t> prev_unchoked_;
 
   // Flight recorder: level latched at construction, events buffered locally
@@ -861,9 +893,11 @@ SwarmResult run_swarm(const std::vector<ClientVariant>& leechers,
     throw std::invalid_argument(
         "run_swarm: leechers/capacities must be equal-length and non-empty");
   }
-  for (double c : capacities) {
-    if (!(c > 0.0)) {
-      throw std::invalid_argument("run_swarm: capacities must be positive");
+  for (std::size_t i = 0; i < capacities.size(); ++i) {
+    if (!(std::isfinite(capacities[i]) && capacities[i] > 0.0)) {
+      throw std::invalid_argument("run_swarm: capacities[" +
+                                  std::to_string(i) +
+                                  "] must be finite and > 0");
     }
   }
   config.validate(leechers.size());

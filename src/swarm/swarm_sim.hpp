@@ -61,8 +61,9 @@ struct SwarmConfig {
   /// run_swarm.
   fault::FaultPlan faults;
 
-  /// Rejects degenerate configurations with std::invalid_argument naming
-  /// the offending field.
+  /// Rejects degenerate configurations (a zero count, a capacity or piece
+  /// size that is not finite and positive) with std::invalid_argument
+  /// naming the offending field.
   void validate(std::size_t leecher_count) const;
 };
 
@@ -118,7 +119,7 @@ struct SwarmResult {
 
 /// Runs one swarm: `leechers[i]` runs the given variant with upload capacity
 /// `capacities[i]` (KBps). Throws std::invalid_argument on empty/mismatched
-/// inputs or non-positive capacities.
+/// inputs or a capacity that is not finite and positive (naming its index).
 SwarmResult run_swarm(const std::vector<ClientVariant>& leechers,
                       const std::vector<double>& capacities,
                       const SwarmConfig& config);

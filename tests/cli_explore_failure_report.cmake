@@ -4,7 +4,10 @@
 # examples/scenarios/fault_explore.json whose output lies under DIR:
 #   - stdout carries the fault timeline and the per-leecher impact table;
 #   - under DSA_OBS=record, RECORD_explore.jsonl is still a rounds-level
-#     recording without the bracket's full-level choke or piece events.
+#     recording without the bracket's full-level choke or piece events;
+#   - `dsa_cli report --table summary` of that recording lists every kind
+#     it holds, the fault events included, and its per-kind counts add up
+#     to the header's event total.
 # Invoked via
 #   cmake -DDSA_CLI=... -DSOURCE_DIR=<repo> -DDIR=<scratch dir>
 #         -P cli_explore_failure_report.cmake
@@ -46,5 +49,32 @@ file(READ "${recording}" events)
 if(events MATCHES "\"kind\":\"(choke|piece)\"")
   message(FATAL_ERROR
       "full-level ${CMAKE_MATCH_1} events leaked into the ambient recording")
+endif()
+
+execute_process(COMMAND "${DSA_CLI}" report "${recording}" --table summary
+                OUTPUT_VARIABLE summary RESULT_VARIABLE status)
+if(NOT status EQUAL 0)
+  message(FATAL_ERROR "dsa_cli report failed (exit ${status}):\n${summary}")
+endif()
+if(NOT summary MATCHES "events=([0-9]+)")
+  message(FATAL_ERROR "no event total in the summary header:\n${summary}")
+endif()
+set(total ${CMAKE_MATCH_1})
+string(REGEX MATCHALL "\n[a-z_]+ +[0-9]+ +[0-9]+" rows "${summary}")
+set(sum 0)
+set(kinds "")
+foreach(row IN LISTS rows)
+  string(REGEX MATCH "([a-z_]+) +([0-9]+)" _ "${row}")
+  list(APPEND kinds ${CMAKE_MATCH_1})
+  math(EXPR sum "${sum} + ${CMAKE_MATCH_2}")
+endforeach()
+list(FIND kinds fault fault_row)
+if(fault_row EQUAL -1)
+  message(FATAL_ERROR "the summary lists no fault events:\n${summary}")
+endif()
+if(NOT sum EQUAL total)
+  message(FATAL_ERROR
+      "the summary's kinds add up to ${sum}, its header says ${total}:\n"
+      "${summary}")
 endif()
 file(REMOVE_RECURSE "${DIR}")

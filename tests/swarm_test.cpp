@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "swarm/swarm_sim.hpp"
@@ -76,6 +79,57 @@ TEST(Swarm, ValidatesInput) {
   EXPECT_THROW(run_mixed_swarm(ClientVariant::kBirds,
                                ClientVariant::kBitTorrent, 5, 4, config),
                std::invalid_argument);
+}
+
+/// The std::invalid_argument message `call` throws, or "no error".
+template <typename Call>
+std::string thrown_message(Call call) {
+  try {
+    call();
+  } catch (const std::invalid_argument& error) {
+    return error.what();
+  }
+  return "no error";
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+TEST(Swarm, RejectsNonFiniteCapacityByIndex) {
+  const SwarmConfig config = small_config();
+  const auto leechers = uniform(3, ClientVariant::kBitTorrent);
+  for (double bad : {kInf, -kInf, std::nan("")}) {
+    EXPECT_EQ(thrown_message([&] {
+                run_swarm(leechers, {50.0, bad, 60.0}, config);
+              }),
+              "run_swarm: capacities[1] must be finite and > 0")
+        << bad;
+  }
+  EXPECT_EQ(thrown_message([&] {
+              run_swarm(leechers, {50.0, 60.0, -1.0}, config);
+            }),
+            "run_swarm: capacities[2] must be finite and > 0");
+}
+
+TEST(Swarm, ConfigRejectsNonFiniteSeederCapacityAndPieceSizeByName) {
+  for (double bad : {kInf, -kInf, std::nan("")}) {
+    SwarmConfig seeder = small_config();
+    seeder.seeder_capacity_kbps = bad;
+    EXPECT_EQ(thrown_message([&] { seeder.validate(3); }),
+              "SwarmConfig.seeder_capacity_kbps: must be finite and > 0")
+        << bad;
+    EXPECT_EQ(thrown_message([&] {
+                run_swarm(uniform(3, ClientVariant::kBirds),
+                          {50.0, 60.0, 70.0}, seeder);
+              }),
+              "SwarmConfig.seeder_capacity_kbps: must be finite and > 0")
+        << bad;
+    SwarmConfig piece = small_config();
+    piece.piece_size_kb = bad;
+    EXPECT_EQ(thrown_message([&] { piece.validate(3); }),
+              "SwarmConfig.piece_size_kb: must be finite and > 0")
+        << bad;
+  }
+  EXPECT_EQ(thrown_message([&] { small_config().validate(3); }), "no error");
 }
 
 TEST(Swarm, SingleLeecherIsSeederBound) {
