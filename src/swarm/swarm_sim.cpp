@@ -261,7 +261,7 @@ class SwarmEngine {
   }
 
   /// Fraction of a leecher's fresh unchoke list that was not unchoked in
-  /// the previous round (the prev_unchoked_ snapshot). 0 = stable partners,
+  /// the previous round (prev_unchoked_ snapshot). 0 = stable partners,
   /// 1 = full churn.
   void observe_switch_rate(const std::vector<std::uint32_t>& fresh) {
     static const obs::Distribution distribution =

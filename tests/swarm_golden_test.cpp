@@ -261,11 +261,11 @@ TEST(SwarmGolden, StaggeredArrivalsWithSeries) {
   });
 }
 
-/// One mixed swarm per variant pairing (each variant against its
-/// successor), all on one config shape adjusted by `tweak`.
+/// Appends the hashes of one mixed swarm per variant pairing (each variant
+/// against its successor), all on one config shape adjusted by `tweak`.
 template <typename Tweak>
-std::vector<std::uint64_t> variant_pairs(std::uint64_t& seed, Tweak tweak) {
-  std::vector<std::uint64_t> hashes;
+void add_variant_pairs(std::vector<std::uint64_t>& hashes, std::uint64_t& seed,
+                       Tweak tweak) {
   for (std::size_t v = 0; v < 5; ++v) {
     SwarmConfig config = config_for(v % 2 == 0 ? 40 : 70, ++seed);
     config.max_ticks = 3000;
@@ -273,7 +273,6 @@ std::vector<std::uint64_t> variant_pairs(std::uint64_t& seed, Tweak tweak) {
     hashes.push_back(result_hash(run_mixed_swarm(
         kVariants[v], kVariants[(v + 1) % 5], 9, 24, config)));
   }
-  return hashes;
 }
 
 TEST(SwarmGolden, RegularSlots) {
@@ -282,11 +281,9 @@ TEST(SwarmGolden, RegularSlots) {
   std::vector<std::uint64_t> actual;
   std::uint64_t seed = 600;
   for (std::size_t slots : {1, 4, 60}) {
-    for (std::uint64_t h : variant_pairs(seed, [&](SwarmConfig& config) {
-           config.regular_slots = slots;
-         })) {
-      actual.push_back(h);
-    }
+    add_variant_pairs(actual, seed, [&](SwarmConfig& config) {
+      config.regular_slots = slots;
+    });
   }
   expect_hashes(actual, {
       0x3909aeac1b1819a6ULL,
@@ -311,11 +308,9 @@ TEST(SwarmGolden, OptimisticPeriod) {
   std::vector<std::uint64_t> actual;
   std::uint64_t seed = 700;
   for (std::size_t period : {1, 3, 7}) {
-    for (std::uint64_t h : variant_pairs(seed, [&](SwarmConfig& config) {
-           config.optimistic_period = period;
-         })) {
-      actual.push_back(h);
-    }
+    add_variant_pairs(actual, seed, [&](SwarmConfig& config) {
+      config.optimistic_period = period;
+    });
   }
   expect_hashes(actual, {
       0xfc2ba6a0537aed56ULL,
@@ -340,11 +335,9 @@ TEST(SwarmGolden, SeederSlots) {
   std::vector<std::uint64_t> actual;
   std::uint64_t seed = 800;
   for (std::size_t slots : {1, 3}) {
-    for (std::uint64_t h : variant_pairs(seed, [&](SwarmConfig& config) {
-           config.seeder_slots = slots;
-         })) {
-      actual.push_back(h);
-    }
+    add_variant_pairs(actual, seed, [&](SwarmConfig& config) {
+      config.seeder_slots = slots;
+    });
   }
   expect_hashes(actual, {
       0x88ca7284ef9aeaedULL,
@@ -364,11 +357,9 @@ TEST(SwarmGolden, RechokeInterval) {
   std::vector<std::uint64_t> actual;
   std::uint64_t seed = 900;
   for (std::size_t interval : {1, 10}) {
-    for (std::uint64_t h : variant_pairs(seed, [&](SwarmConfig& config) {
-           config.rechoke_interval = interval;
-         })) {
-      actual.push_back(h);
-    }
+    add_variant_pairs(actual, seed, [&](SwarmConfig& config) {
+      config.rechoke_interval = interval;
+    });
   }
   expect_hashes(actual, {
       0xe66f5515ead35862ULL,
