@@ -552,6 +552,121 @@ TEST(EngineEquivalence, SampledProtocolPairsAtPopulation50) {
   }
 }
 
+TEST(EngineEquivalence, SampledTf2tPairsAtGiverBitmapWordEdges) {
+  // The TF2T window gathers givers from a bitmap of 64-bit words: one giver
+  // short of a word, exactly one word, one giver into the second word, and
+  // three words. Each population runs seeded design-space pairs with a TF2T
+  // side, split 50/50, plain and with churn.
+  dsa::util::Rng pick(0xb17ed9e5ULL);
+  for (const std::size_t population :
+       {std::size_t{63}, std::size_t{64}, std::size_t{65}, std::size_t{130}}) {
+    const std::size_t pairs = population > 64 * 2 ? 2 : 4;
+    for (std::size_t i = 0; i < pairs;) {
+      const ProtocolSpec a = decode_protocol(
+          static_cast<std::uint32_t>(pick.below(kProtocolCount)));
+      const ProtocolSpec b = decode_protocol(
+          static_cast<std::uint32_t>(pick.below(kProtocolCount)));
+      const auto tf2t = [](const ProtocolSpec& spec) {
+        return spec.partner_slots > 0 && spec.window == CandidateWindow::kTf2t;
+      };
+      if (!tf2t(a) && !tf2t(b)) continue;
+      ++i;
+      std::vector<ProtocolSpec> protocols(population / 2, a);
+      protocols.insert(protocols.end(), population - population / 2, b);
+      for (const double churn : {0.0, 0.03}) {
+        SCOPED_TRACE(a.describe() + " vs " + b.describe() + ", population " +
+                     std::to_string(population) + ", churn " +
+                     std::to_string(churn));
+        SimulationConfig config = quick(2000 + population + i, 50);
+        config.churn_rate = churn;
+        const std::vector<double> caps =
+            shuffled_capacities(population, piatek(), config.seed);
+        expect_bitwise_equal(
+            simulate_rounds(protocols, caps, config, &piatek()),
+            oracle::simulate_rounds_dense(protocols, caps, config, &piatek()));
+      }
+    }
+  }
+}
+
+TEST(EngineEquivalence, StrangerCountsOutsideTheDesignSpace) {
+  // h = 9 and 12 draw more strangers per act than the design space's
+  // h <= 3, under every stranger policy; the population of 12 leaves fewer
+  // eligible strangers than are wanted.
+  for (const int h : {9, 12}) {
+    const ProtocolSpec periodic =
+        make(StrangerPolicy::kPeriodic, h, CandidateWindow::kTft,
+             RankingFunction::kFastest, 2, AllocationPolicy::kEqualSplit);
+    const ProtocolSpec when_needed =
+        make(StrangerPolicy::kWhenNeeded, h, CandidateWindow::kTf2t,
+             RankingFunction::kLoyal, 4, AllocationPolicy::kPropShare);
+    const ProtocolSpec defector =
+        make(StrangerPolicy::kDefect, h, CandidateWindow::kTft,
+             RankingFunction::kRandom, 1, AllocationPolicy::kFreeride);
+    for (const std::size_t population : {std::size_t{12}, std::size_t{40}}) {
+      SCOPED_TRACE("h = " + std::to_string(h) + ", population " +
+                   std::to_string(population));
+      std::vector<ProtocolSpec> protocols(population / 2, periodic);
+      protocols.insert(protocols.end(), population / 4, when_needed);
+      protocols.insert(protocols.end(), population - protocols.size(),
+                       defector);
+      SimulationConfig config = quick(3000 + h + population, 100);
+      config.churn_rate = 0.03;
+      expect_engines_agree(protocols, config);
+    }
+  }
+}
+
+TEST(EngineEquivalence, Tf2tWithMorePartnerSlotsThanTheDesignSpace) {
+  // k = 12 and 20 with a TF2T window give candidate lists of more than 12,
+  // so the ranking leaves its counting path; each ranking runs with an
+  // ordered (Prop Share) and an unordered (Equal Split, Freeride) reader.
+  for (const int k : {12, 20}) {
+    for (const RankingFunction ranking :
+         {RankingFunction::kFastest, RankingFunction::kSlowest,
+          RankingFunction::kProximity, RankingFunction::kAdaptive,
+          RankingFunction::kLoyal, RankingFunction::kRandom}) {
+      std::vector<ProtocolSpec> protocols(
+          20, make(StrangerPolicy::kPeriodic, 2, CandidateWindow::kTf2t,
+                   ranking, k, AllocationPolicy::kEqualSplit));
+      protocols.insert(
+          protocols.end(), 15,
+          make(StrangerPolicy::kWhenNeeded, 3, CandidateWindow::kTf2t, ranking,
+               k, AllocationPolicy::kPropShare));
+      protocols.insert(
+          protocols.end(), 10,
+          make(StrangerPolicy::kDefect, 1, CandidateWindow::kTf2t, ranking, k,
+               AllocationPolicy::kFreeride));
+      SCOPED_TRACE("k = " + std::to_string(k) + ", ranking " +
+                   std::to_string(static_cast<int>(ranking)));
+      SimulationConfig config = quick(4000 + k, 60);
+      config.churn_rate = 0.02;
+      expect_engines_agree(protocols, config);
+    }
+  }
+}
+
+TEST(EngineEquivalence, AdaptiveAspirationAcrossChurnAndCapacityDegradation) {
+  // Aspiration is reset when a peer is replaced and moves with every
+  // round's receipts; a capacity degradation shifts the capacities it is
+  // compared with. Non-Adaptive rows ride along so the mix is realistic.
+  std::vector<ProtocolSpec> protocols(
+      15, make(StrangerPolicy::kWhenNeeded, 1, CandidateWindow::kTft,
+               RankingFunction::kAdaptive, 3, AllocationPolicy::kEqualSplit));
+  protocols.insert(
+      protocols.end(), 10,
+      make(StrangerPolicy::kPeriodic, 2, CandidateWindow::kTf2t,
+           RankingFunction::kAdaptive, 1, AllocationPolicy::kPropShare));
+  protocols.insert(protocols.end(), 10, bittorrent_protocol());
+  SimulationConfig config = quick(5003, 200);
+  config.churn_rate = 0.05;
+  config.faults = {
+      dsa::fault::FaultProcess::capacity_degradation(60, 0.5),
+      dsa::fault::FaultProcess::burst_churn(50, 0.2),
+  };
+  expect_engines_agree(protocols, config);
+}
+
 TEST(EngineEquivalence, NegativeZeroCapacitiesTieWithZeroGifts) {
   // -0.0 passes the capacity check (it is >= 0), and a -0.0 peer gives
   // -0.0, which the dense engine's comparisons treat as equal to the 0.0
