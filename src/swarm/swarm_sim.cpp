@@ -456,8 +456,12 @@ class SwarmEngine {
     }
     // Window roll + loyalty streak update (one choke period granularity).
     // Only Loyal-When-needed peers read streaks, and only on their own row.
+    // Only the cells credited in the window before last can be nonzero in
+    // the matrix that becomes current, so only they are cleared.
     recv_prev_.swap(recv_cur_);
-    std::fill(recv_cur_.begin(), recv_cur_.end(), 0.0);
+    for (const std::size_t idx : credited_prev_) recv_cur_[idx] = 0.0;
+    credited_prev_.swap(credited_cur_);
+    credited_cur_.clear();
     for (std::uint32_t i : loyal_) {
       for (std::size_t idx = i * n_; idx < (i + 1) * n_; ++idx) {
         streak_[idx] = recv_prev_[idx] > 0.0 ? streak_[idx] + 1 : 0;
@@ -766,7 +770,9 @@ class SwarmEngine {
     uploaded_[sender] += rate_kbps;
     downloaded_[receiver] += rate_kbps;
     tick_transferred_ += rate_kbps;
-    recv_cur_[receiver * n_ + sender] += rate_kbps;
+    double& credited = recv_cur_[receiver * n_ + sender];
+    if (credited == 0.0) credited_cur_.push_back(receiver * n_ + sender);
+    credited += rate_kbps;
     const auto piece =
         static_cast<std::size_t>(piece_from_[receiver * n_ + sender]);
     double& done = bytes_done_[receiver * pieces_ + piece];
@@ -844,6 +850,9 @@ class SwarmEngine {
   std::vector<std::int32_t> piece_from_;     // [receiver * n + sender]
   std::vector<double> bytes_done_;           // [receiver * pieces + p], KB
   std::vector<double> recv_cur_, recv_prev_;  // [receiver * n + sender], KB
+  // Cells of recv_cur_ / recv_prev_ credited in their window; a cell may
+  // appear twice (re-credited after a crash zeroed it), never missing.
+  std::vector<std::size_t> credited_cur_, credited_prev_;
   std::vector<std::uint32_t> streak_;  // choke periods; loyal_ rows only
   std::vector<std::uint32_t> loyal_;   // Loyal-When-needed peers, ascending
   std::vector<std::vector<std::uint32_t>> unchoked_;

@@ -4,9 +4,9 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -101,11 +101,20 @@ struct SimWorkspace::Impl {
   std::vector<double> total_received;
 
   // Per-peer scratch reused across rounds. The candidate arrays are aligned
-  // by position and ascending by id; candidates has room for the acting
-  // peer's own id, slotted in as the stranger-exclusion set.
+  // by position and ascending by id.
   std::vector<std::uint32_t> candidates;
   std::vector<double> candidate_window;
   std::vector<std::uint32_t> candidate_streak;
+  /// A giver's two window addends and its streak, scattered from the now
+  /// and prev slot lists for the TF2T gather. Zero between acts: the gather
+  /// resets each cell it reads, and clears the giver bitmap word by word.
+  struct WindowCell {
+    double now = 0.0;
+    double prev = 0.0;
+    std::uint32_t streak = 0;
+  };
+  std::vector<WindowCell> window_cells;
+  std::vector<std::uint64_t> giver_bits;
   /// A selected partner with the window bandwidth it was ranked by, which
   /// the stranger rule, Prop Share and the recorder read.
   struct Partner {
@@ -114,7 +123,19 @@ struct SimWorkspace::Impl {
   };
   std::vector<Partner> partners;
   std::vector<RankKey> rank_keys;
-  std::vector<std::uint32_t> eligible_strangers;
+  /// Per exclusion e (the candidates and the acting peer), e's value minus
+  /// its position in the ascending exclusion list: the count of eligible
+  /// peers below it.
+  std::vector<std::uint32_t> exclusion_keys;
+  /// A position of the virtual eligible list that the stranger shuffle has
+  /// overwritten.
+  struct Patch {
+    std::uint32_t pos;
+    std::uint32_t value;
+  };
+  std::vector<Patch> overlay;
+  /// The strangers picked by the last act, in draw order.
+  std::vector<std::uint32_t> strangers;
   std::vector<std::uint32_t> tie_priority;
   std::vector<std::uint32_t> victim_scratch;
 
@@ -139,10 +160,15 @@ struct SimWorkspace::Impl {
     candidates.resize(n);
     candidate_window.resize(n);
     candidate_streak.resize(n);
+    window_cells.assign(n, {});
+    giver_bits.assign((n + 63) / 64, 0);
     partners.resize(n);
     rank_keys.resize(n);
-    eligible_strangers.clear();
-    eligible_strangers.reserve(n);
+    exclusion_keys.resize(n);
+    overlay.clear();
+    overlay.reserve(n);
+    strangers.clear();
+    strangers.reserve(n);
     tie_priority.assign(n, 0);
     victim_scratch.clear();
   }
@@ -175,14 +201,19 @@ void observe_score_spread(const std::vector<double>& peer_throughput) {
 ///  * The history is three generations of per-receiver slot lists whose
 ///    roles rotate. A give appends to its receiver's list, so every list
 ///    stays ascending by giver, and a candidate list is one list (TFT) or
-///    the merge of two (TF2T): the dense engine's ascending row scan.
+///    two scattered into per-giver cells and gathered in ascending id
+///    order (TF2T): the dense engine's ascending row scan.
 ///  * A candidate's window bandwidth and streak are read once, when the
 ///    candidate list is built, and carried through ranking, the stranger
 ///    rule, allocation and the recorder.
-///  * Candidates are ranked only when something reads the ranking: when
-///    every candidate is selected and the allocation ignores their order,
-///    the gives go out in ascending order to distinct receivers, which
-///    cannot change a bit.
+///  * Candidates are ordered only when something reads the order: Prop
+///    Share's contribution sum and the full-level recorder. Otherwise each
+///    partner gets one give to a distinct receiver, in any order, which
+///    cannot change a bit, so only the top-k set is selected.
+///  * A stranger is a position in the virtual list of eligible peers,
+///    resolved in closed form from the candidate list; nothing is
+///    materialized.
+///  * Aspiration is updated only on Adaptive rows, its only reader.
 ///  * Streaks are kept only for receivers that rank by Loyal. A pair with
 ///    no slot in the latest generation has streak 0, exactly what the
 ///    dense full-matrix pass computes.
@@ -303,9 +334,10 @@ class SparseEngine {
 
   /// Builds the candidate list of `me` — everyone with a slot to it in the
   /// window — ascending by id, with each candidate's window bandwidth and
-  /// streak, and returns its length. The window is the dense engine's
+  /// streak, and returns its length. The TF2T window is the dense engine's
   /// now + prev sum addend for addend: a giver missing from one generation
-  /// adds an exact 0.0 there.
+  /// adds an exact 0.0 there. The TFT window is the slot value itself, so
+  /// a -0.0 gift stays -0.0.
   std::size_t build_candidates(std::size_t me, bool two_rounds) {
     std::uint32_t* ids = ws_.candidates.data();
     double* window = ws_.candidate_window.data();
@@ -322,31 +354,36 @@ class SparseEngine {
     }
     const Slot* prev = slots(gen(prev_), me);
     const std::size_t prev_count = gen(prev_).count[me];
-    // Branch-free merge of the two ascending lists: a giver in both takes
-    // both addends, a giver in one list adds 0.0 for the other; only a slot
-    // in the latest generation can carry a streak.
-    std::size_t a = 0;
-    std::size_t b = 0;
+    // Scatter both lists into per-giver cells, whose untouched addends are
+    // 0.0, and mark the givers in a bitmap; only a slot in the latest
+    // generation can carry a streak. The stores are independent: no list
+    // position carries from one output to the next.
+    auto* cell = ws_.window_cells.data();
+    std::uint64_t* bits = ws_.giver_bits.data();
+    for (std::size_t c = 0; c < now_count; ++c) {
+      const std::uint32_t giver = now[c].giver;
+      cell[giver].now = now[c].value;
+      cell[giver].streak = now[c].streak;
+      bits[giver / 64] |= std::uint64_t{1} << (giver % 64);
+    }
+    for (std::size_t c = 0; c < prev_count; ++c) {
+      const std::uint32_t giver = prev[c].giver;
+      cell[giver].prev = prev[c].value;
+      bits[giver / 64] |= std::uint64_t{1} << (giver % 64);
+    }
+    // Gather in ascending id order, leaving the cells and bitmap zeroed.
     std::size_t out = 0;
-    for (; a < now_count && b < prev_count; ++out) {
-      const bool from_now = now[a].giver <= prev[b].giver;
-      const bool from_prev = prev[b].giver <= now[a].giver;
-      ids[out] = from_now ? now[a].giver : prev[b].giver;
-      window[out] = (from_now ? now[a].value : 0.0) +
-                    (from_prev ? prev[b].value : 0.0);
-      streak[out] = from_now ? now[a].streak : 0;
-      a += from_now;
-      b += from_prev;
-    }
-    for (; a < now_count; ++a, ++out) {
-      ids[out] = now[a].giver;
-      window[out] = now[a].value + 0.0;
-      streak[out] = now[a].streak;
-    }
-    for (; b < prev_count; ++b, ++out) {
-      ids[out] = prev[b].giver;
-      window[out] = 0.0 + prev[b].value;
-      streak[out] = 0;
+    for (std::size_t w = 0; w < ws_.giver_bits.size(); ++w) {
+      for (std::uint64_t word = std::exchange(bits[w], 0); word != 0;
+           word &= word - 1) {
+        const auto giver =
+            static_cast<std::uint32_t>(w * 64 + std::countr_zero(word));
+        ids[out] = giver;
+        window[out] = cell[giver].now + cell[giver].prev;
+        streak[out] = cell[giver].streak;
+        cell[giver] = {};
+        ++out;
+      }
     }
     return out;
   }
@@ -434,7 +471,7 @@ class SparseEngine {
                        .value = {{amount, window, 0.0, 0.0}}});
       }
     };
-    const std::uint32_t* strangers = ws_.eligible_strangers.data();
+    const std::uint32_t* strangers = ws_.strangers.data();
     if (defects_on_strangers) {
       for (std::size_t s = 0; s < stranger_count; ++s) {
         give(me, strangers[s], 0.0);  // visible defection
@@ -491,10 +528,11 @@ class SparseEngine {
   }
 
   /// Fills ws_.partners[0, top) with the `top` best of the `count`
-  /// candidates, best first, in the dense engine's (key, tie draw, id)
-  /// order. When every candidate is selected and `ordered` is false, the
-  /// partners stay in ascending id order instead: each goes to a distinct
-  /// receiver, so the order of the gives cannot change a bit.
+  /// candidates in the dense engine's (key, tie draw, id) order, best first
+  /// when `ordered`. Otherwise only the set is selected, in no particular
+  /// order (ascending id when every candidate is selected): each partner
+  /// gets one give to a distinct receiver, so the order of the gives cannot
+  /// change a bit.
   void select_partners(std::size_t me, const ProtocolSpec& spec,
                        std::size_t count, std::size_t top, bool ordered) {
     Partner* partners = ws_.partners.data();
@@ -556,7 +594,11 @@ class SparseEngine {
       case RankingFunction::kRandom:
         break;  // drawn above
     }
-    rank_front(keys, count, top);
+    if (ordered && top > 1) {
+      rank_front(keys, count, top);
+    } else {
+      select_front(keys, count, top);
+    }
     for (std::size_t i = 0; i < top; ++i) {
       const auto c = static_cast<std::uint32_t>(keys[i]);
       partners[i] = {ids[c], window[c]};
@@ -564,16 +606,28 @@ class SparseEngine {
   }
 
   /// Moves the `top` smallest of the distinct keys[0, count) to the front,
-  /// ascending.
-  static void rank_front(RankKey* keys, std::size_t count, std::size_t top) {
-    if (top == 1) {
-      std::size_t best = 0;
-      for (std::size_t c = 1; c < count; ++c) {
-        best = keys[c] < keys[best] ? c : best;
+  /// in no particular order: a later key that beats the worst kept one
+  /// replaces it.
+  static void select_front(RankKey* keys, std::size_t count,
+                           std::size_t top) {
+    auto worst_kept = [&] {
+      std::size_t worst = 0;
+      for (std::size_t i = 1; i < top; ++i) {
+        worst = keys[worst] < keys[i] ? i : worst;
       }
-      keys[0] = keys[best];
-      return;
+      return worst;
+    };
+    std::size_t worst = worst_kept();
+    for (std::size_t i = top; i < count; ++i) {
+      if (!(keys[i] < keys[worst])) continue;
+      keys[worst] = keys[i];
+      worst = worst_kept();
     }
+  }
+
+  /// Moves the `top` (> 1) smallest of the distinct keys[0, count) to the
+  /// front, ascending.
+  static void rank_front(RankKey* keys, std::size_t count, std::size_t top) {
     constexpr std::size_t kCountingMax = 12;
     if (count <= kCountingMax) {
       // Rank by counting: a key's rank is the number of smaller keys. No
@@ -603,88 +657,63 @@ class SparseEngine {
   /// engine builds `eligible` = ascending [0, n) minus {me} minus the
   /// candidates, then partially Fisher-Yates-shuffles its front; here the
   /// same draws (`below(eligible_size - i)`, identical arguments, identical
-  /// order) index a *virtual* copy of that list: position x resolves to the
-  /// x-th non-excluded peer in O(|excluded|), and the handful of swaps the
-  /// shuffle would have made live in a tiny overlay. Falls back to the
-  /// materialized scan when more than kMaxOverlayPicks strangers are
-  /// wanted — both paths pick identical peers.
+  /// order) index a *virtual* copy of that list, and the swaps the shuffle
+  /// would have made live in a small overlay.
   ///
-  /// The exclusion set is the ascending candidate list with `me` slotted
-  /// in, so this must run after the partners are selected.
+  /// Position x of the virtual list is the x-th peer outside the ascending
+  /// exclusion list e (the candidates with `me` counted in): x + #{j :
+  /// e[j] - j <= x}, because e[j] - j peers below e[j] are eligible. The
+  /// keys e[j] - j are computed once per act, so a position resolves with
+  /// independent compares.
   std::size_t pick_strangers(std::size_t me, std::size_t count,
                              std::size_t want) {
-    constexpr std::size_t kMaxOverlayPicks = 8;  // design space: h <= 3
-    auto& eligible = ws_.eligible_strangers;
-
-    std::uint32_t* ids = ws_.candidates.data();
+    const std::uint32_t* ids = ws_.candidates.data();
+    std::uint32_t* keys = ws_.exclusion_keys.data();
     const auto me_id = static_cast<std::uint32_t>(me);
-    std::uint32_t* at = std::lower_bound(ids, ids + count, me_id);
-    std::copy_backward(at, ids + count, ids + count + 1);
-    *at = me_id;
-    const std::span<const std::uint32_t> excluded(ids, count + 1);
-    const std::size_t eligible_size = n_ - excluded.size();
-
-    if (want > kMaxOverlayPicks) {
-      // Materialize the eligible list as the complement of the sorted
-      // exclusions — contiguous runs instead of a per-element branch.
-      eligible.clear();
-      std::uint32_t from = 0;
-      for (const std::uint32_t e : excluded) {
-        for (std::uint32_t j = from; j < e; ++j) eligible.push_back(j);
-        from = e + 1;
-      }
-      for (std::uint32_t j = from; j < n_; ++j) eligible.push_back(j);
-      const std::size_t found = std::min(want, eligible.size());
-      for (std::size_t i = 0; i < found; ++i) {
-        const std::size_t j =
-            i + static_cast<std::size_t>(rng_.below(eligible.size() - i));
-        std::swap(eligible[i], eligible[j]);
-      }
-      return found;
+    // A candidate above `me` sits one place further up the exclusion list.
+    std::uint32_t below_me = 0;
+    for (std::size_t c = 0; c < count; ++c) {
+      below_me += ids[c] < me_id;
+      keys[c] = ids[c] - static_cast<std::uint32_t>(c) - (ids[c] > me_id);
     }
-
-    // x-th element of ascending [0, n) minus the sorted exclusions. The
-    // full walk is branch-predictable (a conditional increment, no early
-    // exit) and the exclusion list is small.
-    auto base = [&](std::size_t x) {
-      std::uint32_t value = static_cast<std::uint32_t>(x);
-      for (const std::uint32_t e : excluded) {
-        if (e <= value) ++value;
-      }
+    keys[count] = me_id - below_me;
+    const std::size_t excluded = count + 1;
+    const std::size_t eligible_size = n_ - excluded;
+    auto base = [&](std::uint32_t x) {
+      std::uint32_t value = x;
+      for (std::size_t j = 0; j < excluded; ++j) value += keys[j] <= x;
       return value;
     };
-    // Sparse overlay of the virtual list: at most two entries per pick.
-    struct Patch {
-      std::size_t pos;
-      std::uint32_t value;
-    };
-    Patch patches[2 * kMaxOverlayPicks];
-    std::size_t patch_count = 0;
-    auto read = [&](std::size_t pos) {
-      for (std::size_t p = 0; p < patch_count; ++p) {
-        if (patches[p].pos == pos) return patches[p].value;
+
+    // Draw i reads positions i and j >= i, so a later draw never reads a
+    // position below i + 1: only the swap's write to j is kept.
+    auto& overlay = ws_.overlay;
+    overlay.clear();
+    auto read = [&](std::uint32_t pos) {
+      for (const auto& patch : overlay) {
+        if (patch.pos == pos) return patch.value;
       }
       return base(pos);
     };
-    auto write = [&](std::size_t pos, std::uint32_t value) {
-      for (std::size_t p = 0; p < patch_count; ++p) {
-        if (patches[p].pos == pos) {
-          patches[p].value = value;
+    auto write = [&](std::uint32_t pos, std::uint32_t value) {
+      for (auto& patch : overlay) {
+        if (patch.pos == pos) {
+          patch.value = value;
           return;
         }
       }
-      patches[patch_count++] = {pos, value};
+      overlay.push_back({pos, value});
     };
 
-    eligible.clear();
+    auto& strangers = ws_.strangers;
+    strangers.clear();
     const std::size_t found = std::min(want, eligible_size);
     for (std::size_t i = 0; i < found; ++i) {
-      const std::size_t j =
-          i + static_cast<std::size_t>(rng_.below(eligible_size - i));
+      const auto j = static_cast<std::uint32_t>(
+          i + static_cast<std::size_t>(rng_.below(eligible_size - i)));
       const std::uint32_t picked = read(j);
-      write(j, read(i));
-      write(i, picked);
-      eligible.push_back(picked);
+      write(j, read(static_cast<std::uint32_t>(i)));
+      strangers.push_back(picked);
     }
     return found;
   }
@@ -750,15 +779,16 @@ class SparseEngine {
       }
     }
 
-    // Aspiration tracking (Adaptive): smooth toward this round's per-slot
-    // receipts.
+    // Aspiration tracking: smooth toward this round's per-slot receipts,
+    // only on Adaptive rows, the only ranking that reads it.
     for (std::size_t i = 0; i < n_; ++i) {
+      ws_.total_received[i] += round_received[i];
+      if (protocols_[i].ranking != RankingFunction::kAdaptive) continue;
       const double slots =
           std::max<double>(1.0, protocols_[i].partner_slots);
       const double per_slot = round_received[i] / slots;
       ws_.aspiration[i] += config_.aspiration_smoothing *
                            (per_slot - ws_.aspiration[i]);
-      ws_.total_received[i] += round_received[i];
     }
 
     // Churn, then scheduled fault processes — same RNG draw order as the
